@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrcon
 
-from .linalg import RandomStream, col_basis, gaussian, null_basis
+from .linalg import RandomStream, col_basis, gaussian, null_basis, project_out
 from .operators import LinearOperatorHandle
 from .tagging import TaggingMatrix, TaggingPlan
 from .tessellation import Tessellation
@@ -29,7 +30,14 @@ from .tessellation import Tessellation
 
 @dataclass
 class SketchBundle:
-    """Test matrices and sketches kept around for reuse in reconstruction."""
+    """Test matrices and sketches kept around for reuse in reconstruction.
+
+    Block nullification built with right_inverses=True also keeps, per block
+    i with neighbor stack B_i = omega[N_i, :], the projected right-inverse
+    rows (I - U_i U_i*) y_i B_i^+ (m_i x |N_i|, columns in neighbor order),
+    the same rows from z, psi[N_i, :] and V_i, and each stack's condition
+    estimate. Only these rows are stored, never the QR factors they came from.
+    """
 
     kind: str  # "bn" | "tag" | "naive"
     omega: np.ndarray  # (n, s)
@@ -43,6 +51,9 @@ class SketchBundle:
     h_blocks: list | None = None
     group_cols: int | None = None  # columns per tagging group
     block_cols: int | None = None  # columns per block probe (naive)
+    y_rinv: list | None = None  # (I - U_i U_i*) y_i B_i^+ per block (bn)
+    z_rinv: list | None = None  # (I - V_i V_i*) z_i (psi[N_i, :])^+ per block
+    stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block
 
 
 @dataclass
@@ -83,14 +94,33 @@ def _basis_or_identity(sample: np.ndarray, k: int) -> np.ndarray:
     return col_basis(sample, k)
 
 
+def _projected_right_inverse(basis, sketch_rows, q1, r1) -> tuple:
+    """(I - U U*) Y B^+ for a full-row-rank B with B* = q1 r1, and the
+    LAPACK 1-norm estimate of cond(r1)."""
+    # np.linalg.solve, not a scipy triangular solve: numpy and scipy may
+    # each bring their own threaded BLAS, and alternating level-3 calls
+    # between the two pools inside the per-block loop costs more than the
+    # extra LU (dtrcon is level-2 work and does not suffer from it)
+    rows = np.linalg.solve(r1, (project_out(basis, sketch_rows) @ q1).T).T
+    rcond, _ = dtrcon(r1)
+    return rows, (1.0 / rcond if rcond > 0 else np.inf)
+
+
 def block_nullification_bases(
     op: LinearOperatorHandle,
     tess: Tessellation,
     k: int,
     p: int,
     stream: RandomStream,
+    right_inverses: bool = False,
 ) -> tuple:
-    """Bases via null-space projection of one wide Gaussian sketch per side."""
+    """Bases via null-space projection of one wide Gaussian sketch per side.
+
+    With right_inverses (the type-B path), the QR of each neighbor stack
+    that yields its null basis also yields the stack's right inverse, and
+    the bundle keeps the projected right-inverse rows and condition
+    estimates described on SketchBundle. The bases do not depend on it.
+    """
     r = k + p
     s = block_nullification_width(tess, r)
     n = tess.n_points
@@ -100,14 +130,21 @@ def block_nullification_bases(
     z = op.apply_adjoint(psi)
 
     u_blocks, v_blocks, ranks = [], [], []
+    y_rinv, z_rinv, conds = [], [], []
     for i in range(tess.b):
         rows = tess.blocks[i]
         nbr_rows = tess.neighbor_indices(i)
-        proj_u = null_basis(omega[nbr_rows, :], r)
-        proj_v = null_basis(psi[nbr_rows, :], r)
+        proj_u, q1_u, r1_u = null_basis(omega[nbr_rows, :], r, thin_factors=True)
+        proj_v, q1_v, r1_v = null_basis(psi[nbr_rows, :], r, thin_factors=True)
         u_blocks.append(_basis_or_identity(y[rows, :] @ proj_u, k))
         v_blocks.append(_basis_or_identity(z[rows, :] @ proj_v, k))
         ranks.append(u_blocks[-1].shape[1])
+        if right_inverses:
+            rows_u, cond_u = _projected_right_inverse(u_blocks[-1], y[rows, :], q1_u, r1_u)
+            rows_v, cond_v = _projected_right_inverse(v_blocks[-1], z[rows, :], q1_v, r1_v)
+            y_rinv.append(rows_u)
+            z_rinv.append(rows_v)
+            conds.append((cond_u, cond_v))
 
     bases = BlockBases(
         u_blocks=u_blocks,
@@ -120,6 +157,8 @@ def block_nullification_bases(
     bundle = SketchBundle(
         kind="bn", omega=omega, psi=psi, y=y, z=z, s=s, tess=tess
     )
+    if right_inverses:
+        bundle.y_rinv, bundle.z_rinv, bundle.stack_conds = y_rinv, z_rinv, np.array(conds)
     return bases, bundle
 
 

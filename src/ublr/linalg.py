@@ -69,20 +69,24 @@ def col_basis(B: np.ndarray, k: int) -> np.ndarray:
     return q[:, :k]
 
 
-def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12) -> np.ndarray:
+def null_basis(
+    B: np.ndarray, k: int, rtol: float = 1e-12, thin_factors: bool = False
+):
     """k orthonormal columns of the null space of B.
 
-    Taken as the last k columns of the full QR factor of B*. Raises
+    Taken as the last k columns of the full QR factor of B* = q r. Raises
     ValueError when the requested null space does not exist, detected by the
-    residual ||B Z|| exceeding rtol * max(1, ||B||).
+    residual ||B Z|| exceeding rtol * max(1, ||B||). With thin_factors, also
+    returns the thin factors q1 = q[:, :m], r1 = r[:m] of the same QR, so a
+    full-row-rank B has the right inverse q1 r1^-*; Z is unchanged bitwise.
     """
     B = np.asarray(B, dtype=float)
     m, n = B.shape
     if k > n:
         raise ValueError(f"k={k} exceeds column count {n}")
-    if k == 0:
+    if k == 0 and not thin_factors:
         return np.zeros((n, 0))
-    q, _ = np.linalg.qr(B.T, mode="complete")
+    q, r = np.linalg.qr(B.T, mode="complete")
     Z = q[:, n - k:]
     scale = max(1.0, np.linalg.norm(B))
     resid = np.linalg.norm(B @ Z)
@@ -91,7 +95,14 @@ def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12) -> np.ndarray:
             f"requested null space of dimension {k} does not exist "
             f"(residual {resid:.3e} > {rtol:.1e} * {scale:.3e})"
         )
+    if thin_factors:
+        return Z, q[:, :m], r[:m]
     return Z
+
+
+def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(I - U U*) X for U with orthonormal columns."""
+    return X - u @ (u.T @ X)
 
 
 def pseudo_inverse(B: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

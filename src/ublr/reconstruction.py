@@ -7,8 +7,9 @@ bases are built:
 
 * type A: C = U*(A V) by direct sketching, then B extracted with structured
   identity probes over a distance-2 box coloring;
-* type B: B first, recovered from the step-I sketches with block
-  pseudoinverses (no new matvecs), then C from a least-squares solve against
+* type B: B first, recovered from the step-I sketches with block right
+  inverses (no new matvecs; block nullification takes them from the QR
+  its step I already computed), then C from a least-squares solve against
   the same test matrix, augmented with extra Gaussian columns when the
   bundle is too narrow.
 """
@@ -28,7 +29,14 @@ from .bases import (
     naive_bases,
     tagging_bases,
 )
-from .linalg import RandomStream, estimate_spectral_norm, gaussian, null_basis, pseudo_inverse
+from .linalg import (
+    RandomStream,
+    estimate_spectral_norm,
+    gaussian,
+    null_basis,
+    project_out,
+    pseudo_inverse,
+)
 from .operators import (
     CountingOperator,
     DifferenceOperator,
@@ -249,20 +257,6 @@ def structured_identity_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def _perp(u_block: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return X - u_block @ (u_block.T @ X)
-
-
-def _pinv_with_cond(B: np.ndarray, rtol: float = 1e-12):
-    u, s, vt = np.linalg.svd(B, full_matrices=False)
-    keep = s > rtol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    # conditioning of the full stack, not the truncated one: a deficient
-    # stack means the recovery is unreliable even though pinv stays finite
-    cond = s[0] / s[-1] if s.size and s[-1] > 0 else np.inf
-    pinv = (vt[keep].T / s[keep]) @ u[:, keep].T if keep.any() else np.zeros(B.T.shape)
-    return pinv, float(cond)
-
-
 def gaussian_pinv_discrepancy(
     bundle: SketchBundle, bases: BlockBases, cond_limit: float = 1e8
 ) -> dict:
@@ -270,41 +264,52 @@ def gaussian_pinv_discrepancy(
 
     (I - U_i U_i*) A(I_i, nbrs) equals the projected sketch rows times the
     right pseudoinverse of the stacked neighbor rows of the test matrix;
-    the adjoint side gives A_ij (I - V_j V_j*). Costs no extra matvecs.
+    the adjoint side gives A_ij (I - V_j V_j*). Step I already computed
+    both products from its QR of each stack (block_nullification_bases
+    with right_inverses=True), so this step only slices and combines them.
+    Warns for every stack whose condition estimate, LAPACK's 1-norm
+    estimate of cond(R), exceeds cond_limit. Costs no extra matvecs.
     """
+    if bundle.y_rinv is None:
+        raise ValueError(
+            "bundle has no right-inverse rows; build it with "
+            "block_nullification_bases(..., right_inverses=True)"
+        )
     tess = bundle.tess
+    for side, col in (("", 0), ("adjoint ", 1)):
+        for i in np.flatnonzero(bundle.stack_conds[:, col] > cond_limit):
+            warnings.warn(
+                f"block {i}: neighbor {side}test-matrix stack has condition "
+                f"{bundle.stack_conds[i, col]:.2e} (LAPACK 1-norm estimate of cond(R))"
+            )
+
     term1 = {}
     for i in range(tess.b):
-        om_nbr = bundle.omega[tess.neighbor_indices(i), :]
-        pinv_om, cond = _pinv_with_cond(om_nbr)
-        if cond > cond_limit:
-            warnings.warn(
-                f"block {i}: neighbor test-matrix stack has condition {cond:.2e}"
-            )
-        x = _perp(bases.u_blocks[i], bundle.y[tess.blocks[i], :]) @ pinv_om
         start = 0
         for j in tess.neighbor_lists[i]:
             width = len(tess.blocks[j])
-            term1[(i, j)] = x[:, start:start + width]
+            term1[(i, j)] = bundle.y_rinv[i][:, start:start + width]
             start += width
 
     b_blocks = {}
     for j in range(tess.b):
-        psi_nbr = bundle.psi[tess.neighbor_indices(j), :]
-        pinv_psi, cond = _pinv_with_cond(psi_nbr)
-        if cond > cond_limit:
-            warnings.warn(
-                f"block {j}: neighbor adjoint test-matrix stack has condition {cond:.2e}"
-            )
-        x = _perp(bases.v_blocks[j], bundle.z[tess.blocks[j], :]) @ pinv_psi
         start = 0
         for i in tess.neighbor_lists[j]:
             width = len(tess.blocks[i])
-            w_ij = x[:, start:start + width].T  # A_ij (I - V_j V_j*)
+            w_ij = bundle.z_rinv[j][:, start:start + width].T  # A_ij (I - V_j V_j*)
             u_i = bases.u_blocks[i]
             b_blocks[(i, j)] = term1[(i, j)] + u_i @ (u_i.T @ w_ij)
             start += width
     return b_blocks
+
+
+def _pair_null_vector(T, nbrs, excluded) -> tuple:
+    """Null vector z of the tagging rows over nbrs minus {excluded}, and the
+    surviving projected tag t_excluded . z. Raises ValueError when no null
+    vector exists."""
+    kept = [r for r in nbrs if r != excluded]
+    z = null_basis(T.entries[kept, :], 1)[:, 0]
+    return z, float(T.entries[excluded] @ z)
 
 
 def b2_denominators_ok(T, tess: Tessellation, rtol: float = 1e-10) -> bool:
@@ -313,12 +318,11 @@ def b2_denominators_ok(T, tess: Tessellation, rtol: float = 1e-10) -> bool:
     for i in range(tess.b):
         nbrs = tess.neighbor_lists[i]
         for j in nbrs:
-            kept = [r for r in nbrs if r != j]
             try:
-                z = null_basis(T.entries[kept, :], 1)[:, 0]
+                _, denom = _pair_null_vector(T, nbrs, j)
             except ValueError:
                 return False
-            if abs(T.entries[j] @ z) < limit:
+            if abs(denom) < limit:
                 return False
     return True
 
@@ -342,12 +346,10 @@ def tagging_pinv_discrepancy(
     h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
 
     def pair_vector(nbrs, excluded):
-        kept = [r for r in nbrs if r != excluded]
         try:
-            z = null_basis(T.entries[kept, :], 1)[:, 0]
+            z, denom = _pair_null_vector(T, nbrs, excluded)
         except ValueError as exc:
             raise DegenerateTagsError(str(exc)) from exc
-        denom = float(T.entries[excluded] @ z)
         if abs(denom) < limit:
             raise DegenerateTagsError(
                 f"projected tag for pair ({nbrs}, {excluded}) vanished"
@@ -361,7 +363,7 @@ def tagging_pinv_discrepancy(
             z, denom = pair_vector(tess.neighbor_lists[i], j)
             comb = np.tensordot(groups, z, axes=(1, 0))
             term1[(i, j)] = (
-                _perp(bases.u_blocks[i], comb) @ g_pinv[j] / denom
+                project_out(bases.u_blocks[i], comb) @ g_pinv[j] / denom
             )
 
     b_blocks = {}
@@ -370,7 +372,7 @@ def tagging_pinv_discrepancy(
         for i in tess.neighbor_lists[j]:
             z, denom = pair_vector(tess.neighbor_lists[j], i)
             comb = np.tensordot(groups, z, axes=(1, 0))
-            w_ij = (_perp(bases.v_blocks[j], comb) @ h_pinv[i]).T / denom
+            w_ij = (project_out(bases.v_blocks[j], comb) @ h_pinv[i]).T / denom
             u_i = bases.u_blocks[i]
             b_blocks[(i, j)] = term1[(i, j)] + u_i @ (u_i.T @ w_ij)
     return b_blocks
@@ -615,7 +617,9 @@ def compress_type_b(
     t0 = time.perf_counter()
     with cop.ledger.phase("I"):
         if method == "bn":
-            bases, bundle = block_nullification_bases(cop, tess, k, p, stream.child(0))
+            bases, bundle = block_nullification_bases(
+                cop, tess, k, p, stream.child(0), right_inverses=True
+            )
         else:
             plan = plan_tagging(
                 tess, 0, distribution, stream.child(1),

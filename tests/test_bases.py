@@ -1,16 +1,31 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ublr import (
+    DenseOperator,
     RandomStream,
+    UniformBLR,
     block_nullification_bases,
     block_nullification_width,
+    build_tessellation,
+    color_boxes,
+    compress,
     counting_wrapper,
+    direct_core,
+    gaussian,
+    grid_points,
     naive_bases,
     null_basis,
     plan_tagging,
+    pseudo_inverse,
+    random_points,
+    structured_identity_discrepancy,
     tagging_bases,
+    write_ublr,
 )
+from ublr.linalg import project_out
 
 from conftest import snorm, uniform_synthetic
 
@@ -189,3 +204,72 @@ class TestCrossMethod:
             assert u.shape == (4, 4)
             assert np.array_equal(u, np.eye(4))
         assert np.all(bases.effective_ranks == 4)
+
+
+class TestBlockNullificationRightInverses:
+    """The type-B bundle's right-inverse rows come from step I's QR."""
+
+    @staticmethod
+    def random_case(seed):
+        # d = 1 or 2, uniform grids and ragged random-point grids, and p as
+        # small as 0 so the widest neighbor stack is nearly square
+        gen = RandomStream(seed).generator
+        d = 1 + seed % 2
+        b = int(gen.integers(3, 7)) ** d
+        n = b * int(gen.integers(6, 16))
+        if seed % 3 == 0:
+            per_axis = round(n ** (1.0 / d))
+            points = grid_points(per_axis, d)
+        else:
+            points = random_points(n, d, RandomStream(seed).child(1))
+        tess = build_tessellation(points, b)
+        op = DenseOperator(gaussian(tess.n_points, tess.n_points, RandomStream(seed).child(2)))
+        k = int(gen.integers(1, 4))
+        p = int(gen.integers(0, 6))
+        return op, tess, k, p
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rows_match_svd_pseudo_inverse_and_keep_bases(self, seed):
+        op, tess, k, p = self.random_case(seed)
+        plain, plain_bundle = block_nullification_bases(
+            op, tess, k, p, RandomStream(seed).child(3)
+        )
+        bases, bundle = block_nullification_bases(
+            op, tess, k, p, RandomStream(seed).child(3), right_inverses=True
+        )
+        # the keyword adds the rows and leaves the bases bitwise unchanged
+        assert plain_bundle.y_rinv is None and plain_bundle.stack_conds is None
+        for a, b in zip(plain.u_blocks + plain.v_blocks, bases.u_blocks + bases.v_blocks):
+            assert np.array_equal(a, b)
+        assert bundle.stack_conds.shape == (tess.b, 2)
+        assert np.all(np.isfinite(bundle.stack_conds))
+        assert np.all(bundle.stack_conds >= 1.0)
+        for i in range(tess.b):
+            rows, nbrs = tess.blocks[i], tess.neighbor_indices(i)
+            sides = (
+                (bundle.y_rinv[i], bases.u_blocks[i], bundle.y, bundle.omega),
+                (bundle.z_rinv[i], bases.v_blocks[i], bundle.z, bundle.psi),
+            )
+            for got, basis, sketch, test in sides:
+                want = project_out(basis, sketch[rows, :]) @ pseudo_inverse(test[nbrs, :])
+                assert got.shape == (len(rows), len(nbrs))
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_a1_container_matches_keyword_off_pipeline(self, synthetic_small, tmp_path):
+        op, tess, _ = synthetic_small
+
+        def digest(rep):
+            path = tmp_path / "rep.ublr"
+            write_ublr(path, rep)
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        stream = RandomStream(11)
+        bases, _ = block_nullification_bases(op, tess, 3, 10, stream.child(0))
+        core = direct_core(op, tess, bases)
+        b_blocks = structured_identity_discrepancy(op, tess, bases, core, color_boxes(tess))
+        expected = digest(UniformBLR(
+            tess=tess, rank=3, u_blocks=bases.u_blocks, v_blocks=bases.v_blocks,
+            core=core, b_blocks=b_blocks, effective_ranks=bases.effective_ranks,
+        ))
+        rep, _ = compress(op, tess, 3, "A1", p=10, stream=stream, compute_error=False)
+        assert digest(rep) == expected

@@ -78,6 +78,24 @@ class TestNullBasis:
         with pytest.raises(ValueError):
             null_basis(B, 2)
 
+    def test_thin_factors_keep_z_and_give_right_inverse(self, stream):
+        # random shapes from near-square (nullity 1) to wide: Z is bitwise
+        # the same with and without the factors, B* = q1 r1, and q1 r1^-*
+        # is a right inverse of B
+        for seed in range(24):
+            gen = stream.child(seed).generator
+            m = int(gen.integers(1, 60))
+            nullity = int(gen.integers(1, 12))
+            B = gaussian(m, m + nullity, stream.child(seed, 1))
+            k = int(gen.integers(0, nullity + 1))
+            z, q1, r1 = null_basis(B, k, thin_factors=True)
+            assert np.array_equal(z, null_basis(B, k))
+            assert q1.shape == (m + nullity, m) and r1.shape == (m, m)
+            assert np.array_equal(r1, np.triu(r1))
+            assert snorm(q1 @ r1 - B.T) <= 1e-13 * snorm(B)
+            right_inv = q1 @ np.linalg.inv(r1).T
+            assert snorm(B @ right_inv - np.eye(m)) <= 1e-10
+
 
 class TestPseudoInverse:
     def test_identity(self):

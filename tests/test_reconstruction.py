@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ublr.bases
 from ublr import (
     DenseOperator,
     RandomStream,
@@ -128,7 +129,9 @@ class TestStructuredIdentityDiscrepancy:
 class TestTypeBDiscrepancy:
     def test_bn_matches_structured_ids(self, synthetic_case):
         op, tess, _ = synthetic_case
-        bases, bundle = block_nullification_bases(op, tess, 3, 10, RandomStream(1))
+        bases, bundle = block_nullification_bases(
+            op, tess, 3, 10, RandomStream(1), right_inverses=True
+        )
         core = direct_core(op, tess, bases)
         via_ids = structured_identity_discrepancy(op, tess, bases, core, color_boxes(tess))
         via_pinv = gaussian_pinv_discrepancy(bundle, bases)
@@ -140,7 +143,9 @@ class TestTypeBDiscrepancy:
     def test_bn_costs_no_matvecs(self, synthetic_case):
         op, tess, _ = synthetic_case
         cop = counting_wrapper(op)
-        bases, bundle = block_nullification_bases(cop, tess, 3, 10, RandomStream(1))
+        bases, bundle = block_nullification_bases(
+            cop, tess, 3, 10, RandomStream(1), right_inverses=True
+        )
         before = cop.ledger.total
         gaussian_pinv_discrepancy(bundle, bases)
         assert cop.ledger.total == before
@@ -176,14 +181,27 @@ class TestTypeBDiscrepancy:
             G = gaussian(m, m + 10, stream.child(m))
             assert snorm(G @ pseudo_inverse(G) - np.eye(m)) <= 1e-8
 
-    def test_ill_conditioned_stack_warns(self, synthetic_case):
+    def test_ill_conditioned_stack_warns(self, synthetic_case, monkeypatch):
+        op, tess, _ = synthetic_case
+        # two nearly identical rows inside one neighborhood stack drive the
+        # smallest singular value toward zero; they must exist before step I,
+        # which factors the stacks
+        def near_duplicate_rows(rows, cols, stream):
+            g = gaussian(rows, cols, stream)
+            g[1, :] = g[0, :] * (1 + 1e-9)
+            return g
+
+        monkeypatch.setattr(ublr.bases, "gaussian", near_duplicate_rows)
+        bases, bundle = block_nullification_bases(
+            op, tess, 3, 10, RandomStream(1), right_inverses=True
+        )
+        with pytest.warns(UserWarning, match="condition"):
+            gaussian_pinv_discrepancy(bundle, bases)
+
+    def test_bn_without_right_inverses_names_keyword(self, synthetic_case):
         op, tess, _ = synthetic_case
         bases, bundle = block_nullification_bases(op, tess, 3, 10, RandomStream(1))
-        # two nearly identical rows inside one neighborhood stack drive the
-        # smallest singular value toward zero without hitting pinv truncation
-        bundle.omega[1, :] = bundle.omega[0, :] * (1 + 1e-9)
-        bundle.psi[1, :] = bundle.psi[0, :] * (1 + 1e-9)
-        with pytest.warns(UserWarning, match="condition"):
+        with pytest.raises(ValueError, match="right_inverses"):
             gaussian_pinv_discrepancy(bundle, bases)
 
 
