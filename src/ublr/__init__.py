@@ -19,12 +19,13 @@ from .linalg import (
     pseudo_inverse,
 )
 from .operators import (
+    CountingOperator,
     DenseOperator,
     DifferenceOperator,
     LinearOperatorHandle,
     MatvecLedger,
+    NonFiniteOracleError,
     SyntheticUBLRSpec,
-    counting_wrapper,
     laplace2d_operator,
     make_synthetic_spec,
     synthetic_ublr,
@@ -32,10 +33,7 @@ from .operators import (
 )
 from .reconstruction import (
     CompressionReport,
-    UBLROperator,
     UniformBLR,
-    apply_ublr,
-    apply_ublr_adjoint,
     compress,
     compress_type_a,
     compress_type_b,
@@ -53,6 +51,7 @@ from .tagging import (
     ProjectedTags,
     TaggingMatrix,
     aspect_ratio,
+    evaluate_plan,
     make_tagging_matrix,
     optimize_null_vector,
     plan_tagging,

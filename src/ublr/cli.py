@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import RandomStream
 from .operators import (
     InteriorResonanceError,
+    NonFiniteOracleError,
     laplace2d_operator,
     make_synthetic_spec,
     synthetic_ublr,
@@ -30,14 +31,7 @@ from .operators import (
 )
 from .container import write_ublr
 from .reconstruction import METHOD_IDS, compress
-from .tagging import (
-    DegenerateTagsError,
-    aspect_ratio,
-    make_tagging_matrix,
-    optimize_null_vector,
-    projected_tags,
-    tag_null_vector,
-)
+from .tagging import DegenerateTagsError, evaluate_plan, make_tagging_matrix
 from .tessellation import (
     build_tessellation,
     grid_points,
@@ -247,7 +241,10 @@ def cmd_compress(args, parser) -> int:
     seed = _resolve_seed(args)
     try:
         rep, report = _run_one(args, parser, args.method, args.k, args.n, seed)
-    except (DegenerateTagsError, InteriorResonanceError, np.linalg.LinAlgError) as exc:
+    except (
+        DegenerateTagsError, InteriorResonanceError, NonFiniteOracleError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     payload = json.dumps(report.to_dict(), indent=2)
@@ -339,18 +336,11 @@ def cmd_aspect_ratios(args, parser) -> int:
                         )
                     except ValueError as exc:
                         parser.error(str(exc))
-                    for i in range(tess.b):
-                        if len(tess.far_fields[i]) == 0:
-                            continue  # excluded from statistics
-                        base = tag_null_vector(T, tess, i)
-                        rho_base = aspect_ratio(projected_tags(T, tess, base), tess)
-                        if extra >= 1:
-                            best = optimize_null_vector(T, tess, i)
-                            rho_opt = aspect_ratio(
-                                projected_tags(T, tess, best), tess
-                            )
-                        else:
-                            rho_opt = rho_base
+                    plan = evaluate_plan(T, tess, optimize=extra >= 1)
+                    optimized = plan.rho_base if plan.rho_optimized is None else plan.rho_optimized
+                    # empty far fields have NaN ratios and stay out of the statistics
+                    for i in np.flatnonzero(~np.isnan(plan.rho_base)):
+                        rho_base, rho_opt = plan.rho_base[i], optimized[i]
                         nullity = T.n_cols - len(tess.neighbor_lists[i])
                         rows.append({
                             "row_type": "block", "b": b, "d": args.d,

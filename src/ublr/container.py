@@ -59,17 +59,28 @@ def write_ublr(path, rep: UniformBLR) -> None:
 
 
 def read_ublr(path) -> UniformBLR:
+    """Read a container written by write_ublr.
+
+    Raises ValueError naming the path and the field when the header
+    disagrees with the tessellation JSON or the file is not exactly as
+    long as its header, ranks and B index table say.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a UBLR container")
     off = len(MAGIC)
 
-    def take_u64(count):
+    def fail(field, message):
+        raise ValueError(f"{path}: {field}: {message}")
+
+    def take_u64(count, field):
         nonlocal off
+        if off + 8 * count > len(raw):
+            fail(field, f"file ends at byte {len(raw)}, before byte {off + 8 * count}")
         vals = np.frombuffer(raw, dtype="<u8", count=count, offset=off)
         off += 8 * count
-        return vals.astype(int)
+        return vals.tolist()
 
     def take_f64(rows, cols):
         nonlocal off
@@ -77,23 +88,47 @@ def read_ublr(path) -> UniformBLR:
         off += 8 * rows * cols
         return vals.reshape(rows, cols).copy()
 
-    n, b, k, d, json_len, n_pairs = take_u64(6)
-    tess_dict = json.loads(raw[off:off + json_len].decode())
+    n, b, k, d, json_len, n_pairs = take_u64(6, "header")
+    if off + json_len > len(raw):
+        fail("tessellation", f"JSON length {json_len} runs past the end of the file")
+    try:
+        tess_dict = json.loads(raw[off:off + json_len].decode())
+        blocks = tess_dict["blocks"]
+        stored_fields = (
+            ("b", b, tess_dict["b"]),
+            ("b", b, len(blocks)),
+            ("d", d, tess_dict["dim"]),
+            ("n", n, sum(len(blk) for blk in blocks)),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        fail("tessellation", f"unreadable JSON ({exc!r})")
     off += json_len
+    for field, header, stored in stored_fields:
+        if header != stored:
+            fail(field, f"header says {header}, tessellation JSON says {stored}")
+    ranks = take_u64(b, "effective ranks")
+    sizes = [len(blk) for blk in blocks]
+    total = sum(ranks)
+    body = off  # U, V and the core come next; skip them to the B index table
+    off += 8 * (2 * sum(m * r for m, r in zip(sizes, ranks)) + total * total)
+    ids = take_u64(2 * n_pairs, "B index table")
+    pairs = [(ids[t] - 1, ids[t + 1] - 1) for t in range(0, len(ids), 2)]
+    if any(not (0 <= i < b and 0 <= j < b) for i, j in pairs):
+        fail("B index table", f"block ids outside 1..{b}")
+    expected = off + 8 * sum(sizes[i] * sizes[j] for i, j in pairs)
+    if expected != len(raw):
+        fail("length", f"header and tables give {expected} bytes, file has {len(raw)}")
+
     tess = _tess_from_json(tess_dict, n)
-    ranks = take_u64(b)
-    sizes = tess.block_sizes
+    off = body
     u_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
     v_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
-    total = int(ranks.sum())
     core = take_f64(total, total)
-    pairs = [tuple(take_u64(2) - 1) for _ in range(n_pairs)]
-    b_blocks = {
-        (int(i), int(j)): take_f64(sizes[i], sizes[j]) for i, j in pairs
-    }
+    off += 16 * n_pairs
+    b_blocks = {(i, j): take_f64(sizes[i], sizes[j]) for i, j in pairs}
     return UniformBLR(
-        tess=tess, rank=int(k), u_blocks=u_blocks, v_blocks=v_blocks,
-        core=core, b_blocks=b_blocks, effective_ranks=ranks,
+        tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
+        core=core, b_blocks=b_blocks, effective_ranks=np.asarray(ranks, dtype=int),
         metadata={"source": str(path)},
     )
 

@@ -125,8 +125,13 @@ class MatvecLedger:
         }
 
 
+class NonFiniteOracleError(ValueError):
+    """The oracle returned NaN or infinity; names the phase and the side."""
+
+
 class CountingOperator(LinearOperatorHandle):
-    """Pass-through wrapper that bills every column to its ledger."""
+    """Pass-through wrapper that bills every column to its ledger and
+    raises NonFiniteOracleError on any non-finite oracle output."""
 
     def __init__(self, inner: LinearOperatorHandle):
         self.inner = inner
@@ -138,15 +143,19 @@ class CountingOperator(LinearOperatorHandle):
 
     def apply(self, X):
         self.ledger.record_apply(X.shape[1] if X.ndim == 2 else 1)
-        return self.inner.apply(X)
+        return self._finite(self.inner.apply(X), "A")
 
     def apply_adjoint(self, X):
         self.ledger.record_adjoint(X.shape[1] if X.ndim == 2 else 1)
-        return self.inner.apply_adjoint(X)
+        return self._finite(self.inner.apply_adjoint(X), "A*")
 
-
-def counting_wrapper(op: LinearOperatorHandle) -> CountingOperator:
-    return CountingOperator(op)
+    def _finite(self, Y, side: str):
+        if not np.isfinite(Y).all():
+            raise NonFiniteOracleError(
+                f"oracle output of {side} in phase {self.ledger._phase!r} "
+                "is not finite"
+            )
+        return Y
 
 
 def check_linearity(op, stream: RandomStream, cols: int = 3, tol: float = 1e-12) -> float:

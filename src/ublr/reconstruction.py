@@ -1,23 +1,29 @@
-"""Compressed uniform block low-rank format and its recovery.
+"""Compressed uniform block low-rank format and the compression pipeline.
 
 A compressed operator is U C V* + B with block-diagonal orthonormal U, V, a
 dense stacked core C, and a block-sparse discrepancy B supported on the
-near field only. Two reconstruction families fill in C and B after the
-bases are built:
+near field only. ``compress`` is the one pipeline behind all five method
+ids. Step I builds the bases (block nullification for A1/B1, tagging for
+A2/B2, naive randSVD for A3); then one of two reconstruction families
+fills in C and B:
 
-* type A: C = U*(A V) by direct sketching, then B extracted with structured
-  identity probes over a distance-2 box coloring;
-* type B: B first, recovered from the step-I sketches with block right
-  inverses (no new matvecs; block nullification takes them from the QR
-  its step I already computed), then C from a least-squares solve against
-  the same test matrix, augmented with extra Gaussian columns when the
-  bundle is too narrow.
+* type A (II, then III): C = U*(A V) by direct sketching, then B extracted
+  with structured identity probes over a distance-2 box coloring;
+* type B (III, then II): B first, recovered from the step-I sketches with
+  block right inverses (no new matvecs; block nullification takes them
+  from the QR its step I already computed), then C from a least-squares
+  solve against the same test matrix, augmented with extra Gaussian
+  columns when the bundle is too narrow.
+
+``compress`` calls every step through its module-level name at call time,
+so a profiler can rebind those names in this module to time each step.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +43,7 @@ from .linalg import (
     project_out,
     pseudo_inverse,
 )
-from .operators import (
-    CountingOperator,
-    DifferenceOperator,
-    LinearOperatorHandle,
-    counting_wrapper,
-)
+from .operators import CountingOperator, DifferenceOperator, LinearOperatorHandle
 from .tagging import DegenerateTagsError, plan_tagging
 from .tessellation import BoxColoring, Tessellation, color_boxes
 
@@ -53,6 +54,7 @@ METHOD_IDS = {
     ("B", "bn"): "B1",
     ("B", "tag"): "B2",
 }
+_FAMILY_BASIS = {mid: key for key, mid in METHOD_IDS.items()}
 
 
 @dataclass
@@ -140,31 +142,6 @@ class UniformBLR:
         )
 
 
-class UBLROperator(LinearOperatorHandle):
-    """Operator-handle view of a compressed representation."""
-
-    def __init__(self, rep: UniformBLR):
-        self.rep = rep
-
-    @property
-    def shape(self):
-        return self.rep.shape
-
-    def apply(self, X):
-        return self.rep.apply(X)
-
-    def apply_adjoint(self, X):
-        return self.rep.apply_adjoint(X)
-
-
-def apply_ublr(rep: UniformBLR, X: np.ndarray) -> np.ndarray:
-    return rep.apply(X)
-
-
-def apply_ublr_adjoint(rep: UniformBLR, X: np.ndarray) -> np.ndarray:
-    return rep.apply_adjoint(X)
-
-
 def relative_error(
     op: LinearOperatorHandle,
     rep: UniformBLR,
@@ -177,7 +154,7 @@ def relative_error(
         stream = RandomStream(0)
     if op.shape != rep.shape:
         raise ValueError(f"shape mismatch: {op.shape} vs {rep.shape}")
-    diff = DifferenceOperator(op, UBLROperator(rep))
+    diff = DifferenceOperator(op, rep)
     numerator = estimate_spectral_norm(diff, iterations, stream.child(0))
     denominator = estimate_spectral_norm(op, iterations, stream.child(1))
     if denominator == 0.0:
@@ -424,7 +401,7 @@ def pinv_core(
 
 
 # ---------------------------------------------------------------------------
-# Reports and full pipelines
+# Reports and the compression pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -479,30 +456,12 @@ def _ratio_summary(values: np.ndarray) -> dict:
     }
 
 
-def _base_config(tess, k, p, stream, **extra) -> dict:
-    cfg = {
-        "N": tess.n_points,
-        "b": tess.b,
-        "m": tess.max_block_size,
-        "k": k,
-        "p": p,
-        "d": tess.dim,
-        "seed": stream.seed,
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def _report_from_ledger(cop: CountingOperator, **kwargs) -> CompressionReport:
-    return CompressionReport(matvecs=cop.ledger.to_dict(), **kwargs)
-
-
-def compress_type_a(
+def compress(
     op: LinearOperatorHandle,
     tess: Tessellation,
     k: int,
+    method_id: str = "A2",
     p: int = 10,
-    method: str = "tag",
     stream: RandomStream | None = None,
     distribution: str = "gaussian",
     extra_cols: int = 0,
@@ -511,146 +470,80 @@ def compress_type_a(
     max_tag_redraws: int = 5,
     compute_error: bool = True,
     error_iterations: int = 20,
+    max_width: int | None = None,
 ):
-    """Full type-A compression: bases, direct core, structured-identity B.
+    """Compress op by one of the five methods; returns (UniformBLR, report).
 
-    method selects the step-I algorithm: "bn" (A1), "tag" (A2), "naive" (A3).
-    Returns (UniformBLR, CompressionReport).
+    The method id picks the step-I basis builder (A1/B1 block
+    nullification, A2/B2 tagging, A3 naive) and the family: type A runs
+    II (direct core) then III (structured-identity B), type B runs III
+    (B from the step-I sketches) then II (core by least squares).
+    distribution, optimize and max_tag_redraws shape the tagging plan;
+    extra_cols and extra_samples apply to type A only, max_width to type B
+    only, and passing them to the other family raises ValueError.
     """
+    if method_id not in _FAMILY_BASIS:
+        raise ValueError(f"unknown method id {method_id!r}; expected one of "
+                         f"{sorted(METHOD_IDS.values())}")
+    family, basis = _FAMILY_BASIS[method_id]
+    if family == "B" and (extra_cols or extra_samples):
+        raise ValueError(f"{method_id}: extra_cols and extra_samples apply to type A only")
+    if family == "A" and max_width is not None:
+        raise ValueError(f"{method_id}: max_width applies to type B only")
     if stream is None:
         stream = RandomStream(0)
-    cop = counting_wrapper(op)
+    cop = CountingOperator(op)
     times = {}
     plan = None
 
-    t0 = time.perf_counter()
-    with cop.ledger.phase("I"):
-        if method == "bn":
-            bases, _ = block_nullification_bases(cop, tess, k, p, stream.child(0))
-        elif method == "tag":
+    @contextmanager
+    def step(phase):
+        t0 = time.perf_counter()
+        with cop.ledger.phase(phase):
+            yield
+        times[phase] = time.perf_counter() - t0
+
+    with step("I"):
+        if basis == "bn":
+            bases, bundle = block_nullification_bases(
+                cop, tess, k, p, stream.child(0), right_inverses=family == "B"
+            )
+        elif basis == "naive":
+            bases, bundle = naive_bases(cop, tess, k, p, stream.child(0))
+        else:  # type B needs nonzero pair denominators and m + p wide groups
             plan = plan_tagging(
                 tess, extra_cols, distribution, stream.child(1),
                 optimize=optimize, max_redraws=max_tag_redraws,
-            )
-            bases, _ = tagging_bases(
-                cop, tess, k, p, plan, stream.child(0), extra_samples=extra_samples
-            )
-        elif method == "naive":
-            bases, _ = naive_bases(cop, tess, k, p, stream.child(0))
-        else:
-            raise ValueError(f"unknown step-I method {method!r}")
-    times["I"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with cop.ledger.phase("II"):
-        core = direct_core(cop, tess, bases)
-    times["II"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    coloring = color_boxes(tess)
-    with cop.ledger.phase("III"):
-        b_blocks = structured_identity_discrepancy(cop, tess, bases, core, coloring)
-    times["III"] = time.perf_counter() - t0
-
-    rep = UniformBLR(
-        tess=tess, rank=k, u_blocks=bases.u_blocks, v_blocks=bases.v_blocks,
-        core=core, b_blocks=b_blocks, effective_ranks=bases.effective_ranks,
-        metadata={"method": METHOD_IDS[("A", method)]},
-    )
-
-    rel = None
-    if compute_error:
-        rel = relative_error(op, rep, error_iterations, stream.child(9))
-
-    aspect = None
-    ell = None
-    if plan is not None:
-        ell = plan.matrix.n_cols
-        aspect = {"base": _ratio_summary(plan.rho_base), "draws": plan.attempts}
-        if plan.rho_optimized is not None:
-            aspect["optimized"] = _ratio_summary(plan.rho_optimized)
-
-    report = _report_from_ledger(
-        cop,
-        method=METHOD_IDS[("A", method)],
-        config=_base_config(
-            tess, k, p, stream, ell=ell, distribution=distribution if method == "tag" else None,
-            extra_cols=extra_cols if method == "tag" else None, optimize=optimize,
-        ),
-        times_s=times,
-        relative_error=rel,
-        storage_entries=rep.storage_entries,
-        aspect_ratios=aspect,
-    )
-    return rep, report
-
-
-def compress_type_b(
-    op: LinearOperatorHandle,
-    tess: Tessellation,
-    k: int,
-    p: int = 10,
-    method: str = "bn",
-    stream: RandomStream | None = None,
-    distribution: str = "gaussian",
-    optimize: bool = False,
-    max_tag_redraws: int = 5,
-    compute_error: bool = True,
-    error_iterations: int = 20,
-    max_width: int | None = None,
-):
-    """Full type-B compression: bases, discrepancy from reused sketches,
-    then the core by block least squares (steps II and III swapped).
-
-    method selects the step-I algorithm: "bn" (B1) or "tag" (B2). The
-    tagging variant sketches with per-block test blocks of m + p columns so
-    the required right inverses exist.
-    """
-    if stream is None:
-        stream = RandomStream(0)
-    if method not in ("bn", "tag"):
-        raise ValueError("type B supports methods 'bn' and 'tag'")
-    cop = counting_wrapper(op)
-    times = {}
-    plan = None
-
-    t0 = time.perf_counter()
-    with cop.ledger.phase("I"):
-        if method == "bn":
-            bases, bundle = block_nullification_bases(
-                cop, tess, k, p, stream.child(0), right_inverses=True
-            )
-        else:
-            plan = plan_tagging(
-                tess, 0, distribution, stream.child(1),
-                optimize=optimize, max_redraws=max_tag_redraws,
-                extra_check=lambda T: b2_denominators_ok(T, tess),
+                extra_check=(lambda T: b2_denominators_ok(T, tess)) if family == "B" else None,
             )
             bases, bundle = tagging_bases(
                 cop, tess, k, p, plan, stream.child(0),
-                group_cols=tess.max_block_size + p,
+                group_cols=tess.max_block_size + p if family == "B" else None,
+                extra_samples=extra_samples,
             )
-    times["I"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    with cop.ledger.phase("III"):
-        if method == "bn":
-            b_blocks = gaussian_pinv_discrepancy(bundle, bases)
-        else:
-            b_blocks = tagging_pinv_discrepancy(bundle, bases)
-    times["III"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with cop.ledger.phase("II"):
-        core, _ = pinv_core(
-            cop, bundle, bases, b_blocks, p, stream.child(2), max_width=max_width
-        )
-    times["II"] = time.perf_counter() - t0
+    if family == "A":
+        with step("II"):
+            core = direct_core(cop, tess, bases)
+        with step("III"):
+            b_blocks = structured_identity_discrepancy(
+                cop, tess, bases, core, color_boxes(tess)
+            )
+    else:
+        with step("III"):
+            if basis == "bn":
+                b_blocks = gaussian_pinv_discrepancy(bundle, bases)
+            else:
+                b_blocks = tagging_pinv_discrepancy(bundle, bases)
+        with step("II"):
+            core, _ = pinv_core(
+                cop, bundle, bases, b_blocks, p, stream.child(2), max_width=max_width
+            )
 
     rep = UniformBLR(
         tess=tess, rank=k, u_blocks=bases.u_blocks, v_blocks=bases.v_blocks,
         core=core, b_blocks=b_blocks, effective_ranks=bases.effective_ranks,
-        metadata={"method": METHOD_IDS[("B", method)]},
+        metadata={"method": method_id},
     )
 
     rel = None
@@ -658,21 +551,28 @@ def compress_type_b(
         rel = relative_error(op, rep, error_iterations, stream.child(9))
 
     aspect = None
-    ell = None
     if plan is not None:
-        ell = plan.matrix.n_cols
         aspect = {"base": _ratio_summary(plan.rho_base), "draws": plan.attempts}
         if plan.rho_optimized is not None:
             aspect["optimized"] = _ratio_summary(plan.rho_optimized)
 
-    report = _report_from_ledger(
-        cop,
-        method=METHOD_IDS[("B", method)],
-        config=_base_config(
-            tess, k, p, stream, ell=ell,
-            distribution=distribution if method == "tag" else None,
-            extra_cols=None, optimize=optimize,
-        ),
+    config = {
+        "N": tess.n_points,
+        "b": tess.b,
+        "m": tess.max_block_size,
+        "k": k,
+        "p": p,
+        "d": tess.dim,
+        "seed": stream.seed,
+        "ell": plan.matrix.n_cols if plan is not None else None,
+        "distribution": distribution if basis == "tag" else None,
+        "extra_cols": extra_cols if method_id == "A2" else None,
+        "optimize": optimize,
+    }
+    report = CompressionReport(
+        method=method_id,
+        config=config,
+        matvecs=cop.ledger.to_dict(),
         times_s=times,
         relative_error=rel,
         storage_entries=rep.storage_entries,
@@ -681,14 +581,14 @@ def compress_type_b(
     return rep, report
 
 
-def compress(op, tess, k, method_id: str = "A2", **kwargs):
-    """Dispatch on a method id (A1, A2, A3, B1, B2)."""
-    for (family, basis), mid in METHOD_IDS.items():
-        if mid == method_id:
-            fn = compress_type_a if family == "A" else compress_type_b
-            return fn(op, tess, k, method=basis, **kwargs)
-    raise ValueError(f"unknown method id {method_id!r}; expected one of "
-                     f"{sorted(METHOD_IDS.values())}")
+def compress_type_a(op, tess, k, p=10, method="tag", stream=None, **kwargs):
+    """compress with the type-A id of step-I method "bn", "tag" or "naive"."""
+    return compress(op, tess, k, METHOD_IDS.get(("A", method), f"A/{method}"), p, stream, **kwargs)
+
+
+def compress_type_b(op, tess, k, p=10, method="bn", stream=None, **kwargs):
+    """compress with the type-B id of step-I method "bn" or "tag"."""
+    return compress(op, tess, k, METHOD_IDS.get(("B", method), f"B/{method}"), p, stream, **kwargs)
 
 
 def ground_truth_rep(spec, op) -> UniformBLR:

@@ -332,7 +332,7 @@ def plan_tagging(
             last_error = DegenerateTagsError("extra_check rejected the draw")
             continue
         try:
-            plan = _evaluate_plan(T, tess, optimize, attempt + 1)
+            plan = evaluate_plan(T, tess, optimize, attempt + 1)
         except DegenerateTagsError as exc:
             last_error = exc
             continue
@@ -352,7 +352,14 @@ def plan_tagging(
     return plan
 
 
-def _evaluate_plan(T, tess, optimize, attempts):
+def evaluate_plan(
+    T: TaggingMatrix, tess: Tessellation, optimize: bool = False, attempts: int = 1
+) -> TaggingPlan:
+    """Null vector and aspect ratio of every block for one tagging matrix.
+
+    With optimize, blocks of nullity >= 2 take the ratio-minimizing null
+    vector. Blocks with an empty far field keep NaN ratios. Raises
+    DegenerateTagsError when a block has no null vector."""
     null_vectors = []
     rho_base = np.full(tess.b, np.nan)
     rho_opt = np.full(tess.b, np.nan) if optimize else None

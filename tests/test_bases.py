@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ublr import (
+    CountingOperator,
     DenseOperator,
     RandomStream,
     UniformBLR,
@@ -12,7 +13,6 @@ from ublr import (
     build_tessellation,
     color_boxes,
     compress,
-    counting_wrapper,
     direct_core,
     gaussian,
     grid_points,
@@ -57,7 +57,7 @@ class TestBlockNullification:
 
     def test_ledger_exact(self):
         op, tess, _ = uniform_synthetic(d=1, b=8, m=40, k=30)
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         block_nullification_bases(cop, tess, 30, 10, RandomStream(0))
         assert cop.ledger.count_a == 160
         assert cop.ledger.count_astar == 160
@@ -88,7 +88,7 @@ class TestBlockNullification:
 class TestTaggingBases:
     def test_ledger_exact(self):
         op, tess, _ = uniform_synthetic(d=1, b=8, m=40, k=30)
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(1))
         tagging_bases(cop, tess, 30, 10, plan, RandomStream(0))
         # 4 groups of r=40 columns per side
@@ -139,7 +139,7 @@ class TestTaggingBases:
 
     def test_wide_group_cols_for_type_b(self, synthetic_small):
         op, tess, _ = synthetic_small
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
         _, bundle = tagging_bases(
             cop, tess, 3, 10, plan, RandomStream(0),
@@ -152,7 +152,7 @@ class TestTaggingBases:
 class TestNaiveBases:
     def test_ledger_exact(self):
         op, tess, _ = uniform_synthetic(d=1, b=8, m=40, k=30)
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         naive_bases(cop, tess, 30, 10, RandomStream(0))
         assert cop.ledger.count_a == 8 * 40
         assert cop.ledger.count_astar == 8 * 40

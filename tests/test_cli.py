@@ -1,9 +1,25 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from ublr import read_ublr
+import ublr.cli
+from ublr import (
+    DenseOperator,
+    RandomStream,
+    TaggingMatrix,
+    aspect_ratio,
+    build_tessellation,
+    evaluate_plan,
+    gaussian,
+    grid_points,
+    make_tagging_matrix,
+    optimize_null_vector,
+    projected_tags,
+    read_ublr,
+    tag_null_vector,
+)
 from ublr.cli import main
 
 
@@ -54,6 +70,24 @@ class TestCompress:
         assert code == 0
         rep = read_ublr(saved)
         assert rep.n == 320
+
+    @pytest.mark.parametrize("method", ["A1", "B2"])
+    def test_non_finite_oracle_exit_1(self, method, monkeypatch, capsys):
+        synthetic = ublr.cli.synthetic_ublr
+
+        def nan_synthetic(spec):
+            op = synthetic(spec)
+            op.matrix[0, 0] = np.nan
+            return op
+
+        monkeypatch.setattr(ublr.cli, "synthetic_ublr", nan_synthetic)
+        code = run_cli([
+            "compress", "--op", "synthetic", "--n", "256", "--d", "1",
+            "--b", "8", "--k", "3", "--method", method, "--seed", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "not finite" in err
 
     @pytest.mark.parametrize("method", ["A1", "A2", "A3", "B1", "B2"])
     def test_every_method_id_runs(self, method, tmp_path):
@@ -195,6 +229,52 @@ class TestAspectRatios:
             "--out", "/tmp/never.csv",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("d, b", [(1, 16), (2, 16)])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_block_rows_match_reference_loop(self, tmp_path, d, b, extra):
+        out = tmp_path / "ar.csv"
+        seeds = [1, 2]
+        code = run_cli([
+            "aspect-ratios", "--b-list", str(b), "--d", str(d),
+            "--distributions", "gaussian", "--extra-cols-list", str(extra),
+            "--seeds", ",".join(map(str, seeds)), "--out", str(out),
+        ])
+        assert code == 0
+        with open(out) as fh:
+            got = [
+                (int(r["seed"]), int(r["block_id"]), int(r["nullity"]),
+                 float(r["rho_base"]), float(r["rho_optimized"]))
+                for r in csv.DictReader(fh) if r["row_type"] == "block"
+            ]
+        # the per-block loop the command ran before it used evaluate_plan
+        tess = build_tessellation(grid_points(round(b ** (1 / d)), d), b)
+        want = []
+        for seed in seeds:
+            T = make_tagging_matrix(b, d, extra, "gaussian", RandomStream(seed))
+            for i in range(tess.b):
+                if len(tess.far_fields[i]) == 0:
+                    continue
+                base = tag_null_vector(T, tess, i)
+                rho_base = aspect_ratio(projected_tags(T, tess, base), tess)
+                rho_opt = rho_base
+                if extra >= 1:
+                    best = optimize_null_vector(T, tess, i)
+                    rho_opt = aspect_ratio(projected_tags(T, tess, best), tess)
+                nullity = T.n_cols - len(tess.neighbor_lists[i])
+                want.append((seed, i + 1, nullity, rho_base, rho_opt))
+        assert got == want
+
+    def test_empty_far_field_ratio_is_nan(self):
+        # b = 3 in d = 1: the middle block neighbors every block. A valid
+        # tagging matrix needs b >= 3^d + 1, so build the 3 x 4 one by hand.
+        tess = build_tessellation(grid_points(6, 1), 3)
+        T = TaggingMatrix(gaussian(3, 4, RandomStream(5)), 1, 0, "gaussian", 5)
+        plan = evaluate_plan(T, tess, optimize=True)
+        empty = [len(tess.far_fields[i]) == 0 for i in range(tess.b)]
+        assert empty == [False, True, False]
+        assert np.isnan(plan.rho_base).tolist() == empty
+        assert np.isnan(plan.rho_optimized).tolist() == empty
 
     def test_median_improves_with_more_extra_cols(self, tmp_path):
         out = tmp_path / "study.csv"

@@ -55,3 +55,27 @@ def test_header_fields(compressed, tmp_path):
     assert header[1] == rep.tess.b
     assert header[2] == rep.rank
     assert header[3] == rep.tess.dim
+
+
+def _corrupt_b(raw):
+    header = np.frombuffer(raw, dtype="<u8", count=6, offset=5).copy()
+    header[1] += 1
+    return raw[:5] + header.tobytes() + raw[5 + 48:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_corrupt_b, "b: header says 9"),
+        (lambda raw: raw[:-8], "length"),
+        (lambda raw: raw + b"\x00" * 8, "length"),
+    ],
+    ids=["header-b", "truncated", "trailing-bytes"],
+)
+def test_inconsistent_container_named_error(compressed, tmp_path, corrupt, field):
+    _, rep = compressed
+    path = tmp_path / "rep.ublr"
+    write_ublr(path, rep)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"rep.ublr: {field}"):
+        read_ublr(path)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from ublr import (
+    CountingOperator,
     DenseOperator,
     PointCloud,
     RandomStream,
     build_tessellation,
-    counting_wrapper,
     gaussian,
     laplace2d_operator,
     random_points,
@@ -19,7 +19,7 @@ from conftest import snorm, uniform_synthetic
 
 class TestCountingWrapper:
     def test_counts_columns_by_phase(self, stream):
-        op = counting_wrapper(DenseOperator(gaussian(20, 20, stream)))
+        op = CountingOperator(DenseOperator(gaussian(20, 20, stream)))
         X = gaussian(20, 5, stream.child(1))
         with op.ledger.phase("I"):
             op.apply(X)
@@ -32,7 +32,7 @@ class TestCountingWrapper:
 
     def test_passthrough_bitwise(self, stream):
         inner = DenseOperator(gaussian(15, 15, stream))
-        wrapped = counting_wrapper(inner)
+        wrapped = CountingOperator(inner)
         X = gaussian(15, 4, stream.child(1))
         assert np.array_equal(wrapped.apply(X), inner.apply(X))
         assert np.array_equal(wrapped.apply_adjoint(X), inner.apply_adjoint(X))

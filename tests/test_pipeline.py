@@ -1,0 +1,167 @@
+"""The single compress pipeline: which steps each method id runs, keyword
+validation, the type-A/type-B forwarders and non-finite oracle output."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import ublr.reconstruction
+from ublr import (
+    DenseOperator,
+    NonFiniteOracleError,
+    RandomStream,
+    compress,
+    compress_type_a,
+    compress_type_b,
+    write_ublr,
+)
+
+from conftest import uniform_synthetic
+
+# Step functions compress must look up as globals of ublr.reconstruction at
+# call time: the benchmark's tracer rebinds exactly these names.
+STEPS = (
+    "block_nullification_bases",
+    "tagging_bases",
+    "naive_bases",
+    "plan_tagging",
+    "b2_denominators_ok",
+    "direct_core",
+    "color_boxes",
+    "structured_identity_discrepancy",
+    "gaussian_pinv_discrepancy",
+    "tagging_pinv_discrepancy",
+    "pinv_core",
+)
+# Kernels the tracer also rebinds in ublr.reconstruction.
+KERNELS = ("estimate_spectral_norm", "null_basis", "pseudo_inverse", "gaussian")
+
+TYPE_A_TAIL = {"direct_core", "color_boxes", "structured_identity_discrepancy"}
+EXPECTED_STEPS = {
+    "A1": {"block_nullification_bases"} | TYPE_A_TAIL,
+    "A2": {"plan_tagging", "tagging_bases"} | TYPE_A_TAIL,
+    "A3": {"naive_bases"} | TYPE_A_TAIL,
+    "B1": {"block_nullification_bases", "gaussian_pinv_discrepancy", "pinv_core"},
+    "B2": {
+        "plan_tagging", "b2_denominators_ok", "tagging_bases",
+        "tagging_pinv_discrepancy", "pinv_core",
+    },
+}
+METHOD_IDS = sorted(EXPECTED_STEPS)
+
+
+@pytest.fixture(scope="module")
+def case():
+    return uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
+
+
+def container_sha(rep, tmp_path):
+    path = tmp_path / "rep.ublr"
+    write_ublr(path, rep)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_steps_called_through_module_globals(method_id, case, monkeypatch):
+    op, tess, _ = case
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STEPS:
+        monkeypatch.setattr(
+            ublr.reconstruction, name, recording(name, getattr(ublr.reconstruction, name))
+        )
+    compress(op, tess, 3, method_id, p=10, stream=RandomStream(2), compute_error=False)
+    assert called == EXPECTED_STEPS[method_id]
+
+
+def test_traced_kernels_are_module_globals():
+    for name in KERNELS:
+        assert callable(getattr(ublr.reconstruction, name))
+
+
+@pytest.mark.parametrize("method_id", ["B1", "B2"])
+@pytest.mark.parametrize("kwargs", [{"extra_cols": 1}, {"extra_samples": True}])
+def test_type_a_keywords_rejected_on_type_b(method_id, kwargs, case):
+    op, tess, _ = case
+    with pytest.raises(ValueError, match=method_id):
+        compress(op, tess, 3, method_id, compute_error=False, **kwargs)
+
+
+@pytest.mark.parametrize("method_id", ["A1", "A2", "A3"])
+def test_max_width_rejected_on_type_a(method_id, case):
+    op, tess, _ = case
+    with pytest.raises(ValueError, match=method_id):
+        compress(op, tess, 3, method_id, max_width=1000, compute_error=False)
+
+
+@pytest.mark.parametrize(
+    "forwarder, method, method_id",
+    [(compress_type_a, "bn", "A1"), (compress_type_b, "tag", "B2")],
+)
+def test_forwarders_match_compress(forwarder, method, method_id, case, tmp_path):
+    op, tess, _ = case
+    rep_f, report_f = forwarder(op, tess, 3, 10, method, RandomStream(4), compute_error=False)
+    rep_c, report_c = compress(
+        op, tess, 3, method_id, p=10, stream=RandomStream(4), compute_error=False
+    )
+    assert container_sha(rep_f, tmp_path) == container_sha(rep_c, tmp_path)
+    assert report_f.method == report_c.method == method_id
+    assert report_f.matvecs == report_c.matvecs
+
+
+def test_type_b_has_no_naive_method(case):
+    op, tess, _ = case
+    with pytest.raises(ValueError):
+        compress_type_b(op, tess, 3, 10, "naive")
+
+
+class PoisonedOperator(DenseOperator):
+    """Dense oracle whose chosen side returns NaN from its n-th call on."""
+
+    def __init__(self, matrix, side="A", from_call=0):
+        super().__init__(matrix)
+        self.side = side
+        self.from_call = from_call
+        self.calls = 0
+
+    def _maybe_poison(self, Y, side):
+        if side == self.side:
+            self.calls += 1
+            if self.calls > self.from_call:
+                Y = Y.copy()
+                Y[0, 0] = np.nan
+        return Y
+
+    def apply(self, X):
+        return self._maybe_poison(super().apply(X), "A")
+
+    def apply_adjoint(self, X):
+        return self._maybe_poison(super().apply_adjoint(X), "A*")
+
+
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_nan_entry_in_oracle_raises_in_step_one(method_id, case):
+    op, tess, _ = case
+    matrix = op.matrix.copy()
+    matrix[3, 5] = np.nan
+    with pytest.raises(NonFiniteOracleError, match=r"phase 'I'"):
+        compress(DenseOperator(matrix), tess, 3, method_id, compute_error=False)
+
+
+def test_non_finite_error_names_phase_and_side(case):
+    op, tess, _ = case
+    # A1 makes one A call in step I; the second one is step II's direct core
+    poisoned = PoisonedOperator(op.matrix, side="A", from_call=1)
+    with pytest.raises(NonFiniteOracleError, match=r"of A in phase 'II'"):
+        compress(poisoned, tess, 3, "A1", compute_error=False)
+    poisoned = PoisonedOperator(op.matrix, side="A*")
+    with pytest.raises(NonFiniteOracleError, match=r"of A\* in phase 'I'"):
+        compress(poisoned, tess, 3, "B1", compute_error=False)
+    assert issubclass(NonFiniteOracleError, ValueError)

@@ -3,6 +3,7 @@ import pytest
 
 import ublr.bases
 from ublr import (
+    CountingOperator,
     DenseOperator,
     RandomStream,
     UniformBLR,
@@ -12,7 +13,6 @@ from ublr import (
     compress,
     compress_type_a,
     compress_type_b,
-    counting_wrapper,
     direct_core,
     gaussian,
     gaussian_pinv_discrepancy,
@@ -79,7 +79,7 @@ class TestDirectCore:
     def test_ledger_is_total_rank(self):
         op, tess, _ = uniform_synthetic(d=1, b=16, m=40, k=30)
         bases, _ = block_nullification_bases(op, tess, 30, 10, RandomStream(1))
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         direct_core(cop, tess, bases)
         assert cop.ledger.count_a == 16 * 30 == 480
         assert cop.ledger.count_astar == 0
@@ -101,7 +101,7 @@ class TestStructuredIdentityDiscrepancy:
         op, tess, _ = synthetic_case
         bases, _ = block_nullification_bases(op, tess, 3, 10, RandomStream(1))
         core = direct_core(op, tess, bases)
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         structured_identity_discrepancy(cop, tess, bases, core, color_boxes(tess))
         # 3 colors, each probe m=16 wide
         assert cop.ledger.count_a == 48
@@ -142,7 +142,7 @@ class TestTypeBDiscrepancy:
 
     def test_bn_costs_no_matvecs(self, synthetic_case):
         op, tess, _ = synthetic_case
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         bases, bundle = block_nullification_bases(
             cop, tess, 3, 10, RandomStream(1), right_inverses=True
         )
@@ -244,7 +244,7 @@ class TestPinvCore:
         bundle.omega = bundle.omega[:, :20]
         bundle.y = bundle.y[:, :20]
         bundle.s = 20
-        cop = counting_wrapper(op)
+        cop = CountingOperator(op)
         b_blocks = {}
         _, added = pinv_core(cop, bundle, bases, b_blocks, 10, RandomStream(5))
         assert added == 24 + 10 - 20
