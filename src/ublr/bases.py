@@ -39,7 +39,6 @@ class SketchBundle:
     estimate. Only these rows are stored, never the QR factors they came from.
     """
 
-    kind: str  # "bn" | "tag" | "naive"
     omega: np.ndarray  # (n, s)
     psi: np.ndarray  # (n, s)
     y: np.ndarray  # A @ omega
@@ -64,8 +63,6 @@ class BlockBases:
     v_blocks: list
     rank: int
     effective_ranks: np.ndarray
-    method: str
-    sketch_columns: tuple = (0, 0)  # (through A, through A*) during step I
 
     @property
     def total_rank(self) -> int:
@@ -74,6 +71,28 @@ class BlockBases:
     def rank_offsets(self) -> np.ndarray:
         """Start offset of each block's rows inside the stacked core."""
         return np.concatenate(([0], np.cumsum(self.effective_ranks)))
+
+
+def _width_offsets(blocks: list) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum([w.shape[1] for w in blocks]))).astype(int)
+
+
+def stack_t(blocks: list, tess: Tessellation, X: np.ndarray) -> np.ndarray:
+    """blkdiag(W)* X: the stacked W_i* X[I_i], one row per basis column."""
+    offs = _width_offsets(blocks)
+    out = np.empty((offs[-1], X.shape[1]))
+    for i, w in enumerate(blocks):
+        out[offs[i]:offs[i + 1]] = w.T @ X[tess.blocks[i]]
+    return out
+
+
+def blkdiag(blocks: list, tess: Tessellation, Y: np.ndarray) -> np.ndarray:
+    """blkdiag(W) Y: rows I_i hold W_i times block i's rows of the stacked Y."""
+    offs = _width_offsets(blocks)
+    out = np.zeros((tess.n_points, Y.shape[1]))
+    for i, w in enumerate(blocks):
+        out[tess.blocks[i]] = w @ Y[offs[i]:offs[i + 1]]
+    return out
 
 
 def block_nullification_width(tess: Tessellation, r: int) -> int:
@@ -146,17 +165,8 @@ def block_nullification_bases(
             z_rinv.append(rows_v)
             conds.append((cond_u, cond_v))
 
-    bases = BlockBases(
-        u_blocks=u_blocks,
-        v_blocks=v_blocks,
-        rank=k,
-        effective_ranks=np.array(ranks),
-        method="bn",
-        sketch_columns=(s, s),
-    )
-    bundle = SketchBundle(
-        kind="bn", omega=omega, psi=psi, y=y, z=z, s=s, tess=tess
-    )
+    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
+    bundle = SketchBundle(omega=omega, psi=psi, y=y, z=z, s=s, tess=tess)
     if right_inverses:
         bundle.y_rinv, bundle.z_rinv, bundle.stack_conds = y_rinv, z_rinv, np.array(conds)
     return bases, bundle
@@ -228,16 +238,9 @@ def tagging_bases(
         ranks.append(u_blocks[-1].shape[1])
 
     s = ell * gc
-    bases = BlockBases(
-        u_blocks=u_blocks,
-        v_blocks=v_blocks,
-        rank=k,
-        effective_ranks=np.array(ranks),
-        method="tag",
-        sketch_columns=(s, s),
-    )
+    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
     bundle = SketchBundle(
-        kind="tag", omega=omega, psi=psi, y=y, z=z, s=s, tess=tess,
+        omega=omega, psi=psi, y=y, z=z, s=s, tess=tess,
         tagging=T, g_blocks=g_blocks, h_blocks=h_blocks, group_cols=gc,
     )
     return bases, bundle
@@ -284,16 +287,6 @@ def naive_bases(
         v_blocks.append(_basis_or_identity(z[rows, cols], k))
         ranks.append(u_blocks[-1].shape[1])
 
-    bases = BlockBases(
-        u_blocks=u_blocks,
-        v_blocks=v_blocks,
-        rank=k,
-        effective_ranks=np.array(ranks),
-        method="naive",
-        sketch_columns=(tess.b * r, tess.b * r),
-    )
-    bundle = SketchBundle(
-        kind="naive", omega=omega, psi=psi, y=y, z=z, s=tess.b * r, tess=tess,
-        block_cols=r,
-    )
+    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
+    bundle = SketchBundle(omega=omega, psi=psi, y=y, z=z, s=tess.b * r, tess=tess, block_cols=r)
     return bases, bundle

@@ -15,6 +15,12 @@ fills in C and B:
   solve against the same test matrix, augmented with extra Gaussian
   columns when the bundle is too narrow.
 
+Every product with the factors goes through three kernels: ``stack_t``
+(blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
+``add_near_field`` (out += B X) here. Both type-B step-III variants build
+B_ij = row_ij + U_i U_i* col_ij in one pass over the near pairs; they
+differ only in where the two terms come from.
+
 ``compress`` calls every step through its module-level name at call time,
 so a profiler can rebind those names in this module to time each step.
 """
@@ -31,8 +37,10 @@ import numpy as np
 from .bases import (
     BlockBases,
     SketchBundle,
+    blkdiag,
     block_nullification_bases,
     naive_bases,
+    stack_t,
     tagging_bases,
 )
 from .linalg import (
@@ -57,22 +65,26 @@ METHOD_IDS = {
 _FAMILY_BASIS = {mid: key for key, mid in METHOD_IDS.items()}
 
 
+def add_near_field(out: np.ndarray, tess: Tessellation, b_blocks: dict, X: np.ndarray):
+    """out += B X, summed in sorted pair order so the result is bitwise
+    reproducible; returns out."""
+    for i, j in sorted(b_blocks):
+        out[tess.blocks[i]] += b_blocks[(i, j)] @ X[tess.blocks[j]]
+    return out
+
+
 @dataclass
-class UniformBLR:
+class UniformBLR(BlockBases):
     """Compressed representation (U, C, V, B) over a tessellation.
 
-    u_blocks[i] and v_blocks[i] are m_i x k_i orthonormal; core is the
-    stacked K x K matrix with K = sum k_i; b_blocks maps near-field pairs
-    (i, j) to dense m_i x m_j blocks. Far-field pairs are never stored.
+    The bases are the BlockBases fields; core is the stacked K x K matrix
+    with K = sum k_i; b_blocks maps near-field pairs (i, j) to dense
+    m_i x m_j blocks. Far-field pairs are never stored.
     """
 
     tess: Tessellation
-    rank: int
-    u_blocks: list
-    v_blocks: list
     core: np.ndarray
     b_blocks: dict
-    effective_ranks: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -93,40 +105,17 @@ class UniformBLR:
     def shape(self) -> tuple:
         return (self.n, self.n)
 
-    @property
-    def total_rank(self) -> int:
-        return int(self.effective_ranks.sum())
-
-    def rank_offsets(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.effective_ranks)))
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        offs = self.rank_offsets()
-        vt_x = np.empty((self.total_rank, X.shape[1]))
-        for i in range(self.tess.b):
-            vt_x[offs[i]:offs[i + 1]] = self.v_blocks[i].T @ X[self.tess.blocks[i]]
-        cv = self.core @ vt_x
-        out = np.zeros_like(X)
-        for i in range(self.tess.b):
-            out[self.tess.blocks[i]] = self.u_blocks[i] @ cv[offs[i]:offs[i + 1]]
-        for i, j in sorted(self.b_blocks):  # fixed order: bitwise reproducible
-            out[self.tess.blocks[i]] += self.b_blocks[(i, j)] @ X[self.tess.blocks[j]]
-        return out
+        cv = self.core @ stack_t(self.v_blocks, self.tess, X)
+        return add_near_field(blkdiag(self.u_blocks, self.tess, cv), self.tess, self.b_blocks, X)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        offs = self.rank_offsets()
-        ut_x = np.empty((self.total_rank, X.shape[1]))
-        for i in range(self.tess.b):
-            ut_x[offs[i]:offs[i + 1]] = self.u_blocks[i].T @ X[self.tess.blocks[i]]
-        cu = self.core.T @ ut_x
-        out = np.zeros_like(X)
-        for i in range(self.tess.b):
-            out[self.tess.blocks[i]] = self.v_blocks[i] @ cu[offs[i]:offs[i + 1]]
-        for i, j in sorted(self.b_blocks):
-            out[self.tess.blocks[j]] += self.b_blocks[(i, j)].T @ X[self.tess.blocks[i]]
-        return out
+        cu = self.core.T @ stack_t(self.u_blocks, self.tess, X)
+        # B* has block (j, i) = B_ij*; per block row j the sum still runs over i ascending
+        b_adj = {(j, i): blk.T for (i, j), blk in self.b_blocks.items()}
+        return add_near_field(blkdiag(self.v_blocks, self.tess, cu), self.tess, b_adj, X)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix; test/debug convenience at desk scale."""
@@ -170,17 +159,11 @@ def relative_error(
 def direct_core(op: LinearOperatorHandle, tess: Tessellation, bases: BlockBases) -> np.ndarray:
     """C = U*(A V): pushes the K columns of block-diagonal V through the
     oracle and projects onto the U blocks."""
-    n = tess.n_points
     offs = bases.rank_offsets()
-    K = bases.total_rank
-    v_dense = np.zeros((n, K))
+    v_dense = np.zeros((tess.n_points, bases.total_rank))
     for j in range(tess.b):
         v_dense[tess.blocks[j], offs[j]:offs[j + 1]] = bases.v_blocks[j]
-    av = op.apply(v_dense)
-    core = np.empty((K, K))
-    for i in range(tess.b):
-        core[offs[i]:offs[i + 1]] = bases.u_blocks[i].T @ av[tess.blocks[i]]
-    return core
+    return stack_t(bases.u_blocks, tess, op.apply(v_dense))
 
 
 def structured_identity_discrepancy(
@@ -205,24 +188,15 @@ def structured_identity_discrepancy(
                 f"neighborhood of block {i}"
             )
 
-    n = tess.n_points
-    offs = bases.rank_offsets()
     sizes = tess.block_sizes
     b_blocks = {}
     for c in range(coloring.num_colors):
         members = np.flatnonzero(colors == c)
-        m_c = int(sizes[members].max())
-        probe = np.zeros((n, m_c))
+        probe = np.zeros((tess.n_points, int(sizes[members].max())))
         for j in members:
             probe[tess.blocks[j], : sizes[j]] = np.eye(sizes[j])
-        sketched = op.apply(probe)
-        vt_p = np.empty((bases.total_rank, m_c))
-        for j in range(tess.b):
-            vt_p[offs[j]:offs[j + 1]] = bases.v_blocks[j].T @ probe[tess.blocks[j]]
-        cv = core @ vt_p
-        resid = sketched
-        for i in range(tess.b):
-            resid[tess.blocks[i]] -= bases.u_blocks[i] @ cv[offs[i]:offs[i + 1]]
+        resid = op.apply(probe)
+        resid -= blkdiag(bases.u_blocks, tess, core @ stack_t(bases.v_blocks, tess, probe))
         for j in members:
             for i in tess.neighbor_lists[j]:
                 b_blocks[(i, int(j))] = resid[tess.blocks[i], : sizes[j]].copy()
@@ -234,6 +208,24 @@ def structured_identity_discrepancy(
 # ---------------------------------------------------------------------------
 
 
+def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -> dict:
+    """B_ij = row_ij + U_i U_i* col_ij over every near pair, with
+    row_ij = (I - U_i U_i*) A_ij and col_ij = A_ij (I - V_j V_j*).
+
+    block_terms(i) yields row_ij and col_ji for each j in N_i, in order,
+    both read from block i's sketch rows, so one pass over the pairs
+    (i, j in N_i) computes every term once.
+    """
+    rows, cols = {}, {}
+    for i in range(tess.b):
+        for j, (row, col) in zip(tess.neighbor_lists[i], block_terms(i)):
+            rows[(i, j)], cols[(j, i)] = row, col
+    for (i, j), row in rows.items():  # B_ij replaces row_ij and col_ij goes
+        u_i = bases.u_blocks[i]
+        rows[(i, j)] = row + u_i @ (u_i.T @ cols.pop((i, j)))
+    return rows
+
+
 def gaussian_pinv_discrepancy(
     bundle: SketchBundle, bases: BlockBases, cond_limit: float = 1e8
 ) -> dict:
@@ -241,7 +233,7 @@ def gaussian_pinv_discrepancy(
 
     (I - U_i U_i*) A(I_i, nbrs) equals the projected sketch rows times the
     right pseudoinverse of the stacked neighbor rows of the test matrix;
-    the adjoint side gives A_ij (I - V_j V_j*). Step I already computed
+    the adjoint side gives A_ji (I - V_i V_i*). Step I already computed
     both products from its QR of each stack (block_nullification_bases
     with right_inverses=True), so this step only slices and combines them.
     Warns for every stack whose condition estimate, LAPACK's 1-norm
@@ -260,24 +252,12 @@ def gaussian_pinv_discrepancy(
                 f"{bundle.stack_conds[i, col]:.2e} (LAPACK 1-norm estimate of cond(R))"
             )
 
-    term1 = {}
-    for i in range(tess.b):
-        start = 0
-        for j in tess.neighbor_lists[i]:
-            width = len(tess.blocks[j])
-            term1[(i, j)] = bundle.y_rinv[i][:, start:start + width]
-            start += width
+    def block_terms(i):  # block j's columns of block i's neighbor stack
+        bounds = np.cumsum([0] + [len(tess.blocks[j]) for j in tess.neighbor_lists[i]])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield bundle.y_rinv[i][:, lo:hi], bundle.z_rinv[i][:, lo:hi].T
 
-    b_blocks = {}
-    for j in range(tess.b):
-        start = 0
-        for i in tess.neighbor_lists[j]:
-            width = len(tess.blocks[i])
-            w_ij = bundle.z_rinv[j][:, start:start + width].T  # A_ij (I - V_j V_j*)
-            u_i = bases.u_blocks[i]
-            b_blocks[(i, j)] = term1[(i, j)] + u_i @ (u_i.T @ w_ij)
-            start += width
-    return b_blocks
+    return _near_field_from_pairs(tess, bases, block_terms)
 
 
 def _pair_null_vector(T, nbrs, excluded) -> tuple:
@@ -310,10 +290,11 @@ def tagging_pinv_discrepancy(
     """B blocks recovered from the (wide) tagging sketches.
 
     For each near pair (i, j), a null vector of the tagging rows over
-    N_i minus {j} isolates block j in the combined sketch; dividing by the
-    surviving projected tag and applying the right inverse of the per-block
-    test block recovers (I - U_i U_i*) A_ij, and symmetrically on the
-    adjoint side. Costs no extra matvecs beyond the step-I bundle.
+    N_i minus {j} isolates block j in block i's combined sketches; dividing
+    by the surviving projected tag and applying the right inverse of block
+    j's test block recovers (I - U_i U_i*) A_ij from y and, on the adjoint
+    side, A_ji (I - V_i V_i*) from z. Costs no extra matvecs beyond the
+    step-I bundle.
     """
     tess = bundle.tess
     T = bundle.tagging
@@ -333,26 +314,20 @@ def tagging_pinv_discrepancy(
             )
         return z, denom
 
-    term1 = {}
-    for i in range(tess.b):
-        groups = bundle.y[tess.blocks[i], :].reshape(len(tess.blocks[i]), -1, gc)
+    def block_terms(i):
+        rows = tess.blocks[i]
+        y_groups = bundle.y[rows, :].reshape(len(rows), -1, gc)
+        z_groups = bundle.z[rows, :].reshape(len(rows), -1, gc)
         for j in tess.neighbor_lists[i]:
-            z, denom = pair_vector(tess.neighbor_lists[i], j)
-            comb = np.tensordot(groups, z, axes=(1, 0))
-            term1[(i, j)] = (
-                project_out(bases.u_blocks[i], comb) @ g_pinv[j] / denom
+            w, denom = pair_vector(tess.neighbor_lists[i], j)
+            y_comb = np.tensordot(y_groups, w, axes=(1, 0))
+            z_comb = np.tensordot(z_groups, w, axes=(1, 0))
+            yield (
+                project_out(bases.u_blocks[i], y_comb) @ g_pinv[j] / denom,
+                (project_out(bases.v_blocks[i], z_comb) @ h_pinv[j]).T / denom,
             )
 
-    b_blocks = {}
-    for j in range(tess.b):
-        groups = bundle.z[tess.blocks[j], :].reshape(len(tess.blocks[j]), -1, gc)
-        for i in tess.neighbor_lists[j]:
-            z, denom = pair_vector(tess.neighbor_lists[j], i)
-            comb = np.tensordot(groups, z, axes=(1, 0))
-            w_ij = (project_out(bases.v_blocks[j], comb) @ h_pinv[i]).T / denom
-            u_i = bases.u_blocks[i]
-            b_blocks[(i, j)] = term1[(i, j)] + u_i @ (u_i.T @ w_ij)
-    return b_blocks
+    return _near_field_from_pairs(tess, bases, block_terms)
 
 
 def pinv_core(
@@ -371,33 +346,20 @@ def pinv_core(
     type-B path. Returns (core, columns_added).
     """
     tess = bundle.tess
-    n = tess.n_points
-    K = bases.total_rank
-    offs = bases.rank_offsets()
     omega, y = bundle.omega, bundle.y
-    extra = max(0, K + p - bundle.s)
+    extra = max(0, bases.total_rank + p - bundle.s)
     if extra:
         if max_width is not None and bundle.s + extra > max_width:
             raise ValueError(
-                f"type B needs sketch width {K + p} > max_width {max_width}"
+                f"type B needs sketch width {bases.total_rank + p} > max_width {max_width}"
             )
-        om_extra = gaussian(n, extra, stream)
+        om_extra = gaussian(tess.n_points, extra, stream)
         y_extra = op.apply(om_extra)
         omega = np.hstack((omega, om_extra))
         y = np.hstack((y, y_extra))
-
-    b_om = np.zeros((n, omega.shape[1]))
-    for (i, j), blk in b_blocks.items():
-        b_om[tess.blocks[i]] += blk @ omega[tess.blocks[j]]
-
-    vt_om = np.empty((K, omega.shape[1]))
-    lhs = np.empty((K, omega.shape[1]))
-    resid = y - b_om
-    for i in range(tess.b):
-        vt_om[offs[i]:offs[i + 1]] = bases.v_blocks[i].T @ omega[tess.blocks[i]]
-        lhs[offs[i]:offs[i + 1]] = bases.u_blocks[i].T @ resid[tess.blocks[i]]
-    core = lhs @ pseudo_inverse(vt_om)
-    return core, extra
+    b_om = add_near_field(np.zeros((tess.n_points, omega.shape[1])), tess, b_blocks, omega)
+    lhs = stack_t(bases.u_blocks, tess, y - b_om)
+    return lhs @ pseudo_inverse(stack_t(bases.v_blocks, tess, omega)), extra
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +503,7 @@ def compress(
             )
 
     rep = UniformBLR(
-        tess=tess, rank=k, u_blocks=bases.u_blocks, v_blocks=bases.v_blocks,
-        core=core, b_blocks=b_blocks, effective_ranks=bases.effective_ranks,
-        metadata={"method": method_id},
+        **vars(bases), tess=tess, core=core, b_blocks=b_blocks, metadata={"method": method_id}
     )
 
     rel = None

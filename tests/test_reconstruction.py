@@ -21,6 +21,7 @@ from ublr import (
     pinv_core,
     plan_tagging,
     pseudo_inverse,
+    random_points,
     relative_error,
     structured_identity_discrepancy,
     tagging_bases,
@@ -225,12 +226,12 @@ class TestPinvCore:
 
         bases = BlockBases(
             u_blocks=u_blocks, v_blocks=v_blocks, rank=k,
-            effective_ranks=np.full(8, k), method="bn",
+            effective_ranks=np.full(8, k),
         )
         s = 40  # > K + p = 34
         omega = gaussian(64, s, stream.child(3))
         bundle = SketchBundle(
-            kind="bn", omega=omega, psi=omega, y=A @ omega, z=A.T @ omega,
+            omega=omega, psi=omega, y=A @ omega, z=A.T @ omega,
             s=s, tess=tess,
         )
         core, added = pinv_core(op, bundle, bases, {}, 10, stream.child(4))
@@ -260,6 +261,45 @@ class TestPinvCore:
             pinv_core(op, bundle, bases, {}, 10, RandomStream(5), max_width=25)
 
 
+
+def dense_rep(rep):
+    """blkdiag(U) C blkdiag(V)* + B, assembled entry by entry."""
+    tess = rep.tess
+    offs = rep.rank_offsets()
+    u_dense = np.zeros((rep.n, rep.total_rank))
+    v_dense = np.zeros((rep.n, rep.total_rank))
+    for i, rows in enumerate(tess.blocks):
+        u_dense[rows, offs[i]:offs[i + 1]] = rep.u_blocks[i]
+        v_dense[rows, offs[i]:offs[i + 1]] = rep.v_blocks[i]
+    out = u_dense @ rep.core @ v_dense.T
+    for (i, j), blk in rep.b_blocks.items():
+        out[np.ix_(tess.blocks[i], tess.blocks[j])] += blk
+    return out
+
+
+@pytest.fixture(scope="module", params=["A1", "ragged", "k0", "B2"])
+def rep_case(request, synthetic_case):
+    """(rep, exact matrix or None): an A1 rep on the uniform d=1 grid; an A1
+    rep on a ragged random-point grid where blocks with m_i <= k keep
+    identity bases; a k = 0 rep of a block-banded operator; a B2 rep."""
+    if request.param == "ragged":
+        tess = build_tessellation(random_points(160, 2, RandomStream(4)), 16)
+        k = 8
+        assert (tess.block_sizes <= k).any() and (tess.block_sizes > k).any()
+        op = DenseOperator(gaussian(160, 160, RandomStream(5)))
+        rep, _ = compress(op, tess, k, "A1", p=2, stream=RandomStream(1), compute_error=False)
+        assert list(rep.effective_ranks) == list(np.minimum(tess.block_sizes, k))
+        return rep, None
+    if request.param == "k0":
+        op, tess, _ = uniform_synthetic(d=1, b=8, m=16, k=0)
+        rep, _ = compress(op, tess, 0, "A1", p=4, stream=RandomStream(1), compute_error=False)
+        assert rep.total_rank == 0
+        return rep, op.matrix
+    op, tess, _ = synthetic_case
+    rep, _ = compress(op, tess, 3, request.param, p=10, stream=RandomStream(1), compute_error=False)
+    return rep, op.matrix
+
+
 class TestUniformBLRApply:
     def test_zero_operator_rep(self):
         tess = build_tessellation(grid_points(32, 1), 8)
@@ -268,25 +308,29 @@ class TestUniformBLRApply:
         X = gaussian(32, 3, RandomStream(2))
         assert np.max(np.abs(rep.apply(X))) <= 1e-12
 
-    def test_adjoint_consistency(self, synthetic_case):
-        op, tess, _ = synthetic_case
-        rep, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(1), compute_error=False)
-        X = gaussian(tess.n_points, 3, RandomStream(2))
-        Y = gaussian(tess.n_points, 3, RandomStream(3))
+    def test_adjoint_consistency(self, rep_case):
+        rep, _ = rep_case
+        X = gaussian(rep.n, 3, RandomStream(2))
+        Y = gaussian(rep.n, 3, RandomStream(3))
         lhs = np.sum(rep.apply(X) * Y)
         rhs = np.sum(X * rep.apply_adjoint(Y))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+        dense = dense_rep(rep)
+        scale = max(1.0, snorm(dense))
+        assert np.linalg.norm(rep.apply_adjoint(Y) - dense.T @ Y) <= 1e-12 * scale
 
-    def test_matches_dense_columns(self, synthetic_case):
-        op, tess, _ = synthetic_case
-        rep, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(1), compute_error=False)
-        n = tess.n_points
-        scale = snorm(op.matrix)
+    def test_matches_dense_columns(self, rep_case):
+        rep, exact = rep_case
+        n = rep.n
+        dense = dense_rep(rep)
+        scale = max(1.0, snorm(dense))
         rng = RandomStream(11).generator
         for j in rng.integers(0, n, size=20):
             e = np.zeros((n, 1))
             e[j] = 1.0
-            assert np.linalg.norm(rep.apply(e) - op.matrix[:, [j]]) <= 1e-9 * scale
+            assert np.linalg.norm(rep.apply(e) - dense[:, [j]]) <= 1e-12 * scale
+            if exact is not None:
+                assert np.linalg.norm(rep.apply(e) - exact[:, [j]]) <= 1e-9 * snorm(exact)
 
     def test_far_field_blocks_never_stored(self, synthetic_case):
         op, tess, _ = synthetic_case
