@@ -231,7 +231,7 @@ def _run_one(args, parser, method: str, k: int, n: int | None, seed: int):
         optimize=getattr(args, "optimize", False),
         error_iterations=args.error_iterations,
     )
-    if method in ("A1", "A2", "A3"):  # type-B ignores extra tagging columns
+    if method == "A2":  # compress rejects them on every other id
         kwargs["extra_cols"] = getattr(args, "extra_cols", 0)
         kwargs["extra_samples"] = getattr(args, "extra_samples", False)
     return compress(op, tess, k, method_id=method, **kwargs)

@@ -208,6 +208,11 @@ def structured_identity_discrepancy(
 # ---------------------------------------------------------------------------
 
 
+# Relative floor, times max(1, ||T||), of a type-B pair denominator; one
+# constant, so the planning check and the step-III division cannot disagree
+_DENOM_RTOL = 1e-10
+
+
 def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -> dict:
     """B_ij = row_ij + U_i U_i* col_ij over every near pair, with
     row_ij = (I - U_i U_i*) A_ij and col_ij = A_ij (I - V_j V_j*).
@@ -262,31 +267,32 @@ def gaussian_pinv_discrepancy(
 
 def _pair_null_vector(T, nbrs, excluded) -> tuple:
     """Null vector z of the tagging rows over nbrs minus {excluded}, and the
-    surviving projected tag t_excluded . z. Raises ValueError when no null
-    vector exists."""
+    surviving projected tag t_excluded . z, the type-B pair denominator.
+    Raises DegenerateTagsError when no null vector exists or the
+    denominator is below _DENOM_RTOL * max(1, ||T||)."""
     kept = [r for r in nbrs if r != excluded]
-    z = null_basis(T.entries[kept, :], 1)[:, 0]
-    return z, float(T.entries[excluded] @ z)
+    try:
+        z = null_basis(T.entries[kept, :], 1)[:, 0]
+    except ValueError as exc:
+        raise DegenerateTagsError(str(exc)) from exc
+    denom = float(T.entries[excluded] @ z)
+    if abs(denom) < _DENOM_RTOL * max(1.0, np.linalg.norm(T.entries)):
+        raise DegenerateTagsError(f"projected tag for pair ({nbrs}, {excluded}) vanished")
+    return z, denom
 
 
-def b2_denominators_ok(T, tess: Tessellation, rtol: float = 1e-10) -> bool:
+def b2_denominators_ok(T, tess: Tessellation) -> bool:
     """Every per-pair projected tag used as a type-B denominator is nonzero."""
-    limit = rtol * max(1.0, np.linalg.norm(T.entries))
-    for i in range(tess.b):
-        nbrs = tess.neighbor_lists[i]
-        for j in nbrs:
-            try:
-                _, denom = _pair_null_vector(T, nbrs, j)
-            except ValueError:
-                return False
-            if abs(denom) < limit:
-                return False
+    try:
+        for i in range(tess.b):
+            for j in tess.neighbor_lists[i]:
+                _pair_null_vector(T, tess.neighbor_lists[i], j)
+    except DegenerateTagsError:
+        return False
     return True
 
 
-def tagging_pinv_discrepancy(
-    bundle: SketchBundle, bases: BlockBases, denom_rtol: float = 1e-10
-) -> dict:
+def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     """B blocks recovered from the (wide) tagging sketches.
 
     For each near pair (i, j), a null vector of the tagging rows over
@@ -297,29 +303,16 @@ def tagging_pinv_discrepancy(
     step-I bundle.
     """
     tess = bundle.tess
-    T = bundle.tagging
     gc = bundle.group_cols
-    limit = denom_rtol * max(1.0, np.linalg.norm(T.entries))
     g_pinv = [pseudo_inverse(g) for g in bundle.g_blocks]
     h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
-
-    def pair_vector(nbrs, excluded):
-        try:
-            z, denom = _pair_null_vector(T, nbrs, excluded)
-        except ValueError as exc:
-            raise DegenerateTagsError(str(exc)) from exc
-        if abs(denom) < limit:
-            raise DegenerateTagsError(
-                f"projected tag for pair ({nbrs}, {excluded}) vanished"
-            )
-        return z, denom
 
     def block_terms(i):
         rows = tess.blocks[i]
         y_groups = bundle.y[rows, :].reshape(len(rows), -1, gc)
         z_groups = bundle.z[rows, :].reshape(len(rows), -1, gc)
         for j in tess.neighbor_lists[i]:
-            w, denom = pair_vector(tess.neighbor_lists[i], j)
+            w, denom = _pair_null_vector(bundle.tagging, tess.neighbor_lists[i], j)
             y_comb = np.tensordot(y_groups, w, axes=(1, 0))
             z_comb = np.tensordot(z_groups, w, axes=(1, 0))
             yield (
@@ -337,7 +330,6 @@ def pinv_core(
     b_blocks: dict,
     p: int,
     stream: RandomStream,
-    max_width: int | None = None,
 ):
     """Core by least squares: C = U*(Y - B Omega) (V* Omega)^+.
 
@@ -349,10 +341,6 @@ def pinv_core(
     omega, y = bundle.omega, bundle.y
     extra = max(0, bases.total_rank + p - bundle.s)
     if extra:
-        if max_width is not None and bundle.s + extra > max_width:
-            raise ValueError(
-                f"type B needs sketch width {bases.total_rank + p} > max_width {max_width}"
-            )
         om_extra = gaussian(tess.n_points, extra, stream)
         y_extra = op.apply(om_extra)
         omega = np.hstack((omega, om_extra))
@@ -429,10 +417,8 @@ def compress(
     extra_cols: int = 0,
     optimize: bool = False,
     extra_samples: bool = False,
-    max_tag_redraws: int = 5,
     compute_error: bool = True,
     error_iterations: int = 20,
-    max_width: int | None = None,
 ):
     """Compress op by one of the five methods; returns (UniformBLR, report).
 
@@ -440,18 +426,16 @@ def compress(
     nullification, A2/B2 tagging, A3 naive) and the family: type A runs
     II (direct core) then III (structured-identity B), type B runs III
     (B from the step-I sketches) then II (core by least squares).
-    distribution, optimize and max_tag_redraws shape the tagging plan;
-    extra_cols and extra_samples apply to type A only, max_width to type B
-    only, and passing them to the other family raises ValueError.
+    distribution and optimize shape the tagging plan; extra_cols and
+    extra_samples shape A2's tagging sketch, and passing them to any other
+    id raises ValueError.
     """
     if method_id not in _FAMILY_BASIS:
         raise ValueError(f"unknown method id {method_id!r}; expected one of "
                          f"{sorted(METHOD_IDS.values())}")
     family, basis = _FAMILY_BASIS[method_id]
-    if family == "B" and (extra_cols or extra_samples):
-        raise ValueError(f"{method_id}: extra_cols and extra_samples apply to type A only")
-    if family == "A" and max_width is not None:
-        raise ValueError(f"{method_id}: max_width applies to type B only")
+    if method_id != "A2" and (extra_cols or extra_samples):
+        raise ValueError(f"{method_id}: extra_cols and extra_samples apply to A2 only")
     if stream is None:
         stream = RandomStream(0)
     cop = CountingOperator(op)
@@ -474,8 +458,7 @@ def compress(
             bases, bundle = naive_bases(cop, tess, k, p, stream.child(0))
         else:  # type B needs nonzero pair denominators and m + p wide groups
             plan = plan_tagging(
-                tess, extra_cols, distribution, stream.child(1),
-                optimize=optimize, max_redraws=max_tag_redraws,
+                tess, extra_cols, distribution, stream.child(1), optimize=optimize,
                 extra_check=(lambda T: b2_denominators_ok(T, tess)) if family == "B" else None,
             )
             bases, bundle = tagging_bases(
@@ -498,9 +481,7 @@ def compress(
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
         with step("II"):
-            core, _ = pinv_core(
-                cop, bundle, bases, b_blocks, p, stream.child(2), max_width=max_width
-            )
+            core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
 
     rep = UniformBLR(
         **vars(bases), tess=tess, core=core, b_blocks=b_blocks, metadata={"method": method_id}

@@ -86,19 +86,12 @@ def test_traced_kernels_are_module_globals():
         assert callable(getattr(ublr.reconstruction, name))
 
 
-@pytest.mark.parametrize("method_id", ["B1", "B2"])
+@pytest.mark.parametrize("method_id", ["A1", "A3", "B1", "B2"])
 @pytest.mark.parametrize("kwargs", [{"extra_cols": 1}, {"extra_samples": True}])
-def test_type_a_keywords_rejected_on_type_b(method_id, kwargs, case):
+def test_a2_keywords_rejected_on_other_ids(method_id, kwargs, case):
     op, tess, _ = case
     with pytest.raises(ValueError, match=method_id):
         compress(op, tess, 3, method_id, compute_error=False, **kwargs)
-
-
-@pytest.mark.parametrize("method_id", ["A1", "A2", "A3"])
-def test_max_width_rejected_on_type_a(method_id, case):
-    op, tess, _ = case
-    with pytest.raises(ValueError, match=method_id):
-        compress(op, tess, 3, method_id, max_width=1000, compute_error=False)
 
 
 @pytest.mark.parametrize(

@@ -251,15 +251,6 @@ class TestPinvCore:
         assert added == 24 + 10 - 20
         assert cop.ledger.count_a == added
 
-    def test_width_cap_rejects(self, synthetic_case):
-        op, tess, _ = synthetic_case
-        bases, bundle = block_nullification_bases(op, tess, 3, 10, RandomStream(1))
-        bundle.omega = bundle.omega[:, :20]
-        bundle.y = bundle.y[:, :20]
-        bundle.s = 20
-        with pytest.raises(ValueError):
-            pinv_core(op, bundle, bases, {}, 10, RandomStream(5), max_width=25)
-
 
 
 def dense_rep(rep):
