@@ -287,7 +287,9 @@ def rep_case(request, synthetic_case):
         assert rep.total_rank == 0
         return rep, op.matrix
     op, tess, _ = synthetic_case
-    rep, _ = compress(op, tess, 3, request.param, p=10, stream=RandomStream(1), compute_error=False)
+    rep, _ = compress(
+        op, tess, 3, request.param, p=10, stream=RandomStream(1), compute_error=False
+    )
     return rep, op.matrix
 
 
