@@ -25,6 +25,7 @@ from .operators import (
     LinearOperatorHandle,
     MatvecLedger,
     NonFiniteOracleError,
+    OracleShapeError,
     SyntheticUBLRSpec,
     laplace2d_operator,
     make_synthetic_spec,

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrcon
 
-from .linalg import RandomStream, col_basis, gaussian, null_basis, project_out
+from .linalg import RandomStream, col_basis, gaussian, null_basis
 from .operators import LinearOperatorHandle
 from .tagging import TaggingMatrix, TaggingPlan
 from .tessellation import Tessellation
@@ -113,18 +112,6 @@ def _basis_or_identity(sample: np.ndarray, k: int) -> np.ndarray:
     return col_basis(sample, k)
 
 
-def _projected_right_inverse(basis, sketch_rows, q1, r1) -> tuple:
-    """(I - U U*) Y B^+ for a full-row-rank B with B* = q1 r1, and the
-    LAPACK 1-norm estimate of cond(r1)."""
-    # np.linalg.solve, not a scipy triangular solve: numpy and scipy may
-    # each bring their own threaded BLAS, and alternating level-3 calls
-    # between the two pools inside the per-block loop costs more than the
-    # extra LU (dtrcon is level-2 work and does not suffer from it)
-    rows = np.linalg.solve(r1, (project_out(basis, sketch_rows) @ q1).T).T
-    rcond, _ = dtrcon(r1)
-    return rows, (1.0 / rcond if rcond > 0 else np.inf)
-
-
 def block_nullification_bases(
     op: LinearOperatorHandle,
     tess: Tessellation,
@@ -148,22 +135,33 @@ def block_nullification_bases(
     y = op.apply(omega)
     z = op.apply_adjoint(psi)
 
-    u_blocks, v_blocks, ranks = [], [], []
-    y_rinv, z_rinv, conds = [], [], []
-    for i in range(tess.b):
+    # Two passes: all per-stack LAPACK work first, then numpy's products.
+    # numpy and scipy each ship their own threaded OpenBLAS, and switching
+    # between the two thread pools inside one loop cost more than the QRs.
+    factors = [
+        [
+            null_basis(test[tess.neighbor_indices(i), :], r,
+                       rows=sketch[tess.blocks[i], :] if right_inverses else None)
+            for test, sketch in ((omega, y), (psi, z))
+        ]
+        for i in range(tess.b)
+    ]
+
+    u_blocks, v_blocks, y_rinv, z_rinv, conds = [], [], [], [], []
+    for i, pair in enumerate(factors):
         rows = tess.blocks[i]
-        nbr_rows = tess.neighbor_indices(i)
-        proj_u, q1_u, r1_u = null_basis(omega[nbr_rows, :], r, thin_factors=True)
-        proj_v, q1_v, r1_v = null_basis(psi[nbr_rows, :], r, thin_factors=True)
+        if not right_inverses:
+            pair = [(proj, None, None) for proj in pair]
+        (proj_u, rinv_u, cond_u), (proj_v, rinv_v, cond_v) = pair
         u_blocks.append(_basis_or_identity(y[rows, :] @ proj_u, k))
         v_blocks.append(_basis_or_identity(z[rows, :] @ proj_v, k))
-        ranks.append(u_blocks[-1].shape[1])
-        if right_inverses:
-            rows_u, cond_u = _projected_right_inverse(u_blocks[-1], y[rows, :], q1_u, r1_u)
-            rows_v, cond_v = _projected_right_inverse(v_blocks[-1], z[rows, :], q1_v, r1_v)
-            y_rinv.append(rows_u)
-            z_rinv.append(rows_v)
+        if right_inverses:  # Y B^+ becomes (I - U U*) Y B^+ in place
+            rinv_u -= u_blocks[-1] @ (u_blocks[-1].T @ rinv_u)
+            rinv_v -= v_blocks[-1] @ (v_blocks[-1].T @ rinv_v)
+            y_rinv.append(rinv_u)
+            z_rinv.append(rinv_v)
             conds.append((cond_u, cond_v))
+    ranks = [u.shape[1] for u in u_blocks]
 
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
     bundle = SketchBundle(omega=omega, psi=psi, y=y, z=z, s=s, tess=tess)

@@ -24,6 +24,7 @@ from .linalg import RandomStream
 from .operators import (
     InteriorResonanceError,
     NonFiniteOracleError,
+    OracleShapeError,
     laplace2d_operator,
     make_synthetic_spec,
     synthetic_ublr,
@@ -214,36 +215,53 @@ def _make_points(kind: str, n: int, d: int, stream: RandomStream):
     return random_points(n, d, stream)
 
 
+# compress keyword -> (its flag, the ids it applies to, its default).
+# compress rejects a non-default value on any other id; the compress command
+# turns that into a usage error, sweep forwards each only to its own ids.
+METHOD_OPTIONS = {
+    "distribution": ("--distribution", ("A2", "B2"), "gaussian"),
+    "optimize": ("--optimize", ("A2", "B2"), False),
+    "extra_cols": ("--extra-cols", ("A2",), 0),
+    "extra_samples": ("--extra-samples", ("A2",), False),
+}
+
+
+def _method_options(args, method: str) -> dict:
+    return {
+        name: getattr(args, name, default)
+        for name, (_, ids, default) in METHOD_OPTIONS.items() if method in ids
+    }
+
+
 def _run_one(args, parser, method: str, k: int, n: int | None, seed: int):
     op, tess = _build_operator(args, parser, k, n, seed)
+    options = _method_options(args, method)
     if method in ("A2", "B2"):
-        extra = getattr(args, "extra_cols", 0) if method == "A2" else 0
-        needed = 3**tess.dim + 1 + extra
+        needed = 3**tess.dim + 1 + options.get("extra_cols", 0)
         if tess.b < needed:
             parser.error(
                 f"--b {tess.b} is too small for tagging: method {method} "
                 f"needs at least {needed} blocks in d={tess.dim}"
             )
-    kwargs = dict(
-        p=args.p,
-        stream=RandomStream(seed),
-        distribution=args.distribution,
-        optimize=getattr(args, "optimize", False),
-        error_iterations=args.error_iterations,
+    return compress(
+        op, tess, k, method_id=method, p=args.p, stream=RandomStream(seed),
+        error_iterations=args.error_iterations, **options,
     )
-    if method == "A2":  # compress rejects them on every other id
-        kwargs["extra_cols"] = getattr(args, "extra_cols", 0)
-        kwargs["extra_samples"] = getattr(args, "extra_samples", False)
-    return compress(op, tess, k, method_id=method, **kwargs)
 
 
 def cmd_compress(args, parser) -> int:
+    misplaced = [
+        flag for name, (flag, ids, default) in METHOD_OPTIONS.items()
+        if args.method not in ids and getattr(args, name) != default
+    ]
+    if misplaced:
+        parser.error(f"{', '.join(misplaced)} do not apply to --method {args.method}")
     seed = _resolve_seed(args)
     try:
         rep, report = _run_one(args, parser, args.method, args.k, args.n, seed)
     except (
         DegenerateTagsError, InteriorResonanceError, NonFiniteOracleError,
-        np.linalg.LinAlgError,
+        OracleShapeError, np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

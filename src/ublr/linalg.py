@@ -9,6 +9,8 @@ of (inputs, seed).
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlange, dormqr, dtrcon, dtrtrs
 
 
 class RandomStream:
@@ -69,35 +71,74 @@ def col_basis(B: np.ndarray, k: int) -> np.ndarray:
     return q[:, :k]
 
 
-def null_basis(
-    B: np.ndarray, k: int, rtol: float = 1e-12, thin_factors: bool = False
-):
-    """k orthonormal columns of the null space of B.
+def _lapack_ok(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
 
-    Taken as the last k columns of the full QR factor of B* = q r. Raises
-    ValueError when the requested null space does not exist, detected by the
-    residual ||B Z|| exceeding rtol * max(1, ||B||). With thin_factors, also
-    returns the thin factors q1 = q[:, :m], r1 = r[:m] of the same QR, so a
-    full-row-rank B has the right inverse q1 r1^-*; Z is unchanged bitwise.
+
+def _apply_q(qr: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
+    """Q c (trans "N") or Q* c (trans "T"), Q held as dgeqrf's reflectors;
+    c is overwritten."""
+    _, work, info = dormqr("L", trans, qr, tau, c, -1)
+    _lapack_ok("dormqr", info)
+    out, _, info = dormqr("L", trans, qr, tau, c, int(work[0]), overwrite_c=1)
+    _lapack_ok("dormqr", info)
+    return out
+
+
+def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12, rows: np.ndarray | None = None):
+    """k orthonormal columns of the null space of B (m x n).
+
+    Factors B* = Q R by LAPACK's blocked Householder QR (dgeqrf, after a
+    workspace query) and returns Z = Q[:, n-k:], the last k columns of the
+    complete Q, by applying the reflectors to k unit vectors (dormqr); Q
+    itself is never formed. Raises ValueError when the requested null space
+    does not exist, detected by the residual ||B Z|| exceeding
+    rtol * max(1, ||B||) (Frobenius norms), and np.linalg.LinAlgError, also
+    a ValueError, on a nonzero LAPACK info.
+
+    With rows=Y (n columns), B must have full row rank m <= n, and the same
+    factors also give Y B^+ = Y Q[:, :m] R[:m, :m]^-* (dormqr, then dtrtrs)
+    and LAPACK's 1-norm estimate of cond(R[:m, :m]) (dtrcon); the return
+    value is then (Z, Y B^+, cond).
     """
     B = np.asarray(B, dtype=float)
     m, n = B.shape
     if k > n:
         raise ValueError(f"k={k} exceeds column count {n}")
-    if k == 0 and not thin_factors:
+    if rows is not None and m > n:
+        raise ValueError(f"rows= needs full row rank, but B is {m}x{n}")
+    if k == 0 and rows is None:
         return np.zeros((n, 0))
-    q, r = np.linalg.qr(B.T, mode="complete")
-    Z = q[:, n - k:]
-    scale = max(1.0, np.linalg.norm(B))
-    resid = np.linalg.norm(B @ Z)
-    if resid > rtol * scale:
-        raise ValueError(
-            f"requested null space of dimension {k} does not exist "
-            f"(residual {resid:.3e} > {rtol:.1e} * {scale:.3e})"
-        )
-    if thin_factors:
-        return Z, q[:, :m], r[:m]
-    return Z
+    if m == 0:  # nothing to factor: Q = I (LAPACK rejects the empty query)
+        Z = np.eye(n)[:, n - k:]
+        return Z if rows is None else (Z, np.zeros((len(rows), 0)), 1.0)
+    work, info = dgeqrf_lwork(n, m)
+    _lapack_ok("dgeqrf", info)
+    qr, tau, _, info = dgeqrf(B.T, lwork=int(work))
+    _lapack_ok("dgeqrf", info)
+    reflectors = qr[:, :len(tau)]
+    Z = np.zeros((n, 0))
+    if k:
+        unit = np.zeros((n, k), order="F")
+        unit[n - k:] = np.eye(k)
+        Z = _apply_q(reflectors, tau, unit, "N")
+        scale = max(1.0, dlange("F", B.T))
+        resid = dlange("F", dgemm(1.0, B.T, Z, trans_a=1))
+        if resid > rtol * scale:
+            raise ValueError(
+                f"requested null space of dimension {k} does not exist "
+                f"(residual {resid:.3e} > {rtol:.1e} * {scale:.3e})"
+            )
+    if rows is None:
+        return Z
+    r1 = qr[:m, :m]
+    yq = _apply_q(reflectors, tau, np.array(rows, dtype=float).T, "T")
+    x, info = dtrtrs(r1, yq[:m])
+    _lapack_ok("dtrtrs", info)
+    rcond, info = dtrcon(r1)
+    _lapack_ok("dtrcon", info)
+    return Z, x.T, (1.0 / rcond if rcond > 0 else np.inf)
 
 
 def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:

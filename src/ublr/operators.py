@@ -129,9 +129,15 @@ class NonFiniteOracleError(ValueError):
     """The oracle returned NaN or infinity; names the phase and the side."""
 
 
+class OracleShapeError(ValueError):
+    """The oracle returned an array of the wrong shape; names the phase,
+    the side, and the expected and actual shapes."""
+
+
 class CountingOperator(LinearOperatorHandle):
     """Pass-through wrapper that bills every column to its ledger and
-    raises NonFiniteOracleError on any non-finite oracle output."""
+    raises OracleShapeError on oracle output of the wrong shape and
+    NonFiniteOracleError on any non-finite oracle output."""
 
     def __init__(self, inner: LinearOperatorHandle):
         self.inner = inner
@@ -143,18 +149,18 @@ class CountingOperator(LinearOperatorHandle):
 
     def apply(self, X):
         self.ledger.record_apply(X.shape[1] if X.ndim == 2 else 1)
-        return self._finite(self.inner.apply(X), "A")
+        return self._checked(self.inner.apply(X), "A", (self.shape[0],) + X.shape[1:])
 
     def apply_adjoint(self, X):
         self.ledger.record_adjoint(X.shape[1] if X.ndim == 2 else 1)
-        return self._finite(self.inner.apply_adjoint(X), "A*")
+        return self._checked(self.inner.apply_adjoint(X), "A*", (self.shape[1],) + X.shape[1:])
 
-    def _finite(self, Y, side: str):
+    def _checked(self, Y, side: str, expected: tuple):
+        where = f"oracle output of {side} in phase {self.ledger._phase!r}"
+        if np.shape(Y) != expected:
+            raise OracleShapeError(f"{where} has shape {np.shape(Y)}, expected {expected}")
         if not np.isfinite(Y).all():
-            raise NonFiniteOracleError(
-                f"oracle output of {side} in phase {self.ledger._phase!r} "
-                "is not finite"
-            )
+            raise NonFiniteOracleError(f"{where} is not finite")
         return Y
 
 

@@ -426,16 +426,23 @@ def compress(
     nullification, A2/B2 tagging, A3 naive) and the family: type A runs
     II (direct core) then III (structured-identity B), type B runs III
     (B from the step-I sketches) then II (core by least squares).
-    distribution and optimize shape the tagging plan; extra_cols and
-    extra_samples shape A2's tagging sketch, and passing them to any other
-    id raises ValueError.
+    distribution and optimize shape the tagging plan of A2 and B2;
+    extra_cols and extra_samples shape A2's tagging sketch. Passing any of
+    them, other than at its default, to an id it does not apply to raises
+    ValueError.
     """
     if method_id not in _FAMILY_BASIS:
         raise ValueError(f"unknown method id {method_id!r}; expected one of "
                          f"{sorted(METHOD_IDS.values())}")
     family, basis = _FAMILY_BASIS[method_id]
-    if method_id != "A2" and (extra_cols or extra_samples):
-        raise ValueError(f"{method_id}: extra_cols and extra_samples apply to A2 only")
+    misplaced = [name for name, given, applies in (
+        ("distribution", distribution != "gaussian", basis == "tag"),
+        ("optimize", optimize, basis == "tag"),
+        ("extra_cols", extra_cols, method_id == "A2"),
+        ("extra_samples", extra_samples, method_id == "A2"),
+    ) if given and not applies]
+    if misplaced:
+        raise ValueError(f"{method_id}: {', '.join(misplaced)} do not apply to this id")
     if stream is None:
         stream = RandomStream(0)
     cop = CountingOperator(op)
@@ -508,7 +515,7 @@ def compress(
         "ell": plan.matrix.n_cols if plan is not None else None,
         "distribution": distribution if basis == "tag" else None,
         "extra_cols": extra_cols if method_id == "A2" else None,
-        "optimize": optimize,
+        "optimize": optimize if basis == "tag" else None,
     }
     report = CompressionReport(
         method=method_id,

@@ -89,6 +89,43 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "not finite" in err
 
+    def test_wrongly_shaped_oracle_exit_1(self, monkeypatch, capsys):
+        synthetic = ublr.cli.synthetic_ublr
+
+        class RowDropping:
+            def __init__(self, op):
+                self.op, self.shape = op, op.shape
+
+            def apply(self, X):
+                return self.op.apply(X)[:-1]
+
+            def apply_adjoint(self, X):
+                return self.op.apply_adjoint(X)
+
+        monkeypatch.setattr(ublr.cli, "synthetic_ublr", lambda spec: RowDropping(synthetic(spec)))
+        code = run_cli([
+            "compress", "--op", "synthetic", "--n", "256", "--d", "1",
+            "--b", "8", "--k", "3", "--method", "A3", "--seed", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "phase 'I' has shape (255, 104), expected (256, 104)" in err
+
+    @pytest.mark.parametrize("method, options, named", [
+        ("A1", ["--extra-cols", "2", "--extra-samples"], "--extra-cols, --extra-samples"),
+        ("B1", ["--optimize"], "--optimize"),
+        ("A3", ["--distribution", "haar"], "--distribution"),
+        ("B2", ["--extra-cols", "1"], "--extra-cols"),
+    ])
+    def test_options_that_do_not_apply_exit_2(self, method, options, named, capsys):
+        code = run_cli([
+            "compress", "--op", "synthetic", "--n", "320", "--d", "1",
+            "--b", "8", "--k", "2", "--method", method, "--seed", "3", *options,
+        ])
+        assert code == 2
+        assert f"{named} do not apply to --method {method}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["A1", "A2", "A3", "B1", "B2"])
     def test_every_method_id_runs(self, method, tmp_path):
         report_path = tmp_path / "r.json"
@@ -169,6 +206,21 @@ class TestSweep:
             assert row["error"] == ""
             assert float(row["rel_error"]) <= 1e-7
             assert int(row["matvecs_III"]) == 0  # discrepancy reuses sketches
+
+    def test_mixed_sweep_forwards_options_to_their_ids(self, tmp_path):
+        out = tmp_path / "mixed.csv"
+        code = run_cli([
+            "sweep", "--op", "synthetic", "--n-list", "320", "--k-list", "2",
+            "--methods", "A1,A2", "--d", "1", "--b", "8", "--seed", "6",
+            "--extra-cols", "1", "--optimize", "--distribution", "haar",
+            "--out", str(out),
+        ])
+        assert code == 0
+        with open(out) as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert rows["A1"]["error"] == rows["A2"]["error"] == ""
+        assert (rows["A1"]["distribution"], rows["A1"]["extra_cols"]) == ("", "")
+        assert (rows["A2"]["distribution"], rows["A2"]["extra_cols"]) == ("haar", "1")
 
     def test_method_sweep_matched_seeds(self, tmp_path):
         out = tmp_path / "methods.csv"

@@ -78,23 +78,46 @@ class TestNullBasis:
         with pytest.raises(ValueError):
             null_basis(B, 2)
 
-    def test_thin_factors_keep_z_and_give_right_inverse(self, stream):
-        # random shapes from near-square (nullity 1) to wide: Z is bitwise
-        # the same with and without the factors, B* = q1 r1, and q1 r1^-*
-        # is a right inverse of B
+    def test_z_is_complete_qr_tail_and_rows_give_right_inverse(self, stream):
+        # random shapes from near-square (nullity 1) to wide: Z is the last
+        # k columns of the complete Q of B*, and rows=Y adds Y B^+
         for seed in range(24):
             gen = stream.child(seed).generator
             m = int(gen.integers(1, 60))
             nullity = int(gen.integers(1, 12))
-            B = gaussian(m, m + nullity, stream.child(seed, 1))
+            n = m + nullity
+            B = gaussian(m, n, stream.child(seed, 1))
+            Y = gaussian(int(gen.integers(1, 30)), n, stream.child(seed, 2))
             k = int(gen.integers(0, nullity + 1))
-            z, q1, r1 = null_basis(B, k, thin_factors=True)
+            z, yb, cond = null_basis(B, k, rows=Y)
+            q, _ = np.linalg.qr(B.T, mode="complete")
+            assert z.shape == (n, k)
+            assert np.max(np.abs(z - q[:, n - k:]), initial=0.0) <= 1e-13
+            assert snorm(z.T @ z - np.eye(k)) <= 1e-13
             assert np.array_equal(z, null_basis(B, k))
-            assert q1.shape == (m + nullity, m) and r1.shape == (m, m)
-            assert np.array_equal(r1, np.triu(r1))
-            assert snorm(q1 @ r1 - B.T) <= 1e-13 * snorm(B)
-            right_inv = q1 @ np.linalg.inv(r1).T
-            assert snorm(B @ right_inv - np.eye(m)) <= 1e-10
+            want = Y @ pseudo_inverse(B)
+            assert snorm(yb - want) <= 1e-12 * snorm(want)
+            assert 1.0 <= cond < np.inf
+
+    def test_k_zero_with_rows(self, stream):
+        B = gaussian(4, 9, stream.child(0))
+        Y = gaussian(3, 9, stream.child(1))
+        z, yb, _ = null_basis(B, 0, rows=Y)
+        assert z.shape == (9, 0)
+        want = Y @ pseudo_inverse(B)
+        assert snorm(yb - want) <= 1e-12 * snorm(want)
+        assert null_basis(B, 0).shape == (9, 0)
+
+    def test_singular_stack_with_rows_raises_linalg_error(self, stream):
+        B = gaussian(4, 9, stream)
+        B[2] = 0.0  # R gets an exact zero on its diagonal
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
+            null_basis(B, 0, rows=gaussian(3, 9, stream.child(1)))
+
+    def test_k_exceeds_nullity_raises_with_rows(self, stream):
+        B = gaussian(5, 7, stream)  # m + k > n for k = 3
+        with pytest.raises(ValueError, match="does not exist"):
+            null_basis(B, 3, rows=gaussian(2, 7, stream.child(1)))
 
 
 class TestPseudoInverse:

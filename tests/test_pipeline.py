@@ -1,7 +1,9 @@
 """The single compress pipeline: which steps each method id runs, keyword
-validation, the type-A/type-B forwarders and non-finite oracle output."""
+validation, the type-A/type-B forwarders and non-finite or wrongly shaped
+oracle output."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import ublr.reconstruction
 from ublr import (
     DenseOperator,
     NonFiniteOracleError,
+    OracleShapeError,
     RandomStream,
     compress,
     compress_type_a,
@@ -86,12 +89,27 @@ def test_traced_kernels_are_module_globals():
         assert callable(getattr(ublr.reconstruction, name))
 
 
-@pytest.mark.parametrize("method_id", ["A1", "A3", "B1", "B2"])
-@pytest.mark.parametrize("kwargs", [{"extra_cols": 1}, {"extra_samples": True}])
+@pytest.mark.parametrize(
+    "method_id, kwargs",
+    [(m, kw) for m in ["A1", "A3", "B1", "B2"]
+     for kw in [{"extra_cols": 1}, {"extra_samples": True}]]
+    + [(m, kw) for m in ["A1", "A3", "B1"]
+       for kw in [{"optimize": True}, {"distribution": "haar"}]],
+)
 def test_a2_keywords_rejected_on_other_ids(method_id, kwargs, case):
     op, tess, _ = case
-    with pytest.raises(ValueError, match=method_id):
+    with pytest.raises(ValueError, match=f"{method_id}: {next(iter(kwargs))}"):
         compress(op, tess, 3, method_id, compute_error=False, **kwargs)
+
+
+@pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
+def test_report_config_names_only_keywords_the_id_uses(method_id, case):
+    op, tess, _ = case
+    _, report = compress(op, tess, 3, method_id, compute_error=False)
+    tagging = method_id in ("A2", "B2")
+    assert (report.config["optimize"] is None) != tagging
+    assert (report.config["distribution"] is None) != tagging
+    assert (report.config["extra_cols"] is None) != (method_id == "A2")
 
 
 @pytest.mark.parametrize(
@@ -158,3 +176,31 @@ def test_non_finite_error_names_phase_and_side(case):
     with pytest.raises(NonFiniteOracleError, match=r"of A\* in phase 'I'"):
         compress(poisoned, tess, 3, "B1", compute_error=False)
     assert issubclass(NonFiniteOracleError, ValueError)
+
+
+class RowDroppingOperator(DenseOperator):
+    """Dense oracle whose chosen side returns one output row too few."""
+
+    def __init__(self, matrix, side):
+        super().__init__(matrix)
+        self.side = side
+
+    def apply(self, X):
+        Y = super().apply(X)
+        return Y[:-1] if self.side == "A" else Y
+
+    def apply_adjoint(self, X):
+        Y = super().apply_adjoint(X)
+        return Y[:-1] if self.side == "A*" else Y
+
+
+@pytest.mark.parametrize("side", ["A", "A*"])
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_wrongly_shaped_oracle_output_raises_in_step_one(method_id, side, case):
+    op, tess, _ = case
+    n = tess.n_points
+    pattern = (rf"oracle output of {re.escape(side)} in phase 'I' has shape "
+               rf"\({n - 1}, (\d+)\), expected \({n}, \1\)")
+    with pytest.raises(OracleShapeError, match=pattern):
+        compress(RowDroppingOperator(op.matrix, side), tess, 3, method_id, compute_error=False)
+    assert issubclass(OracleShapeError, ValueError)
