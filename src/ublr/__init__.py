@@ -19,6 +19,7 @@ from .linalg import (
     pseudo_inverse,
 )
 from .operators import (
+    ConfigError,
     CountingOperator,
     DenseOperator,
     DifferenceOperator,

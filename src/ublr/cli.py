@@ -22,6 +22,7 @@ import numpy as np
 
 from .linalg import RandomStream
 from .operators import (
+    ConfigError,
     InteriorResonanceError,
     NonFiniteOracleError,
     OracleShapeError,
@@ -31,7 +32,7 @@ from .operators import (
     thin_slab_schur_operator,
 )
 from .container import write_ublr
-from .reconstruction import METHOD_IDS, compress
+from .reconstruction import KEYWORD_DEFAULTS, METHODS, compress
 from .tagging import DegenerateTagsError, evaluate_plan, make_tagging_matrix
 from .tessellation import (
     build_tessellation,
@@ -39,8 +40,6 @@ from .tessellation import (
     random_points,
     suggest_block_count,
 )
-
-METHODS = sorted(METHOD_IDS.values())
 
 SWEEP_COLUMNS = [
     "N", "b", "m", "k", "p", "d", "method", "distribution", "extra_cols",
@@ -80,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--b", type=int, help="block count; default balances matvecs")
     comp.add_argument("--k", type=int, default=30, help="target block rank")
     comp.add_argument("--p", type=int, default=10, help="oversampling")
-    comp.add_argument("--method", default="A2", choices=METHODS)
-    comp.add_argument("--distribution", default="gaussian",
-                      choices=["gaussian", "haar", "equidistributed"])
-    comp.add_argument("--extra-cols", type=int, default=0)
+    comp.add_argument("--method", default="A2", choices=sorted(METHODS))
+    comp.add_argument("--distribution", choices=["gaussian", "haar", "equidistributed"])
+    comp.add_argument("--extra-cols", type=int)
     comp.add_argument("--optimize", action="store_true",
                       help="optimize tagging null vectors over the null sphere")
     comp.add_argument("--extra-samples", action="store_true",
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--error-iterations", type=int, default=20)
     comp.add_argument("--report", help="write the JSON report here (default: stdout)")
     comp.add_argument("--save", help="write the binary UBLR container here")
-    comp.set_defaults(func=cmd_compress)
+    comp.set_defaults(func=cmd_compress, **KEYWORD_DEFAULTS)
 
     sweep = sub.add_parser("sweep", help="grid of compression runs, CSV output")
     sweep.add_argument("--op", required=True, choices=["synthetic", "laplace2d", "slab-schur"])
@@ -112,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--d", type=int, default=2)
     sweep.add_argument("--b", type=int, help="block count; default balances matvecs")
     sweep.add_argument("--p", type=int, default=10)
-    sweep.add_argument("--distribution", default="gaussian",
-                       choices=["gaussian", "haar", "equidistributed"])
-    sweep.add_argument("--extra-cols", type=int, default=0)
+    sweep.add_argument("--distribution", choices=["gaussian", "haar", "equidistributed"])
+    sweep.add_argument("--extra-cols", type=int)
     sweep.add_argument("--optimize", action="store_true")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--points", default="random", choices=["random", "grid"])
@@ -123,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--error-iterations", type=int, default=20)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     sweep.add_argument("--out", required=True, help="CSV output path")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, **KEYWORD_DEFAULTS)
 
     ar = sub.add_parser("aspect-ratios", help="projected-tag aspect-ratio study, CSV output")
     ar.add_argument("--b-list", type=_int_list, required=True,
@@ -143,39 +140,27 @@ def _resolve_seed(args) -> int:
     return _default_seed() if args.seed is None else args.seed
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class _RaisingParser:
-    """parser.error stand-in for sweep rows: raise instead of exiting, so a
-    bad configuration becomes a row with an error field."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def _build_operator(args, parser, k: int, n: int | None, seed: int):
+def _build_operator(args, k: int, n: int | None, seed: int):
     """Returns (operator, tessellation). Validates operator parameters."""
     try:
-        return _build_operator_unchecked(args, parser, k, n, seed)
+        return _build_operator_unchecked(args, k, n, seed)
     except ValueError as exc:  # bad geometry/shape parameters are config errors
-        parser.error(str(exc))
+        raise ConfigError(str(exc)) from exc
 
 
-def _build_operator_unchecked(args, parser, k: int, n: int | None, seed: int):
+def _build_operator_unchecked(args, k: int, n: int | None, seed: int):
     master = RandomStream(seed)
     if args.op == "synthetic":
         if n is None:
-            parser.error("--n is required for --op synthetic")
+            raise ConfigError("--n is required for --op synthetic")
         if args.d not in (1, 2, 3):
-            parser.error("--d must be 1, 2, or 3")
+            raise ConfigError("--d must be 1, 2, or 3")
         b = args.b if args.b else suggest_block_count(n, k, args.d)
         points = _make_points(args.points, n, args.d, master.child(101))
         tess = build_tessellation(points, b)
         rank = getattr(args, "synthetic_rank", None) or k
         if rank > tess.block_sizes.min():
-            parser.error(
+            raise ConfigError(
                 f"--synthetic-rank {rank} exceeds the smallest block "
                 f"({tess.block_sizes.min()}); lower --b or raise --n"
             )
@@ -183,7 +168,7 @@ def _build_operator_unchecked(args, parser, k: int, n: int | None, seed: int):
         return synthetic_ublr(spec), tess
     if args.op == "laplace2d":
         if n is None:
-            parser.error("--n is required for --op laplace2d")
+            raise ConfigError("--n is required for --op laplace2d")
         b = args.b if args.b else suggest_block_count(n, k, 2)
         points = _make_points(args.points, n, 2, master.child(101))
         tess = build_tessellation(points, b)
@@ -194,10 +179,10 @@ def _build_operator_unchecked(args, parser, k: int, n: int | None, seed: int):
     if nx is None and n is not None:
         side = int(round(np.sqrt(n)))
         if side * side != n:
-            parser.error("--n must be a perfect square for --op slab-schur (or pass --nx/--ny)")
+            raise ConfigError("--n must be a perfect square for slab-schur (or pass --nx/--ny)")
         nx = ny = side
     if nx is None:
-        parser.error("--nx (or --n) is required for --op slab-schur")
+        raise ConfigError("--nx (or --n) is required for --op slab-schur")
     ny = ny or nx
     kappa = args.kappa if getattr(args, "kappa", None) is not None else 2.0 * np.pi / args.ppw
     op, points = thin_slab_schur_operator(nx, ny, args.nz, kappa)
@@ -215,50 +200,21 @@ def _make_points(kind: str, n: int, d: int, stream: RandomStream):
     return random_points(n, d, stream)
 
 
-# compress keyword -> (its flag, the ids it applies to, its default).
-# compress rejects a non-default value on any other id; the compress command
-# turns that into a usage error, sweep forwards each only to its own ids.
-METHOD_OPTIONS = {
-    "distribution": ("--distribution", ("A2", "B2"), "gaussian"),
-    "optimize": ("--optimize", ("A2", "B2"), False),
-    "extra_cols": ("--extra-cols", ("A2",), 0),
-    "extra_samples": ("--extra-samples", ("A2",), False),
-}
-
-
-def _method_options(args, method: str) -> dict:
-    return {
-        name: getattr(args, name, default)
-        for name, (_, ids, default) in METHOD_OPTIONS.items() if method in ids
-    }
-
-
-def _run_one(args, parser, method: str, k: int, n: int | None, seed: int):
-    op, tess = _build_operator(args, parser, k, n, seed)
-    options = _method_options(args, method)
-    if method in ("A2", "B2"):
-        needed = 3**tess.dim + 1 + options.get("extra_cols", 0)
-        if tess.b < needed:
-            parser.error(
-                f"--b {tess.b} is too small for tagging: method {method} "
-                f"needs at least {needed} blocks in d={tess.dim}"
-            )
+def _run_one(args, method: str, k: int, n: int | None, seed: int, keywords):
+    """One compress run; the per-id keywords named in keywords come from args."""
+    op, tess = _build_operator(args, k, n, seed)
+    options = {name: getattr(args, name) for name in keywords}
     return compress(
         op, tess, k, method_id=method, p=args.p, stream=RandomStream(seed),
         error_iterations=args.error_iterations, **options,
     )
 
 
-def cmd_compress(args, parser) -> int:
-    misplaced = [
-        flag for name, (flag, ids, default) in METHOD_OPTIONS.items()
-        if args.method not in ids and getattr(args, name) != default
-    ]
-    if misplaced:
-        parser.error(f"{', '.join(misplaced)} do not apply to --method {args.method}")
+def cmd_compress(args) -> int:
+    # every option goes through, so compress names the ones the id does not take
     seed = _resolve_seed(args)
     try:
-        rep, report = _run_one(args, parser, args.method, args.k, args.n, seed)
+        rep, report = _run_one(args, args.method, args.k, args.n, seed, KEYWORD_DEFAULTS)
     except (
         DegenerateTagsError, InteriorResonanceError, NonFiniteOracleError,
         OracleShapeError, np.linalg.LinAlgError,
@@ -285,7 +241,7 @@ def _sweep_row(args, method, k, n, seed):
     if n is not None:
         row["N"] = n
     try:
-        _, report = _run_one(args, _RaisingParser(), method, k, n, seed)
+        _, report = _run_one(args, method, k, n, seed, METHODS[method].keywords)
     except Exception as exc:  # partial failures become rows, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -311,7 +267,7 @@ def _sweep_worker(payload):
     return _sweep_row(args, method, k, n, seed)
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     base_seed = _resolve_seed(args)
     n_values = args.n_list if args.n_list else [None]
     combos = []
@@ -320,7 +276,7 @@ def cmd_sweep(args, parser) -> int:
     ):
         for method in args.methods:
             if method not in METHODS:
-                parser.error(f"unknown method {method!r} in --methods")
+                raise ConfigError(f"unknown method {method!r} in --methods")
             # same derived seed across methods so comparisons stay paired
             combos.append((args, method, k, n, base_seed + idx_nk))
 
@@ -337,23 +293,18 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_aspect_ratios(args, parser) -> int:
+def cmd_aspect_ratios(args) -> int:
     rows = []
     for b in args.b_list:
         per_axis = int(round(b ** (1.0 / args.d)))
         if per_axis**args.d != b:
-            parser.error(f"--b-list entry {b} is not a {args.d}-th power")
+            raise ConfigError(f"--b-list entry {b} is not a {args.d}-th power")
         tess = build_tessellation(grid_points(per_axis, args.d), b)
         for distribution in args.distributions:
             for extra in args.extra_cols_list:
                 group = []
                 for seed in args.seeds:
-                    try:
-                        T = make_tagging_matrix(
-                            b, args.d, extra, distribution, RandomStream(seed)
-                        )
-                    except ValueError as exc:
-                        parser.error(str(exc))
+                    T = make_tagging_matrix(b, args.d, extra, distribution, RandomStream(seed))
                     plan = evaluate_plan(T, tess, optimize=extra >= 1)
                     optimized = plan.rho_base if plan.rho_optimized is None else plan.rho_optimized
                     # empty far fields have NaN ratios and stay out of the statistics
@@ -389,7 +340,10 @@ def cmd_aspect_ratios(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

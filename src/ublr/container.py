@@ -129,7 +129,6 @@ def read_ublr(path) -> UniformBLR:
     return UniformBLR(
         tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
         core=core, b_blocks=b_blocks, effective_ranks=np.asarray(ranks, dtype=int),
-        metadata={"source": str(path)},
     )
 
 

@@ -86,7 +86,11 @@ def _apply_q(qr: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.n
     return out
 
 
-def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12, rows: np.ndarray | None = None):
+_NULL_RTOL = 1e-12  # null_basis's residual limit, relative to max(1, ||B||)
+_PINV_RTOL = 1e-12  # pseudo_inverse truncates below this times sigma_max
+
+
+def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
     """k orthonormal columns of the null space of B (m x n).
 
     Factors B* = Q R by LAPACK's blocked Householder QR (dgeqrf, after a
@@ -94,7 +98,7 @@ def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12, rows: np.ndarray | No
     complete Q, by applying the reflectors to k unit vectors (dormqr); Q
     itself is never formed. Raises ValueError when the requested null space
     does not exist, detected by the residual ||B Z|| exceeding
-    rtol * max(1, ||B||) (Frobenius norms), and np.linalg.LinAlgError, also
+    _NULL_RTOL * max(1, ||B||) (Frobenius norms), and np.linalg.LinAlgError, also
     a ValueError, on a nonzero LAPACK info.
 
     With rows=Y (n columns), B must have full row rank m <= n, and the same
@@ -125,10 +129,10 @@ def null_basis(B: np.ndarray, k: int, rtol: float = 1e-12, rows: np.ndarray | No
         Z = _apply_q(reflectors, tau, unit, "N")
         scale = max(1.0, dlange("F", B.T))
         resid = dlange("F", dgemm(1.0, B.T, Z, trans_a=1))
-        if resid > rtol * scale:
+        if resid > _NULL_RTOL * scale:
             raise ValueError(
                 f"requested null space of dimension {k} does not exist "
-                f"(residual {resid:.3e} > {rtol:.1e} * {scale:.3e})"
+                f"(residual {resid:.3e} > {_NULL_RTOL:.1e} * {scale:.3e})"
             )
     if rows is None:
         return Z
@@ -146,18 +150,16 @@ def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X - u @ (u.T @ X)
 
 
-def pseudo_inverse(B: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below rtol * sigma_max are truncated.
-    """
+def pseudo_inverse(B: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via SVD; singular values below
+    _PINV_RTOL * sigma_max are truncated."""
     B = np.asarray(B, dtype=float)
     if B.size == 0:
         return np.zeros((B.shape[1], B.shape[0]))
     u, s, vt = np.linalg.svd(B, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((B.shape[1], B.shape[0]))
-    keep = s > rtol * s[0]
+    keep = s > _PINV_RTOL * s[0]
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 

@@ -125,6 +125,12 @@ class MatvecLedger:
         }
 
 
+class ConfigError(ValueError):
+    """A configuration the library cannot run: an unknown method id, a
+    keyword the id does not take, or a value out of range. Raised before
+    the first oracle call."""
+
+
 class NonFiniteOracleError(ValueError):
     """The oracle returned NaN or infinity; names the phase and the side."""
 
@@ -164,7 +170,7 @@ class CountingOperator(LinearOperatorHandle):
         return Y
 
 
-def check_linearity(op, stream: RandomStream, cols: int = 3, tol: float = 1e-12) -> float:
+def check_linearity(op, stream: RandomStream, cols: int = 3) -> float:
     """Relative linearity defect of apply on random probes."""
     n = op.shape[1]
     X = gaussian(n, cols, stream.child(0))

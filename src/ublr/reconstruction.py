@@ -2,10 +2,10 @@
 
 A compressed operator is U C V* + B with block-diagonal orthonormal U, V, a
 dense stacked core C, and a block-sparse discrepancy B supported on the
-near field only. ``compress`` is the one pipeline behind all five method
-ids. Step I builds the bases (block nullification for A1/B1, tagging for
-A2/B2, naive randSVD for A3); then one of two reconstruction families
-fills in C and B:
+near field only. ``compress`` is the one pipeline behind the five method
+ids of ``METHODS``. Step I builds the bases (block nullification for
+A1/B1, tagging for A2/B2, naive randSVD for A3); then one of two
+reconstruction families fills in C and B:
 
 * type A (II, then III): C = U*(A V) by direct sketching, then B extracted
   with structured identity probes over a distance-2 box coloring;
@@ -27,10 +27,12 @@ so a profiler can rebind those names in this module to time each step.
 
 from __future__ import annotations
 
+import inspect
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,18 +53,28 @@ from .linalg import (
     project_out,
     pseudo_inverse,
 )
-from .operators import CountingOperator, DifferenceOperator, LinearOperatorHandle
+from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
 from .tagging import DegenerateTagsError, plan_tagging
 from .tessellation import BoxColoring, Tessellation, color_boxes
 
-METHOD_IDS = {
-    ("A", "bn"): "A1",
-    ("A", "tag"): "A2",
-    ("A", "naive"): "A3",
-    ("B", "bn"): "B1",
-    ("B", "tag"): "B2",
+
+class Method(NamedTuple):
+    """A method id's family, step-I basis and the keywords of compress it
+    takes beyond p, stream, compute_error and error_iterations."""
+
+    family: str
+    basis: str
+    keywords: tuple = ()
+
+
+METHODS = {
+    "A1": Method("A", "bn"),
+    "A2": Method("A", "tag", ("distribution", "extra_cols", "optimize", "extra_samples")),
+    "A3": Method("A", "naive"),
+    "B1": Method("B", "bn"),
+    "B2": Method("B", "tag", ("distribution", "optimize")),
 }
-_FAMILY_BASIS = {mid: key for key, mid in METHOD_IDS.items()}
+_IDS = {(m.family, m.basis): mid for mid, m in METHODS.items()}
 
 
 def add_near_field(out: np.ndarray, tess: Tessellation, b_blocks: dict, X: np.ndarray):
@@ -85,7 +97,6 @@ class UniformBLR(BlockBases):
     tess: Tessellation
     core: np.ndarray
     b_blocks: dict
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         near = {
@@ -159,10 +170,7 @@ def relative_error(
 def direct_core(op: LinearOperatorHandle, tess: Tessellation, bases: BlockBases) -> np.ndarray:
     """C = U*(A V): pushes the K columns of block-diagonal V through the
     oracle and projects onto the U blocks."""
-    offs = bases.rank_offsets()
-    v_dense = np.zeros((tess.n_points, bases.total_rank))
-    for j in range(tess.b):
-        v_dense[tess.blocks[j], offs[j]:offs[j + 1]] = bases.v_blocks[j]
+    v_dense = blkdiag(bases.v_blocks, tess, np.eye(bases.total_rank))
     return stack_t(bases.u_blocks, tess, op.apply(v_dense))
 
 
@@ -211,6 +219,8 @@ def structured_identity_discrepancy(
 # Relative floor, times max(1, ||T||), of a type-B pair denominator; one
 # constant, so the planning check and the step-III division cannot disagree
 _DENOM_RTOL = 1e-10
+# Neighbour-stack condition estimate above which B1's step III warns
+_COND_LIMIT = 1e8
 
 
 def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -> dict:
@@ -231,9 +241,7 @@ def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -
     return rows
 
 
-def gaussian_pinv_discrepancy(
-    bundle: SketchBundle, bases: BlockBases, cond_limit: float = 1e8
-) -> dict:
+def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     """B blocks recovered from the block-nullification sketches.
 
     (I - U_i U_i*) A(I_i, nbrs) equals the projected sketch rows times the
@@ -242,7 +250,7 @@ def gaussian_pinv_discrepancy(
     both products from its QR of each stack (block_nullification_bases
     with right_inverses=True), so this step only slices and combines them.
     Warns for every stack whose condition estimate, LAPACK's 1-norm
-    estimate of cond(R), exceeds cond_limit. Costs no extra matvecs.
+    estimate of cond(R), exceeds _COND_LIMIT. Costs no extra matvecs.
     """
     if bundle.y_rinv is None:
         raise ValueError(
@@ -251,7 +259,7 @@ def gaussian_pinv_discrepancy(
         )
     tess = bundle.tess
     for side, col in (("", 0), ("adjoint ", 1)):
-        for i in np.flatnonzero(bundle.stack_conds[:, col] > cond_limit):
+        for i in np.flatnonzero(bundle.stack_conds[:, col] > _COND_LIMIT):
             warnings.warn(
                 f"block {i}: neighbor {side}test-matrix stack has condition "
                 f"{bundle.stack_conds[i, col]:.2e} (LAPACK 1-norm estimate of cond(R))"
@@ -422,27 +430,31 @@ def compress(
 ):
     """Compress op by one of the five methods; returns (UniformBLR, report).
 
-    The method id picks the step-I basis builder (A1/B1 block
-    nullification, A2/B2 tagging, A3 naive) and the family: type A runs
-    II (direct core) then III (structured-identity B), type B runs III
+    The method id picks, through METHODS, the step-I basis builder (A1/B1
+    block nullification, A2/B2 tagging, A3 naive) and the family: type A
+    runs II (direct core) then III (structured-identity B), type B runs III
     (B from the step-I sketches) then II (core by least squares).
     distribution and optimize shape the tagging plan of A2 and B2;
-    extra_cols and extra_samples shape A2's tagging sketch. Passing any of
-    them, other than at its default, to an id it does not apply to raises
-    ValueError.
+    extra_cols and extra_samples shape A2's tagging sketch.
+
+    Raises ConfigError before the first oracle call for an unknown id, a
+    keyword given other than at its default to an id that does not take
+    it, k < 0, p < 0, error_iterations < 1, and (from the tagging plan)
+    too few blocks, a negative extra_cols or an unknown distribution.
     """
-    if method_id not in _FAMILY_BASIS:
-        raise ValueError(f"unknown method id {method_id!r}; expected one of "
-                         f"{sorted(METHOD_IDS.values())}")
-    family, basis = _FAMILY_BASIS[method_id]
-    misplaced = [name for name, given, applies in (
-        ("distribution", distribution != "gaussian", basis == "tag"),
-        ("optimize", optimize, basis == "tag"),
-        ("extra_cols", extra_cols, method_id == "A2"),
-        ("extra_samples", extra_samples, method_id == "A2"),
-    ) if given and not applies]
+    method = METHODS.get(method_id)
+    if method is None:
+        raise ConfigError(f"unknown method id {method_id!r}; expected one of {sorted(METHODS)}")
+    family, basis, keywords = method
+    options = {"distribution": distribution, "extra_cols": extra_cols,
+               "optimize": optimize, "extra_samples": extra_samples}
+    misplaced = [name for name, value in options.items()
+                 if name not in keywords and value != KEYWORD_DEFAULTS[name]]
     if misplaced:
-        raise ValueError(f"{method_id}: {', '.join(misplaced)} do not apply to this id")
+        raise ConfigError(f"{method_id}: {', '.join(misplaced)} do not apply to this id")
+    for name, value, low in (("k", k, 0), ("p", p, 0), ("error_iterations", error_iterations, 1)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     if stream is None:
         stream = RandomStream(0)
     cop = CountingOperator(op)
@@ -490,9 +502,7 @@ def compress(
         with step("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
 
-    rep = UniformBLR(
-        **vars(bases), tess=tess, core=core, b_blocks=b_blocks, metadata={"method": method_id}
-    )
+    rep = UniformBLR(**vars(bases), tess=tess, core=core, b_blocks=b_blocks)
 
     rel = None
     if compute_error:
@@ -513,9 +523,7 @@ def compress(
         "d": tess.dim,
         "seed": stream.seed,
         "ell": plan.matrix.n_cols if plan is not None else None,
-        "distribution": distribution if basis == "tag" else None,
-        "extra_cols": extra_cols if method_id == "A2" else None,
-        "optimize": optimize if basis == "tag" else None,
+        **{name: value if name in keywords else None for name, value in options.items()},
     }
     report = CompressionReport(
         method=method_id,
@@ -529,14 +537,23 @@ def compress(
     return rep, report
 
 
+# The keywords that only some ids take, with compress's defaults, in report
+# order. A value other than the default on an id that does not take it is a
+# ConfigError.
+KEYWORD_DEFAULTS = {
+    name: inspect.signature(compress).parameters[name].default
+    for name in ("distribution", "extra_cols", "optimize", "extra_samples")
+}
+
+
 def compress_type_a(op, tess, k, p=10, method="tag", stream=None, **kwargs):
     """compress with the type-A id of step-I method "bn", "tag" or "naive"."""
-    return compress(op, tess, k, METHOD_IDS.get(("A", method), f"A/{method}"), p, stream, **kwargs)
+    return compress(op, tess, k, _IDS.get(("A", method), f"A/{method}"), p, stream, **kwargs)
 
 
 def compress_type_b(op, tess, k, p=10, method="bn", stream=None, **kwargs):
     """compress with the type-B id of step-I method "bn" or "tag"."""
-    return compress(op, tess, k, METHOD_IDS.get(("B", method), f"B/{method}"), p, stream, **kwargs)
+    return compress(op, tess, k, _IDS.get(("B", method), f"B/{method}"), p, stream, **kwargs)
 
 
 def ground_truth_rep(spec, op) -> UniformBLR:
@@ -569,5 +586,5 @@ def ground_truth_rep(spec, op) -> UniformBLR:
     return UniformBLR(
         tess=tess, rank=k, u_blocks=spec.u_blocks, v_blocks=spec.v_blocks,
         core=core, b_blocks=b_blocks,
-        effective_ranks=np.full(b, k), metadata={"method": "exact"},
+        effective_ranks=np.full(b, k),
     )

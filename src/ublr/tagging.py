@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RandomStream, gaussian, null_basis
+from .operators import ConfigError
 from .tessellation import Tessellation
 
 
@@ -56,6 +57,9 @@ class ProjectedTags:
 
 
 DISTRIBUTIONS = ("gaussian", "haar", "equidistributed")
+_MAX_REDRAWS = 5  # plan_tagging's redraws of degenerate or badly tagged draws
+_RATIO_LIMIT = 1e6  # the worst aspect ratio plan_tagging accepts
+_CIRCLE_GRID = 4096  # grid points over the half circle of a nullity-2 search
 
 
 def make_tagging_matrix(
@@ -65,14 +69,16 @@ def make_tagging_matrix(
     distribution: str = "gaussian",
     stream: RandomStream | None = None,
 ) -> TaggingMatrix:
-    """b x (3^d + 1 + extra_cols) tagging matrix of the given distribution."""
+    """b x (3^d + 1 + extra_cols) tagging matrix of the given distribution;
+    raises ConfigError for inputs that admit none."""
     if stream is None:
         stream = RandomStream(0)
     if extra_cols < 0:
-        raise ValueError("extra_cols must be nonnegative")
+        raise ConfigError("extra_cols must be nonnegative")
     ell = 3**d + 1 + extra_cols
     if b < ell:
-        raise ValueError(f"b={b} too small for {ell} tagging columns")
+        raise ConfigError(f"b={b} is too small for tagging: its {ell} columns (3^d + 1 + "
+                          f"extra_cols, d={d}) need {ell} blocks or more")
     if distribution == "gaussian":
         entries = gaussian(b, ell, stream)
     elif distribution == "haar":
@@ -84,7 +90,8 @@ def make_tagging_matrix(
     elif distribution == "equidistributed":
         entries = _equidistributed_rows(b, ell, stream)
     else:
-        raise ValueError(f"unknown distribution {distribution!r}; expected one of {DISTRIBUTIONS}")
+        raise ConfigError(f"unknown distribution {distribution!r}; expected one of "
+                          f"{DISTRIBUTIONS}")
     return TaggingMatrix(
         entries=entries, dim=d, extra_cols=extra_cols,
         distribution=distribution, seed=stream.seed,
@@ -194,9 +201,7 @@ def _golden_section(f, a, b, tol=1e-10, max_iter=200):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def optimize_null_vector(
-    T: TaggingMatrix, tess: Tessellation, i: int, grid_points: int = 4096
-) -> NullVector:
+def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVector:
     """Null vector minimizing the aspect ratio over the unit sphere in the
     null space of T(N_i, :).
 
@@ -230,7 +235,7 @@ def optimize_null_vector(
     P = T.entries[far, :] @ X  # (|F|, s_use) far-field tags of the basis
 
     if s_use == 2:
-        coeffs, ratio = _best_on_circle(P, grid_points)
+        coeffs, ratio = _best_on_circle(P)
     else:
         coeffs, ratio = _best_on_sphere(P)
 
@@ -243,12 +248,12 @@ def optimize_null_vector(
     return NullVector(block=i, vector=z, residual=residual)
 
 
-def _best_on_circle(P, grid_points):
-    thetas = np.linspace(0.0, np.pi, grid_points, endpoint=False)
+def _best_on_circle(P):
+    thetas = np.linspace(0.0, np.pi, _CIRCLE_GRID, endpoint=False)
     vals = P @ np.vstack((np.cos(thetas), np.sin(thetas)))
     ratios = _ratio_per_column(vals)
     best = int(np.argmin(ratios))
-    h = np.pi / grid_points
+    h = np.pi / _CIRCLE_GRID
 
     def objective(theta):
         v = P @ np.array([np.cos(theta), np.sin(theta)])
@@ -309,13 +314,11 @@ def plan_tagging(
     distribution: str = "gaussian",
     stream: RandomStream | None = None,
     optimize: bool = False,
-    max_redraws: int = 5,
-    ratio_limit: float = 1e6,
     extra_check=None,
 ) -> TaggingPlan:
     """Draw a tagging matrix and all per-block null vectors, redrawing with
-    the next derived seed (at most max_redraws times) whenever a block comes
-    out degenerate or with an aspect ratio above ratio_limit.
+    the next derived seed (at most _MAX_REDRAWS times) whenever a block comes
+    out degenerate or with an aspect ratio above _RATIO_LIMIT.
 
     extra_check, when given, must accept the candidate TaggingMatrix and
     return False to force a redraw (used by the type-B pipeline to reject
@@ -324,7 +327,7 @@ def plan_tagging(
         stream = RandomStream(0)
     last_error = None
     plan = None
-    for attempt in range(max_redraws + 1):
+    for attempt in range(_MAX_REDRAWS + 1):
         T = make_tagging_matrix(
             tess.b, tess.dim, extra_cols, distribution, stream.child(attempt)
         )
@@ -339,15 +342,15 @@ def plan_tagging(
         effective = plan.rho_optimized if plan.rho_optimized is not None else plan.rho_base
         finite = effective[~np.isnan(effective)]
         worst = finite.max() if finite.size else 1.0
-        if np.isfinite(worst) and worst <= ratio_limit:
+        if np.isfinite(worst) and worst <= _RATIO_LIMIT:
             return plan
     if plan is None:
         raise DegenerateTagsError(
-            f"no usable tagging matrix after {max_redraws + 1} draws: {last_error}"
+            f"no usable tagging matrix after {_MAX_REDRAWS + 1} draws: {last_error}"
         )
     warnings.warn(
-        f"tagging matrix still has aspect ratio above {ratio_limit:.0e} after "
-        f"{max_redraws + 1} draws; proceeding with the last one"
+        f"tagging matrix still has aspect ratio above {_RATIO_LIMIT:.0e} after "
+        f"{_MAX_REDRAWS + 1} draws; proceeding with the last one"
     )
     return plan
 

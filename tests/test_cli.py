@@ -113,10 +113,10 @@ class TestCompress:
         assert "phase 'I' has shape (255, 104), expected (256, 104)" in err
 
     @pytest.mark.parametrize("method, options, named", [
-        ("A1", ["--extra-cols", "2", "--extra-samples"], "--extra-cols, --extra-samples"),
-        ("B1", ["--optimize"], "--optimize"),
-        ("A3", ["--distribution", "haar"], "--distribution"),
-        ("B2", ["--extra-cols", "1"], "--extra-cols"),
+        ("A1", ["--extra-cols", "2", "--extra-samples"], "extra_cols, extra_samples"),
+        ("B1", ["--optimize"], "optimize"),
+        ("A3", ["--distribution", "haar"], "distribution"),
+        ("B2", ["--extra-cols", "1"], "extra_cols"),
     ])
     def test_options_that_do_not_apply_exit_2(self, method, options, named, capsys):
         code = run_cli([
@@ -124,7 +124,21 @@ class TestCompress:
             "--b", "8", "--k", "2", "--method", method, "--seed", "3", *options,
         ])
         assert code == 2
-        assert f"{named} do not apply to --method {method}" in capsys.readouterr().err
+        assert f"{method}: {named} do not apply to this id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--k", "-2"], "k must be >= 0"),
+        (["--error-iterations", "0"], "error_iterations must be >= 1"),
+    ])
+    def test_out_of_range_values_exit_2_without_output(self, options, message, tmp_path, capsys):
+        saved = tmp_path / "x.ublr"
+        code = run_cli([
+            "compress", "--op", "laplace2d", "--n", "256", "--b", "16",
+            "--save", str(saved), *options,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not saved.exists()
 
     @pytest.mark.parametrize("method", ["A1", "A2", "A3", "B1", "B2"])
     def test_every_method_id_runs(self, method, tmp_path):
@@ -221,6 +235,19 @@ class TestSweep:
         assert rows["A1"]["error"] == rows["A2"]["error"] == ""
         assert (rows["A1"]["distribution"], rows["A1"]["extra_cols"]) == ("", "")
         assert (rows["A2"]["distribution"], rows["A2"]["extra_cols"]) == ("haar", "1")
+
+    def test_config_error_becomes_a_row(self, tmp_path):
+        out = tmp_path / "config.csv"
+        code = run_cli([
+            "sweep", "--op", "synthetic", "--n-list", "320", "--k-list", "2",
+            "--methods", "A1,A2", "--d", "1", "--b", "8", "--seed", "6",
+            "--extra-cols", "5", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out) as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert rows["A1"]["error"] == ""  # extra_cols is forwarded to A2 only
+        assert rows["A2"]["error"].startswith("ConfigError: b=8 is too small for tagging")
 
     def test_method_sweep_matched_seeds(self, tmp_path):
         out = tmp_path / "methods.csv"

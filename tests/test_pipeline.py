@@ -1,6 +1,6 @@
-"""The single compress pipeline: which steps each method id runs, keyword
-validation, the type-A/type-B forwarders and non-finite or wrongly shaped
-oracle output."""
+"""The single compress pipeline: which steps each method id runs,
+configuration errors, the type-A/type-B forwarders and non-finite or
+wrongly shaped oracle output."""
 
 import hashlib
 import re
@@ -10,6 +10,7 @@ import pytest
 
 import ublr.reconstruction
 from ublr import (
+    ConfigError,
     DenseOperator,
     NonFiniteOracleError,
     OracleShapeError,
@@ -89,6 +90,19 @@ def test_traced_kernels_are_module_globals():
         assert callable(getattr(ublr.reconstruction, name))
 
 
+class UncallableOracle:
+    """Oracle whose products fail the test: configuration errors must be
+    raised before the first oracle call."""
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def apply(self, X):
+        pytest.fail("compress called the oracle before rejecting its configuration")
+
+    apply_adjoint = apply
+
+
 @pytest.mark.parametrize(
     "method_id, kwargs",
     [(m, kw) for m in ["A1", "A3", "B1", "B2"]
@@ -97,9 +111,27 @@ def test_traced_kernels_are_module_globals():
        for kw in [{"optimize": True}, {"distribution": "haar"}]],
 )
 def test_a2_keywords_rejected_on_other_ids(method_id, kwargs, case):
-    op, tess, _ = case
-    with pytest.raises(ValueError, match=f"{method_id}: {next(iter(kwargs))}"):
-        compress(op, tess, 3, method_id, compute_error=False, **kwargs)
+    _, tess, _ = case
+    with pytest.raises(ConfigError, match=f"{method_id}: {next(iter(kwargs))}"):
+        compress(UncallableOracle(tess.n_points), tess, 3, method_id, **kwargs)
+
+
+@pytest.mark.parametrize("method_id, k, kwargs, message", [
+    ("A9", 3, {}, "unknown method id 'A9'"),
+    ("B1", 3, {"distribution": "haar", "extra_samples": True},
+     "B1: distribution, extra_samples do not apply"),
+    ("A1", -1, {}, "k must be >= 0, got -1"),
+    ("B2", 3, {"p": -2}, "p must be >= 0, got -2"),
+    ("A3", 3, {"error_iterations": 0}, "error_iterations must be >= 1, got 0"),
+    ("A2", 3, {"extra_cols": 5}, "too small for tagging"),  # 3 + 1 + 5 columns, 8 blocks
+    ("A2", 3, {"extra_cols": -1}, "extra_cols must be nonnegative"),
+    ("B2", 3, {"distribution": "cauchy"}, "unknown distribution 'cauchy'"),
+])
+def test_config_errors_raised_before_the_oracle(method_id, k, kwargs, message, case):
+    _, tess, _ = case
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        compress(UncallableOracle(tess.n_points), tess, k, method_id, **kwargs)
+    assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
@@ -110,6 +142,7 @@ def test_report_config_names_only_keywords_the_id_uses(method_id, case):
     assert (report.config["optimize"] is None) != tagging
     assert (report.config["distribution"] is None) != tagging
     assert (report.config["extra_cols"] is None) != (method_id == "A2")
+    assert (report.config["extra_samples"] is None) != (method_id == "A2")
 
 
 @pytest.mark.parametrize(
@@ -128,9 +161,9 @@ def test_forwarders_match_compress(forwarder, method, method_id, case, tmp_path)
 
 
 def test_type_b_has_no_naive_method(case):
-    op, tess, _ = case
-    with pytest.raises(ValueError):
-        compress_type_b(op, tess, 3, 10, "naive")
+    _, tess, _ = case
+    with pytest.raises(ConfigError, match="unknown method id 'B/naive'"):
+        compress_type_b(UncallableOracle(tess.n_points), tess, 3, 10, "naive")
 
 
 class PoisonedOperator(DenseOperator):

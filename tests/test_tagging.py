@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ublr.tagging
 from ublr import (
     ProjectedTags,
     RandomStream,
@@ -266,10 +267,11 @@ class TestPlanTagging:
         assert len(plan.null_vectors) == 8
         assert np.all(np.isfinite(plan.rho_base))
 
-    def test_redraw_exhaustion_warns(self, tess_1d, stream):
+    def test_redraw_exhaustion_warns(self, tess_1d, stream, monkeypatch):
+        monkeypatch.setattr(ublr.tagging, "_RATIO_LIMIT", 1.0)
         with pytest.warns(UserWarning):
-            plan = plan_tagging(tess_1d, 0, "gaussian", stream, ratio_limit=1.0)
-        assert plan.attempts == 6  # 1 + max_redraws
+            plan = plan_tagging(tess_1d, 0, "gaussian", stream)
+        assert plan.attempts == 6  # 1 + _MAX_REDRAWS
 
     def test_extra_check_forces_redraw(self, tess_1d, stream):
         with pytest.raises(DegenerateTagsError):
