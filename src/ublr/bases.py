@@ -36,6 +36,11 @@ class SketchBundle:
     rows (I - U_i U_i*) y_i B_i^+ (m_i x |N_i|, columns in neighbor order),
     the same rows from z, psi[N_i, :] and V_i, and each stack's condition
     estimate. Only these rows are stored, never the QR factors they came from.
+
+    After step I, type A reads no field. Type B's step III reads y_rinv,
+    z_rinv and stack_conds (B1), or y, z, tagging, g_blocks, h_blocks and
+    group_cols (B2); its step II reads omega, y and s. compress releases
+    each array after the last step that reads it.
     """
 
     omega: np.ndarray  # (n, s)

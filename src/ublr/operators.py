@@ -271,19 +271,33 @@ def synthetic_ublr(spec: SyntheticUBLRSpec) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
+_KERNEL_TILE = 256  # rows of the kernel matrix evaluated per pass
+
+
 def laplace2d_operator(points: PointCloud) -> DenseOperator:
-    """Dense kernel matrix log||x_i - x_j|| with a zero diagonal."""
+    """Dense kernel matrix log||x_i - x_j|| with a zero diagonal.
+
+    Built _KERNEL_TILE rows at a time in place in the result, so the only
+    temporary is one tile's coordinate differences, 2 * _KERNEL_TILE * N
+    doubles. Each tile's diagonal distances are set to 1 before the log,
+    and log(1) = 0.
+    """
     if points.dim != 2:
         raise ValueError("laplace2d requires d=2 points")
     x = points.coords
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    off_diag = ~np.eye(points.n, dtype=bool)
-    if np.any(dist[off_diag] == 0.0):
-        raise ValueError("coincident points: log kernel is singular")
-    with np.errstate(divide="ignore"):
-        A = np.log(dist)
-    np.fill_diagonal(A, 0.0)
+    A = np.empty((points.n, points.n))
+    for lo in range(0, points.n, _KERNEL_TILE):
+        tile = A[lo:lo + _KERNEL_TILE]
+        rows = np.arange(len(tile))
+        diff = x[lo:lo + len(tile), None, :] - x[None, :, :]
+        np.square(diff, out=diff)
+        np.sum(diff, axis=2, out=tile)
+        del diff  # freed before the next tile's is allocated
+        np.sqrt(tile, out=tile)
+        tile[rows, lo + rows] = 1.0
+        if np.any(tile == 0.0):
+            raise ValueError("coincident points: log kernel is singular")
+        np.log(tile, out=tile)
     return DenseOperator(A)
 
 

@@ -17,7 +17,8 @@ reconstruction families fills in C and B:
 
 Every product with the factors goes through three kernels: ``stack_t``
 (blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
-``add_near_field`` (out += B X) here. Both type-B step-III variants build
+``add_near_field`` (out += B X) here; ``pinv_core`` alone sums B X one
+block row at a time, in add_near_field's order. Both type-B step-III variants build
 B_ij = row_ij + U_i U_i* col_ij in one pass over the near pairs; they
 differ only in where the two terms come from.
 
@@ -343,7 +344,9 @@ def pinv_core(
 
     V* Omega must have full row rank, so the test matrix is augmented with
     max(0, K + p - s) fresh Gaussian columns, the only extra matvecs of the
-    type-B path. Returns (core, columns_added).
+    type-B path. U*(Y - B Omega) is formed one block row at a time, each
+    row's B Omega summed over j ascending as add_near_field does, so no
+    n x s temporary is made. Returns (core, columns_added).
     """
     tess = bundle.tess
     omega, y = bundle.omega, bundle.y
@@ -353,8 +356,17 @@ def pinv_core(
         y_extra = op.apply(om_extra)
         omega = np.hstack((omega, om_extra))
         y = np.hstack((y, y_extra))
-    b_om = add_near_field(np.zeros((tess.n_points, omega.shape[1])), tess, b_blocks, omega)
-    lhs = stack_t(bases.u_blocks, tess, y - b_om)
+    nbrs = {}
+    for i, j in sorted(b_blocks):
+        nbrs.setdefault(i, []).append(j)
+    offs = bases.rank_offsets()
+    lhs = np.empty((offs[-1], omega.shape[1]))
+    for i, u in enumerate(bases.u_blocks):
+        rows = tess.blocks[i]
+        b_om = np.zeros((len(rows), omega.shape[1]))
+        for j in nbrs.get(i, ()):
+            b_om += b_blocks[(i, j)] @ omega[tess.blocks[j]]
+        lhs[offs[i]:offs[i + 1]] = u.T @ (y[rows] - b_om)
     return lhs @ pseudo_inverse(stack_t(bases.v_blocks, tess, omega)), extra
 
 
@@ -437,6 +449,12 @@ def compress(
     distribution and optimize shape the tagging plan of A2 and B2;
     extra_cols and extra_samples shape A2's tagging sketch.
 
+    Each step-I sketch array is released after the last step that reads it
+    (see SketchBundle): type A drops the bundle after step I. Type B drops
+    psi after step I and z after step III (B1 already after step I, as its
+    step III reads y_rinv and z_rinv instead, which go after step III), and
+    keeps omega and y for step II.
+
     Raises ConfigError before the first oracle call for an unknown id, a
     keyword given other than at its default to an id that does not take
     it, k < 0, p < 0, error_iterations < 1, and (from the tagging plan)
@@ -486,7 +504,9 @@ def compress(
                 extra_samples=extra_samples,
             )
 
+    # Each sketch array is dropped after the last step that reads it.
     if family == "A":
+        del bundle
         with step("II"):
             core = direct_core(cop, tess, bases)
         with step("III"):
@@ -494,11 +514,15 @@ def compress(
                 cop, tess, bases, core, color_boxes(tess)
             )
     else:
+        bundle.psi = None
+        if basis == "bn":  # B1's step III reads y_rinv and z_rinv instead
+            bundle.z = None
         with step("III"):
             if basis == "bn":
                 b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
+        bundle.z = bundle.y_rinv = bundle.z_rinv = None
         with step("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
 

@@ -103,6 +103,24 @@ class TestLaplace2D:
         with pytest.raises(ValueError):
             laplace2d_operator(PointCloud(np.array([[0.1], [0.9]]), 1))
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 300, 513])
+    def test_row_tiles_match_one_broadcast(self, n):
+        # the row-tiled build gives the very bits of the all-pairs formula
+        x = random_points(n, 2, RandomStream(n)).coords
+        diff = x[:, None, :] - x[None, :, :]
+        with np.errstate(divide="ignore"):
+            want = np.log(np.sqrt((diff**2).sum(axis=2)))
+        np.fill_diagonal(want, 0.0)
+        got = laplace2d_operator(PointCloud(x, 2)).matrix
+        assert np.array_equal(got, want)
+        assert not np.signbit(np.diag(got)).any()
+
+    def test_coincident_points_in_different_tiles_raise(self):
+        x = random_points(400, 2, RandomStream(4)).coords.copy()
+        x[300] = x[0]
+        with pytest.raises(ValueError, match="coincident"):
+            laplace2d_operator(PointCloud(x, 2))
+
     def test_far_field_singular_values_decay(self):
         pts = random_points(1024, 2, RandomStream(6))
         op = laplace2d_operator(pts)

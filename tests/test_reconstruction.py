@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ublr import (
     gaussian_pinv_discrepancy,
     grid_points,
     ground_truth_rep,
+    laplace2d_operator,
     pinv_core,
     plan_tagging,
     pseudo_inverse,
@@ -27,8 +30,9 @@ from ublr import (
     tagging_bases,
     tagging_pinv_discrepancy,
 )
-from ublr.bases import SketchBundle
+from ublr.bases import SketchBundle, stack_t
 from ublr.linalg import col_basis
+from ublr.reconstruction import add_near_field
 
 from conftest import snorm, uniform_synthetic
 
@@ -250,6 +254,58 @@ class TestPinvCore:
         _, added = pinv_core(cop, bundle, bases, b_blocks, 10, RandomStream(5))
         assert added == 24 + 10 - 20
         assert cop.ledger.count_a == added
+
+    @pytest.mark.parametrize("case", ["B1", "B2", "augmented"])
+    def test_bitwise_equal_to_dense_formula(self, case):
+        # block rows of U*(Y - B Omega), each summed in add_near_field's
+        # order, give the very bits of the n x s formula
+        pts = random_points(576, 2, RandomStream(3).child(1))
+        tess = build_tessellation(pts, 16)
+        op = laplace2d_operator(pts)
+        k, p = 10, 10
+        if case == "B2":
+            plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
+            bases, bundle = tagging_bases(
+                op, tess, k, p, plan, RandomStream(1), group_cols=tess.max_block_size + p
+            )
+            b_blocks = tagging_pinv_discrepancy(bundle, bases)
+        else:
+            bases, bundle = block_nullification_bases(
+                op, tess, k, p, RandomStream(1), right_inverses=True
+            )
+            b_blocks = gaussian_pinv_discrepancy(bundle, bases)
+        omega, y = bundle.omega, bundle.y
+        if case == "augmented":  # K = 160: 40 columns leave 130 to add
+            bundle.omega, bundle.y, bundle.s = omega[:, :40], y[:, :40], 40
+            om_extra = gaussian(tess.n_points, 130, RandomStream(5))
+            omega = np.hstack((bundle.omega, om_extra))
+            y = np.hstack((bundle.y, op.apply(om_extra)))
+        core, added = pinv_core(op, bundle, bases, b_blocks, p, RandomStream(5))
+        assert added == (130 if case == "augmented" else 0)
+        b_om = add_near_field(np.zeros_like(omega), tess, b_blocks, omega)
+        want = stack_t(bases.u_blocks, tess, y - b_om) @ pseudo_inverse(
+            stack_t(bases.v_blocks, tess, omega)
+        )
+        assert np.array_equal(core, want)
+
+
+class TestCompressMemory:
+    # Step I must hold omega, psi, y and z (4 n s doubles) at once; nothing
+    # after it may hold more. Before the sketch arrays were released after
+    # their last reader, these peaks were 5.73 (A3) and 7.62 (B2) n s doubles.
+    @pytest.mark.parametrize("method", ["A3", "B2"])
+    def test_traced_peak_within_five_sketch_arrays(self, method):
+        pts = random_points(1024, 2, RandomStream(0).child(1))
+        tess = build_tessellation(pts, 16)
+        op = laplace2d_operator(pts)
+        tracemalloc.start()
+        try:
+            _, report = compress(op, tess, 20, method, stream=RandomStream(0), compute_error=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        s = report.matvecs["I"]["A"]
+        assert peak < 5 * tess.n_points * s * 8
 
 
 
