@@ -43,8 +43,8 @@ class SketchBundle:
     each array after the last step that reads it.
     """
 
-    omega: np.ndarray  # (n, s)
-    psi: np.ndarray  # (n, s)
+    omega: np.ndarray | None  # (n, s); None from naive_bases
+    psi: np.ndarray | None  # (n, s); None from naive_bases
     y: np.ndarray  # A @ omega
     z: np.ndarray  # A* @ psi
     s: int
@@ -53,7 +53,6 @@ class SketchBundle:
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
     h_blocks: list | None = None
     group_cols: int | None = None  # columns per tagging group
-    block_cols: int | None = None  # columns per block probe (naive)
     y_rinv: list | None = None  # (I - U_i U_i*) y_i B_i^+ per block (bn)
     z_rinv: list | None = None  # (I - V_i V_i*) z_i (psi[N_i, :])^+ per block
     stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block
@@ -266,21 +265,22 @@ def naive_bases(
 
     Block i's probe is an n x r Gaussian with the rows of every neighbor
     (including i itself) set to zero; all b probes are batched into a single
-    oracle call per side, costing 2 b r matvec columns.
+    oracle call per side, costing 2 b r matvec columns. No step reads the
+    probes later, so each side's go when its call returns; the bundle has none.
     """
     r = k + p
     n = tess.n_points
-    omega = np.zeros((n, tess.b * r))
-    psi = np.zeros((n, tess.b * r))
-    for i in range(tess.b):
-        cols = slice(i * r, (i + 1) * r)
-        omega[:, cols] = gaussian(n, r, stream.child(0, i))
-        psi[:, cols] = gaussian(n, r, stream.child(1, i))
-        nbr_rows = tess.neighbor_indices(i)
-        omega[nbr_rows, cols] = 0.0
-        psi[nbr_rows, cols] = 0.0
-    y = op.apply(omega)
-    z = op.apply_adjoint(psi)
+
+    def probes(side):
+        out = np.zeros((n, tess.b * r))
+        for i in range(tess.b):
+            cols = slice(i * r, (i + 1) * r)
+            out[:, cols] = gaussian(n, r, stream.child(side, i))
+            out[tess.neighbor_indices(i), cols] = 0.0
+        return out
+
+    y = op.apply(probes(0))
+    z = op.apply_adjoint(probes(1))
 
     u_blocks, v_blocks, ranks = [], [], []
     for i in range(tess.b):
@@ -291,5 +291,5 @@ def naive_bases(
         ranks.append(u_blocks[-1].shape[1])
 
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
-    bundle = SketchBundle(omega=omega, psi=psi, y=y, z=z, s=tess.b * r, tess=tess, block_cols=r)
+    bundle = SketchBundle(omega=None, psi=None, y=y, z=z, s=tess.b * r, tess=tess)
     return bases, bundle

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels shared by all compression algorithms.
 
-Orthonormal column/null-space extraction, truncated pseudoinverses, seeded
-Gaussian sampling, and randomized power-method norm estimation. Every
+Orthonormal column/null-space extraction, right inverses from the same QR,
+seeded Gaussian sampling, and randomized power-method norm estimation. Every
 randomized routine draws from a RandomStream, so results are pure functions
 of (inputs, seed).
 """
@@ -87,7 +87,6 @@ def _apply_q(qr: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.n
 
 
 _NULL_RTOL = 1e-12  # null_basis's residual limit, relative to max(1, ||B||)
-_PINV_RTOL = 1e-12  # pseudo_inverse truncates below this times sigma_max
 
 
 def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
@@ -111,7 +110,7 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
     if k > n:
         raise ValueError(f"k={k} exceeds column count {n}")
     if rows is not None and m > n:
-        raise ValueError(f"rows= needs full row rank, but B is {m}x{n}")
+        raise ValueError(f"a right inverse needs full row rank, but B is {m}x{n}")
     if k == 0 and rows is None:
         return np.zeros((n, 0))
     if m == 0:  # nothing to factor: Q = I (LAPACK rejects the empty query)
@@ -151,16 +150,10 @@ def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def pseudo_inverse(B: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD; singular values below
-    _PINV_RTOL * sigma_max are truncated."""
-    B = np.asarray(B, dtype=float)
-    if B.size == 0:
-        return np.zeros((B.shape[1], B.shape[0]))
-    u, s, vt = np.linalg.svd(B, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((B.shape[1], B.shape[0]))
-    keep = s > _PINV_RTOL * s[0]
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+    """Right inverse B^+ = Q[:, :m] R[:m, :m]^-* of a full-row-rank B (m x n),
+    from null_basis's QR of B*. Raises ValueError for m > n and
+    np.linalg.LinAlgError (dtrtrs) for an exactly singular R."""
+    return null_basis(B, 0, rows=np.eye(np.shape(B)[1]))[1]
 
 
 def estimate_spectral_norm(op, iterations: int = 20, stream: RandomStream | None = None) -> float:

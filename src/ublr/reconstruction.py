@@ -13,7 +13,8 @@ reconstruction families fills in C and B:
   block right inverses (no new matvecs; block nullification takes them
   from the QR its step I already computed), then C from a least-squares
   solve against the same test matrix, augmented with extra Gaussian
-  columns when the bundle is too narrow.
+  columns when the bundle is too narrow. Every right inverse is
+  Q_1 R_1^-* from linalg.null_basis's QR of the full-row-rank matrix.
 
 Every product with the factors goes through three kernels: ``stack_t``
 (blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
@@ -220,7 +221,7 @@ def structured_identity_discrepancy(
 # Relative floor, times max(1, ||T||), of a type-B pair denominator; one
 # constant, so the planning check and the step-III division cannot disagree
 _DENOM_RTOL = 1e-10
-# Neighbour-stack condition estimate above which B1's step III warns
+# cond(R) estimate above which B1's neighbour stacks and pinv_core's V* Omega warn
 _COND_LIMIT = 1e8
 
 
@@ -346,7 +347,10 @@ def pinv_core(
     max(0, K + p - s) fresh Gaussian columns, the only extra matvecs of the
     type-B path. U*(Y - B Omega) is formed one block row at a time, each
     row's B Omega summed over j ascending as add_near_field does, so no
-    n x s temporary is made. Returns (core, columns_added).
+    n x s temporary is made. The right inverse comes from null_basis's QR
+    of (V* Omega)*, which also estimates cond(R): above _COND_LIMIT it
+    warns, and an exactly rank-deficient V* Omega raises
+    np.linalg.LinAlgError (dtrtrs). Returns (core, columns_added).
     """
     tess = bundle.tess
     omega, y = bundle.omega, bundle.y
@@ -367,7 +371,10 @@ def pinv_core(
         for j in nbrs.get(i, ()):
             b_om += b_blocks[(i, j)] @ omega[tess.blocks[j]]
         lhs[offs[i]:offs[i + 1]] = u.T @ (y[rows] - b_om)
-    return lhs @ pseudo_inverse(stack_t(bases.v_blocks, tess, omega)), extra
+    _, core, cond = null_basis(stack_t(bases.v_blocks, tess, omega), 0, rows=lhs)
+    if cond > _COND_LIMIT:
+        warnings.warn(f"V* Omega has condition {cond:.2e} (LAPACK 1-norm estimate of cond(R))")
+    return core, extra
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from ublr import (
     naive_bases,
     null_basis,
     plan_tagging,
-    pseudo_inverse,
     random_points,
     structured_identity_discrepancy,
     tagging_bases,
@@ -158,14 +157,30 @@ class TestNaiveBases:
         assert cop.ledger.count_astar == 8 * 40
 
     def test_zeroing_contract(self, synthetic_small):
+        # the probes the oracle receives, one per side, each b r wide
         op, tess, _ = synthetic_small
-        _, bundle = naive_bases(op, tess, 3, 10, RandomStream(2))
-        r = bundle.block_cols
-        for i in range(tess.b):
-            probe = bundle.omega[:, i * r:(i + 1) * r]
-            assert np.all(probe[tess.neighbor_indices(i)] == 0.0)
-            far_rows = np.concatenate([tess.blocks[j] for j in tess.far_fields[i]])
-            assert np.all(probe[far_rows] != 0.0)
+        seen = {}
+
+        class Recording(DenseOperator):
+            def apply(self, X):
+                seen["A"] = X.copy()
+                return super().apply(X)
+
+            def apply_adjoint(self, X):
+                seen["A*"] = X.copy()
+                return super().apply_adjoint(X)
+
+        _, bundle = naive_bases(Recording(op.matrix), tess, 3, 10, RandomStream(2))
+        assert bundle.omega is None and bundle.psi is None
+        r = 3 + 10  # k + p
+        assert seen["A"].shape == seen["A*"].shape == (tess.n_points, tess.b * r)
+        assert not np.array_equal(seen["A"], seen["A*"])
+        for probes in seen.values():
+            for i in range(tess.b):
+                probe = probes[:, i * r:(i + 1) * r]
+                assert np.all(probe[tess.neighbor_indices(i)] == 0.0)
+                far_rows = np.concatenate([tess.blocks[j] for j in tess.far_fields[i]])
+                assert np.all(probe[far_rows] != 0.0)
 
     def test_far_field_residual(self, synthetic_small):
         op, tess, _ = synthetic_small
@@ -251,7 +266,7 @@ class TestBlockNullificationRightInverses:
                 (bundle.z_rinv[i], bases.v_blocks[i], bundle.z, bundle.psi),
             )
             for got, basis, sketch, test in sides:
-                want = project_out(basis, sketch[rows, :]) @ pseudo_inverse(test[nbrs, :])
+                want = project_out(basis, sketch[rows, :]) @ np.linalg.pinv(test[nbrs, :])
                 assert got.shape == (len(rows), len(nbrs))
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ublr import (
     grid_points,
     ground_truth_rep,
     laplace2d_operator,
+    null_basis,
     pinv_core,
     plan_tagging,
     pseudo_inverse,
@@ -283,18 +285,41 @@ class TestPinvCore:
         core, added = pinv_core(op, bundle, bases, b_blocks, p, RandomStream(5))
         assert added == (130 if case == "augmented" else 0)
         b_om = add_near_field(np.zeros_like(omega), tess, b_blocks, omega)
-        want = stack_t(bases.u_blocks, tess, y - b_om) @ pseudo_inverse(
-            stack_t(bases.v_blocks, tess, omega)
+        _, want, _ = null_basis(
+            stack_t(bases.v_blocks, tess, omega), 0, rows=stack_t(bases.u_blocks, tess, y - b_om)
         )
         assert np.array_equal(core, want)
 
+    @staticmethod
+    def b1_case(synthetic_case):
+        op, tess, _ = synthetic_case
+        bases, bundle = block_nullification_bases(
+            op, tess, 3, 10, RandomStream(1), right_inverses=True
+        )
+        return op, tess, bases, bundle, gaussian_pinv_discrepancy(bundle, bases)
+
+    def test_rank_deficient_v_omega_raises(self, synthetic_case):
+        # zero rows of Omega make V_0* Omega[I_0] exactly zero, so R has an
+        # exact zero on its diagonal; a well-posed V* Omega does not warn
+        op, tess, bases, bundle, b_blocks = self.b1_case(synthetic_case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
+        bundle.omega[tess.blocks[0]] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
+            pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
+
+    def test_ill_conditioned_v_omega_warns(self, synthetic_case):
+        op, tess, bases, bundle, b_blocks = self.b1_case(synthetic_case)
+        bundle.omega[tess.blocks[0]] *= 1e-10
+        with pytest.warns(UserWarning, match=r"V\* Omega has condition .* cond\(R\)"):
+            pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
+
 
 class TestCompressMemory:
-    # Step I must hold omega, psi, y and z (4 n s doubles) at once; nothing
-    # after it may hold more. Before the sketch arrays were released after
-    # their last reader, these peaks were 5.73 (A3) and 7.62 (B2) n s doubles.
-    @pytest.mark.parametrize("method", ["A3", "B2"])
-    def test_traced_peak_within_five_sketch_arrays(self, method):
+    @staticmethod
+    def traced_peak(method):
+        """tracemalloc peak inside compress, in units of n s doubles."""
         pts = random_points(1024, 2, RandomStream(0).child(1))
         tess = build_tessellation(pts, 16)
         op = laplace2d_operator(pts)
@@ -304,8 +329,19 @@ class TestCompressMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        s = report.matvecs["I"]["A"]
-        assert peak < 5 * tess.n_points * s * 8
+        return peak / (tess.n_points * report.matvecs["I"]["A"] * 8)
+
+    # Tagging's step I must hold omega, psi, y and z (4 n s doubles) at
+    # once; nothing after it may hold more. Before the sketch arrays were released after
+    # their last reader, these peaks were 5.73 (A3) and 7.62 (B2) n s doubles.
+    @pytest.mark.parametrize("method", ["A3", "B2"])
+    def test_traced_peak_within_five_sketch_arrays(self, method):
+        assert self.traced_peak(method) < 5
+
+    def test_a3_step_one_holds_one_probe_at_a_time(self):
+        # y, then psi, z and the oracle check's boolean mask: 3.13 n s
+        # doubles; 4.14 while naive_bases kept both probes to its end
+        assert self.traced_peak("A3") < 3.5
 
 
 
