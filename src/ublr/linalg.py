@@ -4,13 +4,18 @@ Orthonormal column/null-space extraction, right inverses from the same QR,
 seeded Gaussian sampling, and randomized power-method norm estimation. Every
 randomized routine draws from a RandomStream, so results are pure functions
 of (inputs, seed).
+
+Null bases and right inverses come from LAPACK's compact-WY Householder QR:
+dgeqrt stores the T factor of each block reflector beside the reflectors and
+dgemqrt applies Q or Q* with it, so no workspace query is made and no step
+falls back to level-2 BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dlange, dormqr, dtrcon, dtrtrs
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dlange, dtrcon, dtrtrs
 
 
 class RandomStream:
@@ -76,32 +81,32 @@ def _lapack_ok(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
 
 
-def _apply_q(qr: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
-    """Q c (trans "N") or Q* c (trans "T"), Q held as dgeqrf's reflectors;
-    c is overwritten."""
-    _, work, info = dormqr("L", trans, qr, tau, c, -1)
-    _lapack_ok("dormqr", info)
-    out, _, info = dormqr("L", trans, qr, tau, c, int(work[0]), overwrite_c=1)
-    _lapack_ok("dormqr", info)
+def _apply_q(v: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
+    """Q c (trans "N") or Q* c (trans "T"), Q held as dgeqrt's reflectors v
+    and block reflector factors t; c is overwritten."""
+    out, info = dgemqrt(v, t, c, trans=trans, overwrite_c=1)
+    _lapack_ok("dgemqrt", info)
     return out
 
 
 _NULL_RTOL = 1e-12  # null_basis's residual limit, relative to max(1, ||B||)
+_QR_BLOCK = 64  # dgeqrt's block size nb, clamped to min(m, n)
 
 
 def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
     """k orthonormal columns of the null space of B (m x n).
 
-    Factors B* = Q R by LAPACK's blocked Householder QR (dgeqrf, after a
-    workspace query) and returns Z = Q[:, n-k:], the last k columns of the
-    complete Q, by applying the reflectors to k unit vectors (dormqr); Q
-    itself is never formed. Raises ValueError when the requested null space
-    does not exist, detected by the residual ||B Z|| exceeding
-    _NULL_RTOL * max(1, ||B||) (Frobenius norms), and np.linalg.LinAlgError, also
-    a ValueError, on a nonzero LAPACK info.
+    Factors B* = Q R by dgeqrt (block size _QR_BLOCK), which keeps each block
+    reflector's T factor, and returns Z = Q[:, n-k:], the last k columns of
+    the complete Q, by applying Q to k unit vectors with dgemqrt; neither
+    call needs a workspace query and Q is never formed. B is not modified.
+    Raises ValueError when the requested null space does not exist, detected
+    by the residual ||B Z|| exceeding _NULL_RTOL * max(1, ||B||) (Frobenius
+    norms; ||B|| is computed only when the residual exceeds _NULL_RTOL), and
+    np.linalg.LinAlgError, also a ValueError, on a nonzero LAPACK info.
 
     With rows=Y (n columns), B must have full row rank m <= n, and the same
-    factors also give Y B^+ = Y Q[:, :m] R[:m, :m]^-* (dormqr, then dtrtrs)
+    factors also give Y B^+ = Y Q[:, :m] R[:m, :m]^-* (dgemqrt, then dtrtrs)
     and LAPACK's 1-norm estimate of cond(R[:m, :m]) (dtrcon); the return
     value is then (Z, Y B^+, cond).
     """
@@ -113,30 +118,30 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
         raise ValueError(f"a right inverse needs full row rank, but B is {m}x{n}")
     if k == 0 and rows is None:
         return np.zeros((n, 0))
-    if m == 0:  # nothing to factor: Q = I (LAPACK rejects the empty query)
+    if m == 0:  # nothing to factor: Q = I (dgeqrt needs 1 <= nb <= min(m, n))
         Z = np.eye(n)[:, n - k:]
         return Z if rows is None else (Z, np.zeros((len(rows), 0)), 1.0)
-    work, info = dgeqrf_lwork(n, m)
-    _lapack_ok("dgeqrf", info)
-    qr, tau, _, info = dgeqrf(B.T, lwork=int(work))
-    _lapack_ok("dgeqrf", info)
-    reflectors = qr[:, :len(tau)]
+    # overwrite_a stays off: the residual check reads B after the factorization
+    qr, t, info = dgeqrt(min(_QR_BLOCK, m, n), B.T)
+    _lapack_ok("dgeqrt", info)
+    reflectors = qr[:, :min(m, n)]
     Z = np.zeros((n, 0))
     if k:
         unit = np.zeros((n, k), order="F")
         unit[n - k:] = np.eye(k)
-        Z = _apply_q(reflectors, tau, unit, "N")
-        scale = max(1.0, dlange("F", B.T))
+        Z = _apply_q(reflectors, t, unit, "N")
         resid = dlange("F", dgemm(1.0, B.T, Z, trans_a=1))
-        if resid > _NULL_RTOL * scale:
-            raise ValueError(
-                f"requested null space of dimension {k} does not exist "
-                f"(residual {resid:.3e} > {_NULL_RTOL:.1e} * {scale:.3e})"
-            )
+        if resid > _NULL_RTOL:
+            scale = max(1.0, dlange("F", B.T))
+            if resid > _NULL_RTOL * scale:
+                raise ValueError(
+                    f"requested null space of dimension {k} does not exist "
+                    f"(residual {resid:.3e} > {_NULL_RTOL:.1e} * {scale:.3e})"
+                )
     if rows is None:
         return Z
     r1 = qr[:m, :m]
-    yq = _apply_q(reflectors, tau, np.array(rows, dtype=float).T, "T")
+    yq = _apply_q(reflectors, t, np.array(rows, dtype=float).T, "T")
     x, info = dtrtrs(r1, yq[:m])
     _lapack_ok("dtrtrs", info)
     rcond, info = dtrcon(r1)

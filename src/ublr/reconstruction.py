@@ -310,7 +310,8 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     by the surviving projected tag and applying the right inverse of block
     j's test block recovers (I - U_i U_i*) A_ij from y and, on the adjoint
     side, A_ji (I - V_i V_i*) from z. Costs no extra matvecs beyond the
-    step-I bundle.
+    step-I bundle. Each block's rows are combined with all of its pair null
+    vectors in one contraction and projected once per side.
     """
     tess = bundle.tess
     gc = bundle.group_cols
@@ -318,17 +319,20 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
 
     def block_terms(i):
-        rows = tess.blocks[i]
-        y_groups = bundle.y[rows, :].reshape(len(rows), -1, gc)
-        z_groups = bundle.z[rows, :].reshape(len(rows), -1, gc)
-        for j in tess.neighbor_lists[i]:
-            w, denom = _pair_null_vector(bundle.tagging, tess.neighbor_lists[i], j)
-            y_comb = np.tensordot(y_groups, w, axes=(1, 0))
-            z_comb = np.tensordot(z_groups, w, axes=(1, 0))
-            yield (
-                project_out(bases.u_blocks[i], y_comb) @ g_pinv[j] / denom,
-                (project_out(bases.v_blocks[i], z_comb) @ h_pinv[j]).T / denom,
-            )
+        rows, nbrs = tess.blocks[i], tess.neighbor_lists[i]
+        pairs = [_pair_null_vector(bundle.tagging, nbrs, j) for j in nbrs]
+        w = np.column_stack([z for z, _ in pairs])  # ell x |N_i|
+
+        def combined(basis, sketch):  # pair p's combined rows in columns p*gc:(p+1)*gc
+            groups = sketch[rows, :].reshape(len(rows), -1, gc)
+            comb = np.einsum("mlg,lp->mpg", groups, w, optimize=True)
+            return project_out(basis, comb.reshape(len(rows), -1))
+
+        y_comb = combined(bases.u_blocks[i], bundle.y)
+        z_comb = combined(bases.v_blocks[i], bundle.z)
+        for p, (j, (_, denom)) in enumerate(zip(nbrs, pairs)):
+            cols = slice(p * gc, (p + 1) * gc)
+            yield y_comb[:, cols] @ g_pinv[j] / denom, (z_comb[:, cols] @ h_pinv[j]).T / denom
 
     return _near_field_from_pairs(tess, bases, block_terms)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ublr import (
     null_basis,
     pseudo_inverse,
 )
+from ublr.linalg import _QR_BLOCK
 
 from conftest import snorm
 
@@ -118,6 +121,73 @@ class TestNullBasis:
         B = gaussian(5, 7, stream)  # m + k > n for k = 3
         with pytest.raises(ValueError, match="does not exist"):
             null_basis(B, 3, rows=gaussian(2, 7, stream.child(1)))
+
+    @pytest.mark.parametrize(
+        "m", [1, _QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1, 2 * _QR_BLOCK + 3]
+    )
+    def test_block_size_boundaries(self, stream, m):
+        # min(m, n) = m at, around and past dgeqrt's block size
+        n, k = m + 6, 4
+        B = gaussian(m, n, stream.child(m, 0))
+        Y = gaussian(7, n, stream.child(m, 1))
+        z, yb, cond = null_basis(B, k, rows=Y)
+        q, _ = np.linalg.qr(B.T, mode="complete")
+        assert np.max(np.abs(z - q[:, n - k:])) <= 1e-12
+        want = Y @ np.linalg.pinv(B)
+        assert snorm(yb - want) <= 1e-12 * snorm(want)
+        assert 1.0 <= cond < np.inf
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_unmodified(self, stream, order):
+        B = np.array(gaussian(70, 80, stream.child(0)), order=order)
+        Y = np.array(gaussian(5, 80, stream.child(1)), order=order)
+        b_copy, y_copy = B.copy(), Y.copy()
+        z, yb, _ = null_basis(B, 10, rows=Y)
+        assert np.array_equal(B, b_copy) and np.array_equal(Y, y_copy)
+        assert np.array_equal(z, null_basis(np.ascontiguousarray(b_copy), 10))
+        assert np.max(np.abs(B @ z)) <= 1e-12
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (8, 10), (9, 10), (26, 28), (27, 28)])
+    def test_tagging_shapes(self, stream, m, n):
+        # neighbor rows of a tagging matrix (3^d or 3^d - 1 rows, 3^d + 1 columns)
+        T = gaussian(m, n, stream.child(m, n))
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+        z = null_basis(T, 1)
+        q, _ = np.linalg.qr(T.T, mode="complete")
+        assert np.max(np.abs(z - q[:, -1:])) <= 1e-12
+        assert np.linalg.norm(T @ z) <= 1e-13
+
+    def test_tall_rank_deficient_without_rows(self, stream):
+        # m > n: dgeqrt factors a wide B* (n reflectors), Z spans null(B)
+        B = gaussian(12, 3, stream.child(0)) @ gaussian(3, 5, stream.child(1))
+        z = null_basis(B, 2)
+        assert z.shape == (5, 2)
+        assert snorm(z.T @ z - np.eye(2)) <= 1e-13
+        assert snorm(B @ z) <= 1e-12 * snorm(B)
+        assert null_basis(np.zeros((7, 4)), 4).shape == (4, 4)
+
+    def test_residual_is_relative_to_large_norm(self, stream):
+        # ||B Z|| exceeds _NULL_RTOL in absolute terms but not relative to ||B||
+        B = 1e8 * gaussian(20, 24, stream)
+        z = null_basis(B, 4)
+        assert np.linalg.norm(B @ z) > 1e-12
+        assert snorm(z.T @ z - np.eye(4)) <= 1e-13
+
+    def test_small_residual_above_tolerance_raises(self, stream):
+        # ||B|| ~ 1 and a singular value of 1e-9: the residual sits just
+        # above _NULL_RTOL * max(1, ||B||), far below 1
+        q1, _ = np.linalg.qr(gaussian(3, 3, stream.child(0)))
+        q2, _ = np.linalg.qr(gaussian(4, 3, stream.child(1)))
+        B = q1 @ np.diag([1.0, 0.5, 1e-9]) @ q2.T
+        with pytest.raises(ValueError, match="does not exist"):
+            null_basis(B, 2)
+        assert null_basis(B, 1).shape == (4, 1)
+
+    def test_missing_null_space_message_names_the_scale(self, stream):
+        B = 1e3 * gaussian(3, 4, stream)
+        scale = np.linalg.norm(B)
+        with pytest.raises(ValueError, match=re.escape(f"> 1.0e-12 * {scale:.3e})")):
+            null_basis(B, 2)
 
 
 class TestPseudoInverse:

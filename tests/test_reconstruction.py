@@ -182,6 +182,33 @@ class TestTypeBDiscrepancy:
         for key in via_ids:
             assert snorm(via_ids[key] - via_tags[key]) <= 1e-7 * scale
 
+    @pytest.mark.parametrize("d, b, m", [(1, 8, 16), (2, 16, 9)])
+    def test_tagging_matches_per_pair_reference(self, d, b, m):
+        # one pair at a time, with np.linalg.pinv: the same terms summed in
+        # another order, so the blocks agree to rounding
+        op, tess, _ = uniform_synthetic(d=d, b=b, m=m, k=2, seed=4)
+        plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
+        gc = tess.max_block_size + 6
+        bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), group_cols=gc)
+        T = bundle.tagging.entries
+
+        def term(i, j, sketch, basis, test_block):
+            kept = [q for q in tess.neighbor_lists[i] if q != j]
+            w = null_basis(T[kept, :], 1)[:, 0]
+            rows = sketch[tess.blocks[i], :]
+            comb = sum(w[l] * rows[:, l * gc:(l + 1) * gc] for l in range(len(w)))
+            comb -= basis[i] @ (basis[i].T @ comb)
+            return comb @ np.linalg.pinv(test_block) / (T[j] @ w)
+
+        got = tagging_pinv_discrepancy(bundle, bases)
+        big = max(snorm(v) for v in got.values())
+        for i in range(tess.b):
+            for j in tess.neighbor_lists[i]:
+                row = term(i, j, bundle.y, bases.u_blocks, bundle.g_blocks[j])
+                col = term(j, i, bundle.z, bases.v_blocks, bundle.h_blocks[i]).T
+                want = row + bases.u_blocks[i] @ (bases.u_blocks[i].T @ col)
+                assert snorm(got[(i, j)] - want) <= 1e-12 * big
+
     def test_gaussian_right_inverse_accuracy(self, stream):
         # m x (m+p) Gaussian with p=10 has a right inverse to ~1e-8
         for m in (8, 16, 40):
