@@ -271,28 +271,37 @@ def synthetic_ublr(spec: SyntheticUBLRSpec) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-_KERNEL_TILE = 256  # rows of the kernel matrix evaluated per pass
+# rows of the kernel matrix evaluated per pass: one tile x N temporary
+# (1 MB at N = 4096) then stays in cache
+_KERNEL_TILE = 32
 
 
 def laplace2d_operator(points: PointCloud) -> DenseOperator:
     """Dense kernel matrix log||x_i - x_j|| with a zero diagonal.
 
-    Built _KERNEL_TILE rows at a time in place in the result, so the only
-    temporary is one tile's coordinate differences, 2 * _KERNEL_TILE * N
-    doubles. Each tile's diagonal distances are set to 1 before the log,
-    and log(1) = 0.
+    Built _KERNEL_TILE rows at a time in place in the result. Each tile
+    gets (x_0 - y_0)^2 written into it, then (x_a - y_a)^2 added for each
+    further coordinate through one _KERNEL_TILE x N temporary, the only
+    one. The sum is the all-pairs formula's, bit for bit. Each tile's
+    diagonal distances are set to 1 before the log, and log(1) = 0.
     """
     if points.dim != 2:
         raise ValueError("laplace2d requires d=2 points")
     x = points.coords
+    xt = np.ascontiguousarray(x.T)
     A = np.empty((points.n, points.n))
+    sq = np.empty((min(_KERNEL_TILE, points.n), points.n))
     for lo in range(0, points.n, _KERNEL_TILE):
         tile = A[lo:lo + _KERNEL_TILE]
         rows = np.arange(len(tile))
-        diff = x[lo:lo + len(tile), None, :] - x[None, :, :]
-        np.square(diff, out=diff)
-        np.sum(diff, axis=2, out=tile)
-        del diff  # freed before the next tile's is allocated
+        hi = lo + len(tile)
+        np.subtract(x[lo:hi, 0, None], xt[0], out=tile)
+        np.square(tile, out=tile)
+        for a in range(1, points.dim):
+            d = sq[:len(tile)]
+            np.subtract(x[lo:hi, a, None], xt[a], out=d)
+            np.square(d, out=d)
+            tile += d
         np.sqrt(tile, out=tile)
         tile[rows, lo + rows] = 1.0
         if np.any(tile == 0.0):

@@ -18,10 +18,11 @@ reconstruction families fills in C and B:
 
 Every product with the factors goes through three kernels: ``stack_t``
 (blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
-``add_near_field`` (out += B X) here; ``pinv_core`` alone sums B X one
-block row at a time, in add_near_field's order. Both type-B step-III variants build
-B_ij = row_ij + U_i U_i* col_ij in one pass over the near pairs; they
-differ only in where the two terms come from.
+``add_near_field`` (out += B X) here; ``pinv_core`` alone needs only
+U* B X, which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
+Both type-B step-III variants build B_ij = row_ij + U_i U_i* col_ij in one
+pass over the near pairs; they differ only in where the two terms come
+from.
 
 ``compress`` calls every step through its module-level name at call time,
 so a profiler can rebind those names in this module to time each step.
@@ -349,9 +350,10 @@ def pinv_core(
 
     V* Omega must have full row rank, so the test matrix is augmented with
     max(0, K + p - s) fresh Gaussian columns, the only extra matvecs of the
-    type-B path. U*(Y - B Omega) is formed one block row at a time, each
-    row's B Omega summed over j ascending as add_near_field does, so no
-    n x s temporary is made. The right inverse comes from null_basis's QR
+    type-B path. U*(Y - B Omega) is formed one block row at a time as
+    U_i* Y_i - sum_j (U_i* B_ij) Omega_j: U_i* goes on first, so each pair
+    costs k/m_j of B_ij Omega_j's flops and no n x s or m_i x s
+    temporary is made. The right inverse comes from null_basis's QR
     of (V* Omega)*, which also estimates cond(R): above _COND_LIMIT it
     warns, and an exactly rank-deficient V* Omega raises
     np.linalg.LinAlgError (dtrtrs). Returns (core, columns_added).
@@ -370,11 +372,10 @@ def pinv_core(
     offs = bases.rank_offsets()
     lhs = np.empty((offs[-1], omega.shape[1]))
     for i, u in enumerate(bases.u_blocks):
-        rows = tess.blocks[i]
-        b_om = np.zeros((len(rows), omega.shape[1]))
+        out = lhs[offs[i]:offs[i + 1]]
+        out[:] = u.T @ y[tess.blocks[i]]
         for j in nbrs.get(i, ()):
-            b_om += b_blocks[(i, j)] @ omega[tess.blocks[j]]
-        lhs[offs[i]:offs[i + 1]] = u.T @ (y[rows] - b_om)
+            out -= (u.T @ b_blocks[(i, j)]) @ omega[tess.blocks[j]]
     _, core, cond = null_basis(stack_t(bases.v_blocks, tess, omega), 0, rows=lhs)
     if cond > _COND_LIMIT:
         warnings.warn(f"V* Omega has condition {cond:.2e} (LAPACK 1-norm estimate of cond(R))")

@@ -33,6 +33,8 @@ class PointCloud:
             raise ValueError(f"coords must have shape (n, {self.dim})")
         if coords.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
+        if not np.isfinite(coords).all():
+            raise ValueError("point coordinates must be finite")
         if np.any(coords < 0.0) or np.any(coords > 1.0):
             raise ValueError("points must lie inside the unit hypercube [0,1]^d")
 

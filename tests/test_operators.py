@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from ublr import (
@@ -12,6 +14,7 @@ from ublr import (
     suggest_block_count,
     thin_slab_schur_operator,
 )
+from ublr.operators import _KERNEL_TILE as T
 from ublr.operators import check_adjoint, check_linearity
 
 from conftest import snorm, uniform_synthetic
@@ -103,7 +106,9 @@ class TestLaplace2D:
         with pytest.raises(ValueError):
             laplace2d_operator(PointCloud(np.array([[0.1], [0.9]]), 1))
 
-    @pytest.mark.parametrize("n", [255, 256, 257, 300, 513])
+    @pytest.mark.parametrize(
+        "n", [1, 5, T - 1, T, T + 1, 2 * T + 1, 255, 256, 257, 300, 513]
+    )
     def test_row_tiles_match_one_broadcast(self, n):
         # the row-tiled build gives the very bits of the all-pairs formula
         x = random_points(n, 2, RandomStream(n)).coords
@@ -115,11 +120,24 @@ class TestLaplace2D:
         assert np.array_equal(got, want)
         assert not np.signbit(np.diag(got)).any()
 
-    def test_coincident_points_in_different_tiles_raise(self):
+    @pytest.mark.parametrize("first, second", [(0, 300), (T - 1, T)])
+    def test_coincident_points_in_different_tiles_raise(self, first, second):
         x = random_points(400, 2, RandomStream(4)).coords.copy()
-        x[300] = x[0]
+        x[second] = x[first]
         with pytest.raises(ValueError, match="coincident"):
             laplace2d_operator(PointCloud(x, 2))
+
+    def test_build_allocates_one_tile_beyond_the_result(self):
+        # the only temporary is one T x N array, not N x N or T x N x 2
+        n = 2048
+        pts = random_points(n, 2, RandomStream(5))
+        tracemalloc.start()
+        try:
+            laplace2d_operator(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n * n <= 2 * T * n * 8
 
     def test_far_field_singular_values_decay(self):
         pts = random_points(1024, 2, RandomStream(6))

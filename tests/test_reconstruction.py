@@ -285,9 +285,10 @@ class TestPinvCore:
         assert cop.ledger.count_a == added
 
     @pytest.mark.parametrize("case", ["B1", "B2", "augmented"])
-    def test_bitwise_equal_to_dense_formula(self, case):
-        # block rows of U*(Y - B Omega), each summed in add_near_field's
-        # order, give the very bits of the n x s formula
+    def test_matches_dense_formula(self, case):
+        # U_i* Y_i - sum_j (U_i* B_ij) Omega_j reorders the sums of the
+        # n x s formula U*(Y - B Omega), so the cores agree to rounding:
+        # 100 eps per unit of cond(V* Omega)
         pts = random_points(576, 2, RandomStream(3).child(1))
         tess = build_tessellation(pts, 16)
         op = laplace2d_operator(pts)
@@ -312,10 +313,10 @@ class TestPinvCore:
         core, added = pinv_core(op, bundle, bases, b_blocks, p, RandomStream(5))
         assert added == (130 if case == "augmented" else 0)
         b_om = add_near_field(np.zeros_like(omega), tess, b_blocks, omega)
-        _, want, _ = null_basis(
-            stack_t(bases.v_blocks, tess, omega), 0, rows=stack_t(bases.u_blocks, tess, y - b_om)
-        )
-        assert np.array_equal(core, want)
+        v_om = stack_t(bases.v_blocks, tess, omega)
+        _, want, _ = null_basis(v_om, 0, rows=stack_t(bases.u_blocks, tess, y - b_om))
+        tol = 100 * np.finfo(float).eps * np.linalg.cond(v_om)
+        assert np.linalg.norm(core - want) <= tol * np.linalg.norm(want)
 
     @staticmethod
     def b1_case(synthetic_case):

@@ -91,6 +91,12 @@ class TestBuildTessellation:
         with pytest.raises(ValueError):
             PointCloud(np.array([[1.2]]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_raise(self, bad):
+        # NaN compares false, so the [0, 1]^d check alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(np.array([[0.1, 0.2], [bad, 0.5]]), 2)
+
     def test_json_serialization_one_based(self):
         tess = build_tessellation(grid_points(4, 1), 4)
         data = tess.to_json_dict(colors=color_boxes(tess).colors)
