@@ -62,8 +62,9 @@ def read_ublr(path) -> UniformBLR:
     """Read a container written by write_ublr.
 
     Raises ValueError naming the path and the field when the header
-    disagrees with the tessellation JSON or the file is not exactly as
-    long as its header, ranks and B index table say.
+    disagrees with the tessellation JSON, the B index table is not strictly
+    increasing, or the file is not exactly as long as its header, ranks and
+    B index table say.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -115,6 +116,8 @@ def read_ublr(path) -> UniformBLR:
     pairs = [(ids[t] - 1, ids[t + 1] - 1) for t in range(0, len(ids), 2)]
     if any(not (0 <= i < b and 0 <= j < b) for i, j in pairs):
         fail("B index table", f"block ids outside 1..{b}")
+    if any(p >= q for p, q in zip(pairs, pairs[1:])):
+        fail("B index table", "pairs are not strictly increasing")
     expected = off + 8 * sum(sizes[i] * sizes[j] for i, j in pairs)
     if expected != len(raw):
         fail("length", f"header and tables give {expected} bytes, file has {len(raw)}")

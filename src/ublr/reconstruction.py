@@ -9,12 +9,16 @@ reconstruction families fills in C and B:
 
 * type A (II, then III): C = U*(A V) by direct sketching, then B extracted
   with structured identity probes over a distance-2 box coloring;
-* type B (III, then II): B first, recovered from the step-I sketches with
-  block right inverses (no new matvecs; block nullification takes them
-  from the QR its step I already computed), then C from a least-squares
-  solve against the same test matrix, augmented with extra Gaussian
-  columns when the bundle is too narrow. Every right inverse is
-  Q_1 R_1^-* from linalg.null_basis's QR of the full-row-rank matrix.
+* type B (III, then II): B first, recovered from the step-I sketches as
+  (I - U_i U_i*) Y_i Omega(N_i, :)^+ and its adjoint-side twin (no new
+  matvecs), then C from a least-squares solve against the same test
+  matrix, augmented with extra Gaussian columns when the bundle is too
+  narrow. B1 and B2 compute the same quantity and differ only in how the
+  right inverse Omega(N_i, :)^+ is formed: block nullification takes it
+  from the QR of the Gaussian stack its step I already computed; tagging
+  uses (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+), since its stack factors as
+  blkdiag(G_k) (T(N_i, :) kron I_gc). Every right inverse is Q_1 R_1^-*
+  from linalg.null_basis's QR of the full-row-rank matrix.
 
 Every product with the factors goes through three kernels: ``stack_t``
 (blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
@@ -57,7 +61,7 @@ from .linalg import (
     pseudo_inverse,
 )
 from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
-from .tagging import DegenerateTagsError, plan_tagging
+from .tagging import plan_tagging
 from .tessellation import BoxColoring, Tessellation, color_boxes
 
 
@@ -219,8 +223,9 @@ def structured_identity_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-# Relative floor, times max(1, ||T||), of a type-B pair denominator; one
-# constant, so the planning check and the step-III division cannot disagree
+# Relative floor, times max(1, ||T||_F), of 1/||w_p|| over the columns of
+# B2's tagging right inverses T(N_i, :)^+: the largest projected tag that
+# isolates one neighbour, so below it that neighbour's block is lost
 _DENOM_RTOL = 1e-10
 # cond(R) estimate above which B1's neighbour stacks and pinv_core's V* Omega warn
 _COND_LIMIT = 1e8
@@ -276,29 +281,22 @@ def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     return _near_field_from_pairs(tess, bases, block_terms)
 
 
-def _pair_null_vector(T, nbrs, excluded) -> tuple:
-    """Null vector z of the tagging rows over nbrs minus {excluded}, and the
-    surviving projected tag t_excluded . z, the type-B pair denominator.
-    Raises DegenerateTagsError when no null vector exists or the
-    denominator is below _DENOM_RTOL * max(1, ||T||)."""
-    kept = [r for r in nbrs if r != excluded]
-    try:
-        z = null_basis(T.entries[kept, :], 1)[:, 0]
-    except ValueError as exc:
-        raise DegenerateTagsError(str(exc)) from exc
-    denom = float(T.entries[excluded] @ z)
-    if abs(denom) < _DENOM_RTOL * max(1.0, np.linalg.norm(T.entries)):
-        raise DegenerateTagsError(f"projected tag for pair ({nbrs}, {excluded}) vanished")
-    return z, denom
-
-
 def b2_denominators_ok(T, tess: Tessellation) -> bool:
-    """Every per-pair projected tag used as a type-B denominator is nonzero."""
+    """Every neighbour stack T(N_i, :) has a right inverse W_i whose every
+    column w_p has 1/||w_p|| >= _DENOM_RTOL * max(1, ||T||_F).
+
+    Column p of W_i tags neighbour p with 1 and the others with 0; a unit
+    null vector z of the stack without row j = N_i[p] has |t_j . z| <=
+    1/||w_p||, so the check fails only when no such z can give block j a
+    projected tag above the floor.
+    An exactly dependent stack (np.linalg.LinAlgError from dtrtrs) fails too.
+    """
+    floor = _DENOM_RTOL * max(1.0, np.linalg.norm(T.entries))
     try:
-        for i in range(tess.b):
-            for j in tess.neighbor_lists[i]:
-                _pair_null_vector(T, tess.neighbor_lists[i], j)
-    except DegenerateTagsError:
+        for nbrs in tess.neighbor_lists:
+            if np.linalg.norm(pseudo_inverse(T.entries[nbrs, :]), axis=0).max() * floor > 1.0:
+                return False
+    except np.linalg.LinAlgError:
         return False
     return True
 
@@ -306,34 +304,36 @@ def b2_denominators_ok(T, tess: Tessellation) -> bool:
 def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     """B blocks recovered from the (wide) tagging sketches.
 
-    For each near pair (i, j), a null vector of the tagging rows over
-    N_i minus {j} isolates block j in block i's combined sketches; dividing
-    by the surviving projected tag and applying the right inverse of block
-    j's test block recovers (I - U_i U_i*) A_ij from y and, on the adjoint
-    side, A_ji (I - V_i V_i*) from z. Costs no extra matvecs beyond the
-    step-I bundle. Each block's rows are combined with all of its pair null
-    vectors in one contraction and projected once per side.
+    Block i's test rows factor as Omega(N_i, :) = blkdiag(G_k) (T(N_i, :)
+    kron I_gc) over k in N_i, so with W_i = T(N_i, :)^+ (ell x |N_i|),
+    (W_i kron I_gc) blkdiag(G_k^+) is a right inverse of them. As in B1,
+    (I - U_i U_i*) Y_i times it is (I - U_i U_i*) A(I_i, N_i) up to
+    far-field leakage, and Z_i with the H_k gives A(N_i, I_i) (I - V_i V_i*).
+    Column p of W_i tags neighbour p with 1 and the others with 0, so one
+    contraction of block i's sketch groups with W_i isolates every
+    neighbour, projected once per side. Costs no extra matvecs beyond the
+    step-I bundle.
     """
     tess = bundle.tess
     gc = bundle.group_cols
     g_pinv = [pseudo_inverse(g) for g in bundle.g_blocks]
     h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
+    # every LAPACK call before numpy's products (see block_nullification_bases)
+    w_pinv = [pseudo_inverse(bundle.tagging.entries[nbrs, :]) for nbrs in tess.neighbor_lists]
 
     def block_terms(i):
-        rows, nbrs = tess.blocks[i], tess.neighbor_lists[i]
-        pairs = [_pair_null_vector(bundle.tagging, nbrs, j) for j in nbrs]
-        w = np.column_stack([z for z, _ in pairs])  # ell x |N_i|
+        rows = tess.blocks[i]
 
-        def combined(basis, sketch):  # pair p's combined rows in columns p*gc:(p+1)*gc
+        def combined(basis, sketch):  # neighbour p's rows in columns p*gc:(p+1)*gc
             groups = sketch[rows, :].reshape(len(rows), -1, gc)
-            comb = np.einsum("mlg,lp->mpg", groups, w, optimize=True)
+            comb = np.einsum("mlg,lp->mpg", groups, w_pinv[i], optimize=True)
             return project_out(basis, comb.reshape(len(rows), -1))
 
         y_comb = combined(bases.u_blocks[i], bundle.y)
         z_comb = combined(bases.v_blocks[i], bundle.z)
-        for p, (j, (_, denom)) in enumerate(zip(nbrs, pairs)):
+        for p, j in enumerate(tess.neighbor_lists[i]):
             cols = slice(p * gc, (p + 1) * gc)
-            yield y_comb[:, cols] @ g_pinv[j] / denom, (z_comb[:, cols] @ h_pinv[j]).T / denom
+            yield y_comb[:, cols] @ g_pinv[j], (z_comb[:, cols] @ h_pinv[j]).T
 
     return _near_field_from_pairs(tess, bases, block_terms)
 
@@ -505,7 +505,7 @@ def compress(
             )
         elif basis == "naive":
             bases, bundle = naive_bases(cop, tess, k, p, stream.child(0))
-        else:  # type B needs nonzero pair denominators and m + p wide groups
+        else:  # type B needs short tagging right inverses and m + p wide groups
             plan = plan_tagging(
                 tess, extra_cols, distribution, stream.child(1), optimize=optimize,
                 extra_check=(lambda T: b2_denominators_ok(T, tess)) if family == "B" else None,

@@ -156,13 +156,7 @@ def aspect_ratio(pt: ProjectedTags, tess: Tessellation, i: int | None = None) ->
     far = tess.far_fields[block]
     if len(far) == 0:
         raise ValueError(f"block {block} has an empty far field (b too small)")
-    mags = np.abs(pt.values[far])
-    hi, lo = mags.max(), mags.min()
-    if hi == 0.0:
-        return 1.0
-    if lo == 0.0:
-        return float("inf")
-    return float(hi / lo)
+    return float(_ratio_per_column(pt.values[far][:, None])[0])
 
 
 def _ratio_per_column(far_vals: np.ndarray) -> np.ndarray:
@@ -317,7 +311,7 @@ def plan_tagging(
 
     extra_check, when given, must accept the candidate TaggingMatrix and
     return False to force a redraw (used by the type-B pipeline to reject
-    matrices whose per-pair denominators vanish)."""
+    matrices whose neighbour rows it cannot right-invert well)."""
     if stream is None:
         stream = RandomStream(0)
     last_error = None

@@ -63,14 +63,23 @@ def _corrupt_b(raw):
     return raw[:5] + header.tobytes() + raw[5 + 48:]
 
 
+def _repeat_pair(raw):
+    # every block of the fixture has 16 points, so each table entry (16
+    # bytes) is matched by a 16 x 16 float64 B block after the table
+    n_pairs = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[5])
+    table = len(raw) - n_pairs * (16 + 16 * 16 * 8)
+    return raw[:table + 32] + raw[table + 16:table + 32] + raw[table + 48:]
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
         (_corrupt_b, "b: header says 9"),
         (lambda raw: raw[:-8], "length"),
         (lambda raw: raw + b"\x00" * 8, "length"),
+        (_repeat_pair, "B index table: pairs are not strictly increasing"),
     ],
-    ids=["header-b", "truncated", "trailing-bytes"],
+    ids=["header-b", "truncated", "trailing-bytes", "repeated-pair"],
 )
 def test_inconsistent_container_named_error(compressed, tmp_path, corrupt, field):
     _, rep = compressed

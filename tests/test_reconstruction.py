@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from ublr import (
     grid_points,
     ground_truth_rep,
     laplace2d_operator,
+    make_tagging_matrix,
     null_basis,
     pinv_core,
     plan_tagging,
@@ -34,7 +36,7 @@ from ublr import (
 )
 from ublr.bases import SketchBundle, stack_t
 from ublr.linalg import col_basis
-from ublr.reconstruction import add_near_field
+from ublr.reconstruction import add_near_field, b2_denominators_ok
 
 from conftest import snorm, uniform_synthetic
 
@@ -42,6 +44,11 @@ from conftest import snorm, uniform_synthetic
 @pytest.fixture(scope="module")
 def synthetic_case():
     return uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
+
+
+def box_grid(d, b):
+    """Tessellation of b boxes, 4^d grid points each."""
+    return build_tessellation(grid_points(4 * round(b ** (1 / d)), d), b)
 
 
 def dense_discrepancy_oracle(op, tess, bases, core):
@@ -184,8 +191,9 @@ class TestTypeBDiscrepancy:
 
     @pytest.mark.parametrize("d, b, m", [(1, 8, 16), (2, 16, 9)])
     def test_tagging_matches_per_pair_reference(self, d, b, m):
-        # one pair at a time, with np.linalg.pinv: the same terms summed in
-        # another order, so the blocks agree to rounding
+        # one pair at a time, with np.linalg.pinv for both right inverses:
+        # the same terms summed in another order, so the blocks agree to
+        # rounding
         op, tess, _ = uniform_synthetic(d=d, b=b, m=m, k=2, seed=4)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
         gc = tess.max_block_size + 6
@@ -193,12 +201,12 @@ class TestTypeBDiscrepancy:
         T = bundle.tagging.entries
 
         def term(i, j, sketch, basis, test_block):
-            kept = [q for q in tess.neighbor_lists[i] if q != j]
-            w = null_basis(T[kept, :], 1)[:, 0]
+            nbrs = tess.neighbor_lists[i]
+            w = np.linalg.pinv(T[nbrs, :])[:, nbrs.index(j)]
             rows = sketch[tess.blocks[i], :]
             comb = sum(w[l] * rows[:, l * gc:(l + 1) * gc] for l in range(len(w)))
             comb -= basis[i] @ (basis[i].T @ comb)
-            return comb @ np.linalg.pinv(test_block) / (T[j] @ w)
+            return comb @ np.linalg.pinv(test_block)
 
         got = tagging_pinv_discrepancy(bundle, bases)
         big = max(snorm(v) for v in got.values())
@@ -208,6 +216,48 @@ class TestTypeBDiscrepancy:
                 col = term(j, i, bundle.z, bases.v_blocks, bundle.h_blocks[i]).T
                 want = row + bases.u_blocks[i] @ (bases.u_blocks[i].T @ col)
                 assert snorm(got[(i, j)] - want) <= 1e-12 * big
+
+    @pytest.mark.parametrize("d, b", [(1, 8), (2, 16), (2, 36)])
+    def test_tagging_right_inverse_isolates_each_neighbour(self, d, b):
+        tess = box_grid(d, b)
+        for seed in range(5):
+            T = make_tagging_matrix(b, d, 0, "gaussian", RandomStream(seed)).entries
+            for nbrs in tess.neighbor_lists:
+                w = pseudo_inverse(T[nbrs, :])
+                assert w.shape == (T.shape[1], len(nbrs))
+                assert snorm(T[nbrs, :] @ w - np.eye(len(nbrs))) <= 1e-12
+                assert snorm(w - np.linalg.pinv(T[nbrs, :])) <= 1e-12 * snorm(w)
+
+    @pytest.mark.parametrize("d, b", [(1, 8), (2, 16), (2, 36)])
+    def test_pair_null_vector_tag_bounded_by_right_inverse(self, d, b):
+        # a unit null vector z of the neighbour rows without j has
+        # |t_j . z| <= 1/||w_p||, so 1/||w_p|| is the best pair denominator
+        tess = box_grid(d, b)
+        for seed in range(10):
+            T = make_tagging_matrix(b, d, 0, "gaussian", RandomStream(seed)).entries
+            for nbrs in tess.neighbor_lists:
+                w = pseudo_inverse(T[nbrs, :])
+                for p, j in enumerate(nbrs):
+                    z = null_basis(T[[q for q in nbrs if q != j], :], 1)[:, 0]
+                    assert abs(T[j] @ z) <= (1 + 1e-12) / np.linalg.norm(w[:, p])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_b2_check_rejects_dependent_neighbour_rows(self, offset):
+        # rows 0 and 1 are neighbours; identical or within 1e-12 of each
+        # other, their right inverse's columns blow up (or dtrtrs fails)
+        tess = build_tessellation(grid_points(32, 1), 8)
+        assert 1 in tess.neighbor_lists[0]
+        T = make_tagging_matrix(8, 1, 0, "gaussian", RandomStream(3))
+        entries = T.entries.copy()
+        entries[1] = entries[0] + offset
+        assert not b2_denominators_ok(dataclasses.replace(T, entries=entries), tess)
+
+    @pytest.mark.parametrize("d, b", [(1, 8), (2, 16), (2, 36)])
+    def test_b2_check_accepts_gaussian_draws(self, d, b):
+        tess = box_grid(d, b)
+        for seed in range(10):
+            T = make_tagging_matrix(b, d, 0, "gaussian", RandomStream(seed))
+            assert b2_denominators_ok(T, tess)
 
     def test_gaussian_right_inverse_accuracy(self, stream):
         # m x (m+p) Gaussian with p=10 has a right inverse to ~1e-8
