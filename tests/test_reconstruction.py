@@ -9,6 +9,7 @@ import ublr.bases
 from ublr import (
     CountingOperator,
     DenseOperator,
+    PointCloud,
     RandomStream,
     UniformBLR,
     block_nullification_bases,
@@ -34,7 +35,7 @@ from ublr import (
     tagging_bases,
     tagging_pinv_discrepancy,
 )
-from ublr.bases import SketchBundle, stack_t
+from ublr.bases import BlockBases, SketchBundle, blkdiag, stack_t
 from ublr.linalg import col_basis
 from ublr.reconstruction import add_near_field, b2_denominators_ok
 
@@ -136,8 +137,117 @@ class TestStructuredIdentityDiscrepancy:
         from ublr.tessellation import BoxColoring
 
         bad = BoxColoring(colors=np.zeros(tess.b, dtype=int), num_colors=1)
-        with pytest.raises(ValueError):
-            structured_identity_discrepancy(op, tess, bases, core, bad)
+        cop = CountingOperator(op)
+        with pytest.raises(ValueError, match="invalid coloring"):
+            structured_identity_discrepancy(cop, tess, bases, core, bad)
+        assert cop.ledger.total == 0  # raised before the oracle call
+
+
+class RecordingOperator(DenseOperator):
+    """Dense oracle that keeps a copy of every input, tagged "A" or "A*"."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = []
+
+    def apply(self, X):
+        self.calls.append(("A", np.array(X)))
+        return super().apply(X)
+
+    def apply_adjoint(self, X):
+        self.calls.append(("A*", np.array(X)))
+        return super().apply_adjoint(X)
+
+
+def per_color_discrepancy(op, tess, bases, core, coloring):
+    """Reference for structured_identity_discrepancy: one probe and one
+    oracle call per color, the low-rank part subtracted on the full probe."""
+    colors = np.asarray(coloring.colors)
+    sizes = tess.block_sizes
+    out = {}
+    for c in range(coloring.num_colors):
+        members = np.flatnonzero(colors == c)
+        probe = np.zeros((tess.n_points, int(sizes[members].max())))
+        for j in members:
+            probe[tess.blocks[j], : sizes[j]] = np.eye(sizes[j])
+        resid = op.apply(probe)
+        resid -= blkdiag(bases.u_blocks, tess, core @ stack_t(bases.v_blocks, tess, probe))
+        for j in members:
+            for i in tess.neighbor_lists[j]:
+                out[(i, int(j))] = resid[tess.blocks[i], : sizes[j]].copy()
+    return out
+
+
+def l_shaped_points(n, seed):
+    """Random points of the unit square outside its upper-right quarter, so
+    a 5 x 5 box grid drops cells and is colored greedily."""
+    x = RandomStream(seed).uniform(2 * n, 2)
+    return PointCloud(x[~((x[:, 0] > 0.55) & (x[:, 1] > 0.55))][:n], 2)
+
+
+def random_bases(tess, k, seed):
+    """Orthonormal U_i, V_i of rank min(k, m_i) and a Gaussian core."""
+    ranks = np.minimum(tess.block_sizes, k)
+    stream = RandomStream(seed)
+    u = [col_basis(gaussian(m, r, stream.child(0, i)), r)
+         for i, (m, r) in enumerate(zip(tess.block_sizes, ranks))]
+    v = [col_basis(gaussian(m, r, stream.child(1, i)), r)
+         for i, (m, r) in enumerate(zip(tess.block_sizes, ranks))]
+    bases = BlockBases(u_blocks=u, v_blocks=v, rank=k, effective_ranks=ranks)
+    return bases, gaussian(bases.total_rank, bases.total_rank, stream.child(2))
+
+
+class TestTypeAOracleInputs:
+    """Type A's step III sends every color's probe through the oracle in one
+    call, and step II sends block-diagonal V."""
+
+    # (points, box count, k): ragged grids whose colors mix block sizes and
+    # hold blocks with m_j <= k, in d = 1, 2 and 3, plus one with dropped cells
+    CASES = {
+        "d1": (lambda: random_points(200, 1, RandomStream(2)), 16, 10),
+        "d2": (lambda: random_points(160, 2, RandomStream(4)), 16, 8),
+        "d3": (lambda: random_points(640, 3, RandomStream(3)), 64, 8),
+        "dropped-cells": (lambda: l_shaped_points(240, 7), 25, 10),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def case(self, request):
+        points, b, k = self.CASES[request.param]
+        tess = build_tessellation(points(), b)
+        coloring = color_boxes(tess)
+        sizes = tess.block_sizes
+        assert (sizes <= k).any() and (sizes > k).any()
+        assert any(len(set(sizes[coloring.colors == c])) > 1 for c in range(coloring.num_colors))
+        op = RecordingOperator(gaussian(tess.n_points, tess.n_points, RandomStream(11)))
+        bases, core = random_bases(tess, k, 12)
+        return op, tess, bases, core, coloring
+
+    def test_one_apply_of_the_summed_color_widths(self, case):
+        op, tess, bases, core, coloring = case
+        op.calls.clear()
+        structured_identity_discrepancy(op, tess, bases, core, coloring)
+        widths = sum(
+            tess.block_sizes[coloring.colors == c].max() for c in range(coloring.num_colors)
+        )
+        assert [(kind, X.shape) for kind, X in op.calls] == [("A", (tess.n_points, widths))]
+
+    def test_blocks_match_per_color_reference(self, case):
+        op, tess, bases, core, coloring = case
+        got = structured_identity_discrepancy(op, tess, bases, core, coloring)
+        want = per_color_discrepancy(op, tess, bases, core, coloring)
+        assert set(got) == set(want)
+        scale = max(np.abs(blk).max() for blk in want.values())
+        for key, blk in want.items():
+            assert got[key].shape == blk.shape
+            assert np.abs(got[key] - blk).max() <= 1e-13 * scale, key
+
+    def test_direct_core_input_is_block_diagonal_v(self, case):
+        op, tess, bases, _, _ = case
+        op.calls.clear()
+        direct_core(op, tess, bases)
+        (kind, X), = op.calls
+        assert kind == "A"
+        assert np.array_equal(X, blkdiag(bases.v_blocks, tess, np.eye(bases.total_rank)))
 
 
 class TestTypeBDiscrepancy:

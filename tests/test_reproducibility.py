@@ -1,7 +1,8 @@
 """Containers are reproducible byte-for-byte across processes that share a
 BLAS thread count. The blocked LAPACK/BLAS kernels split their sums by
-thread, so A1, B1 and B2 containers differ in the last bits between, say,
-OPENBLAS_NUM_THREADS=1 and 2; the README states the condition."""
+thread, so containers can differ in the last bits between, say,
+OPENBLAS_NUM_THREADS=1 and 2; the README states the condition. All five
+method ids are checked."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ from ublr import (RandomStream, build_tessellation, compress, laplace2d_operator
 points = random_points(1024, 2, RandomStream(0).child(101))
 tess = build_tessellation(points, 16)
 op = laplace2d_operator(points)
-for method in ("A1", "B1"):
+for method in ("A1", "A2", "A3", "B1", "B2"):
     rep, _ = compress(op, tess, 10, method, stream=RandomStream(0), compute_error=False)
     write_ublr(Path(sys.argv[1]) / f"{method}.ublr", rep)
 """
@@ -31,6 +32,6 @@ def test_same_pinned_environment_gives_identical_containers(tmp_path):
     for out in outs:
         out.mkdir()
         subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env, check=True)
-    for method in ("A1", "B1"):
+    for method in ("A1", "A2", "A3", "B1", "B2"):
         first, second = ((out / f"{method}.ublr").read_bytes() for out in outs)
         assert len(first) > 0 and first == second, method
