@@ -38,7 +38,7 @@ class SketchBundle:
     estimate. Only these rows are stored, never the QR factors they came from.
 
     After step I, type A reads no field. Type B's step III reads y_rinv,
-    z_rinv and stack_conds (B1), or y, z, tagging, g_blocks, h_blocks and
+    z_rinv and stack_conds (B1), or y, z, plan, g_blocks, h_blocks and
     group_cols (B2); its step II reads omega, y and s. compress releases
     each array after the last step that reads it.
     """
@@ -49,7 +49,7 @@ class SketchBundle:
     z: np.ndarray  # A* @ psi
     s: int
     tess: Tessellation
-    tagging: TaggingMatrix | None = None
+    plan: TaggingPlan | None = None  # tagging: each block's one QR of T(N_i, :)*, Z_i and W_i
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
     h_blocks: list | None = None
     group_cols: int | None = None  # columns per tagging group
@@ -202,8 +202,8 @@ def tagging_bases(
 
     group_cols defaults to k + p; the type-B pipeline passes m + p so that the
     per-block test blocks admit right inverses. With extra_samples, every
-    orthonormal null direction of the neighbor rows contributes its own
-    combined sample and the samples are concatenated before the column basis.
+    column of the plan's null basis Z_i contributes its own combined sample
+    and the samples are concatenated before the column basis.
     """
     r = k + p
     gc = r if group_cols is None else group_cols
@@ -225,12 +225,7 @@ def tagging_bases(
     u_blocks, v_blocks, ranks = [], [], []
     for i in range(tess.b):
         rows = tess.blocks[i]
-        vectors = [plan.null_vectors[i].vector]
-        if extra_samples:
-            sub = T.entries[tess.neighbor_lists[i], :]
-            nullity = ell - len(tess.neighbor_lists[i])
-            if nullity >= 2:
-                vectors = list(null_basis(sub, nullity).T)
+        vectors = plan.null_bases[i].T if extra_samples else [plan.null_vectors[i].vector]
         u_blocks.append(
             _basis_or_identity(_combined_sample(y[rows, :], vectors, gc), k)
         )
@@ -243,7 +238,7 @@ def tagging_bases(
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
     bundle = SketchBundle(
         omega=omega, psi=psi, y=y, z=z, s=s, tess=tess,
-        tagging=T, g_blocks=g_blocks, h_blocks=h_blocks, group_cols=gc,
+        plan=plan, g_blocks=g_blocks, h_blocks=h_blocks, group_cols=gc,
     )
     return bases, bundle
 

@@ -33,7 +33,7 @@ from .operators import (
 )
 from .container import write_ublr
 from .reconstruction import KEYWORD_DEFAULTS, METHODS, compress
-from .tagging import DegenerateTagsError, evaluate_plan, make_tagging_matrix
+from .tagging import DISTRIBUTIONS, DegenerateTagsError, evaluate_plan, make_tagging_matrix
 from .tessellation import (
     build_tessellation,
     grid_points,
@@ -72,52 +72,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    comp = sub.add_parser("compress", help="run one compression and report it")
-    comp.add_argument("--op", required=True, choices=["synthetic", "laplace2d", "slab-schur"])
+    # the options compress and sweep share, with the same defaults
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--op", required=True, choices=["synthetic", "laplace2d", "slab-schur"])
+    run.add_argument("--d", type=int, default=2, help="geometry dimension (synthetic)")
+    run.add_argument("--b", type=int, help="block count; default balances matvecs")
+    run.add_argument("--p", type=int, default=10, help="oversampling")
+    run.add_argument("--distribution", choices=DISTRIBUTIONS)
+    run.add_argument("--extra-cols", type=int)
+    run.add_argument("--optimize", action="store_true",
+                     help="optimize tagging null vectors over the null sphere")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--points", default="random", choices=["random", "grid"],
+                     help="point distribution for synthetic operators")
+    run.add_argument("--nz", type=int, default=10, help="slab thickness")
+    run.add_argument("--ppw", type=float, default=100.0, help="points per wavelength")
+    run.add_argument("--error-iterations", type=int, default=20)
+
+    comp = sub.add_parser("compress", parents=[run], help="run one compression and report it")
     comp.add_argument("--n", type=int, help="problem size (synthetic, laplace2d)")
-    comp.add_argument("--d", type=int, default=2, help="geometry dimension (synthetic)")
-    comp.add_argument("--b", type=int, help="block count; default balances matvecs")
     comp.add_argument("--k", type=int, default=30, help="target block rank")
-    comp.add_argument("--p", type=int, default=10, help="oversampling")
     comp.add_argument("--method", default="A2", choices=sorted(METHODS))
-    comp.add_argument("--distribution", choices=["gaussian", "haar", "equidistributed"])
-    comp.add_argument("--extra-cols", type=int)
-    comp.add_argument("--optimize", action="store_true",
-                      help="optimize tagging null vectors over the null sphere")
     comp.add_argument("--extra-samples", action="store_true",
                       help="concatenate samples from every extra null direction")
-    comp.add_argument("--seed", type=int, default=None)
     comp.add_argument("--synthetic-rank", type=int, help="exact far-field rank (default: k)")
-    comp.add_argument("--points", default="random", choices=["random", "grid"],
-                      help="point distribution for synthetic operators")
     comp.add_argument("--nx", type=int, help="slab grid size in x")
     comp.add_argument("--ny", type=int, help="slab grid size in y")
-    comp.add_argument("--nz", type=int, default=10, help="slab thickness")
     comp.add_argument("--kappa", type=float, default=None,
                       help="wavenumber; default set by --ppw")
-    comp.add_argument("--ppw", type=float, default=100.0, help="points per wavelength")
-    comp.add_argument("--error-iterations", type=int, default=20)
     comp.add_argument("--report", help="write the JSON report here (default: stdout)")
     comp.add_argument("--save", help="write the binary UBLR container here")
     comp.set_defaults(func=cmd_compress, **KEYWORD_DEFAULTS)
 
-    sweep = sub.add_parser("sweep", help="grid of compression runs, CSV output")
-    sweep.add_argument("--op", required=True, choices=["synthetic", "laplace2d", "slab-schur"])
+    sweep = sub.add_parser("sweep", parents=[run], help="grid of compression runs, CSV output")
     sweep.add_argument("--n-list", type=_int_list, default=[],
                        help="comma-separated problem sizes")
     sweep.add_argument("--k-list", type=_int_list, default=[30])
     sweep.add_argument("--methods", type=_str_list, default=["A1", "A2", "A3"])
-    sweep.add_argument("--d", type=int, default=2)
-    sweep.add_argument("--b", type=int, help="block count; default balances matvecs")
-    sweep.add_argument("--p", type=int, default=10)
-    sweep.add_argument("--distribution", choices=["gaussian", "haar", "equidistributed"])
-    sweep.add_argument("--extra-cols", type=int)
-    sweep.add_argument("--optimize", action="store_true")
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--points", default="random", choices=["random", "grid"])
-    sweep.add_argument("--nz", type=int, default=10)
-    sweep.add_argument("--ppw", type=float, default=100.0)
-    sweep.add_argument("--error-iterations", type=int, default=20)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.set_defaults(func=cmd_sweep, **KEYWORD_DEFAULTS)
@@ -126,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--b-list", type=_int_list, required=True,
                     help="comma-separated block counts (d-th powers)")
     ar.add_argument("--d", type=int, default=2)
-    ar.add_argument("--distributions", type=_str_list,
-                    default=["gaussian", "haar", "equidistributed"])
+    ar.add_argument("--distributions", type=_str_list, default=list(DISTRIBUTIONS))
     ar.add_argument("--extra-cols-list", type=_int_list, default=[0, 1, 2, 3])
     ar.add_argument("--seeds", type=_int_list, default=[0])
     ar.add_argument("--out", required=True, help="CSV output path")

@@ -62,9 +62,10 @@ def read_ublr(path) -> UniformBLR:
     """Read a container written by write_ublr.
 
     Raises ValueError naming the path and the field when the header
-    disagrees with the tessellation JSON, the B index table is not strictly
-    increasing, or the file is not exactly as long as its header, ranks and
-    B index table say.
+    disagrees with the tessellation JSON, the blocks do not partition the
+    point ids 1..n, a neighbour id falls outside 1..b, the B index table is
+    not strictly increasing, or the file is not exactly as long as its
+    header, ranks and B index table say.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -101,12 +102,19 @@ def read_ublr(path) -> UniformBLR:
             ("d", d, tess_dict["dim"]),
             ("n", n, sum(len(blk) for blk in blocks)),
         )
+        point_ids = sorted(i for blk in blocks for i in blk)
+        neighbor_ids = [j for nbrs in tess_dict["neighbors"] for j in nbrs]
+        neighbor_rows = len(tess_dict["neighbors"])
     except (ValueError, KeyError, TypeError) as exc:
         fail("tessellation", f"unreadable JSON ({exc!r})")
     off += json_len
     for field, header, stored in stored_fields:
         if header != stored:
             fail(field, f"header says {header}, tessellation JSON says {stored}")
+    if point_ids != list(range(1, n + 1)):
+        fail("tessellation", f"blocks do not partition the point ids 1..{n}")
+    if neighbor_rows != b or any(not 1 <= j <= b for j in neighbor_ids):
+        fail("tessellation", f"neighbour lists are not {b} lists of block ids in 1..{b}")
     ranks = take_u64(b, "effective ranks")
     sizes = [len(blk) for blk in blocks]
     total = sum(ranks)

@@ -65,7 +65,7 @@ from .linalg import (
     pseudo_inverse,
 )
 from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
-from .tagging import plan_tagging
+from .tagging import TaggingPlan, plan_tagging
 from .tessellation import BoxColoring, Tessellation, color_boxes
 
 
@@ -307,24 +307,18 @@ def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     return _near_field_from_pairs(tess, bases, block_terms)
 
 
-def b2_denominators_ok(T, tess: Tessellation) -> bool:
-    """Every neighbour stack T(N_i, :) has a right inverse W_i whose every
-    column w_p has 1/||w_p|| >= _DENOM_RTOL * max(1, ||T||_F).
+def b2_denominators_ok(plan: TaggingPlan) -> bool:
+    """Every right inverse W_i = T(N_i, :)^+ the plan holds has every column
+    w_p with 1/||w_p|| >= _DENOM_RTOL * max(1, ||T||_F).
 
     Column p of W_i tags neighbour p with 1 and the others with 0; a unit
     null vector z of the stack without row j = N_i[p] has |t_j . z| <=
     1/||w_p||, so the check fails only when no such z can give block j a
-    projected tag above the floor.
-    An exactly dependent stack (np.linalg.LinAlgError from dtrtrs) fails too.
+    projected tag above the floor. An exactly dependent stack has no W_i:
+    evaluate_plan already raised DegenerateTagsError for it.
     """
-    floor = _DENOM_RTOL * max(1.0, np.linalg.norm(T.entries))
-    try:
-        for nbrs in tess.neighbor_lists:
-            if np.linalg.norm(pseudo_inverse(T.entries[nbrs, :]), axis=0).max() * floor > 1.0:
-                return False
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    floor = _DENOM_RTOL * max(1.0, np.linalg.norm(plan.matrix.entries))
+    return all(np.linalg.norm(w, axis=0).max() * floor <= 1.0 for w in plan.right_inverses)
 
 
 def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
@@ -337,22 +331,21 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     far-field leakage, and Z_i with the H_k gives A(N_i, I_i) (I - V_i V_i*).
     Column p of W_i tags neighbour p with 1 and the others with 0, so one
     contraction of block i's sketch groups with W_i isolates every
-    neighbour, projected once per side. Costs no extra matvecs beyond the
-    step-I bundle.
+    neighbour, projected once per side. W_i comes from the plan. Costs no
+    extra matvecs beyond the step-I bundle.
     """
     tess = bundle.tess
     gc = bundle.group_cols
+    # every LAPACK call before numpy's products (see block_nullification_bases)
     g_pinv = [pseudo_inverse(g) for g in bundle.g_blocks]
     h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
-    # every LAPACK call before numpy's products (see block_nullification_bases)
-    w_pinv = [pseudo_inverse(bundle.tagging.entries[nbrs, :]) for nbrs in tess.neighbor_lists]
 
     def block_terms(i):
         rows = tess.blocks[i]
 
         def combined(basis, sketch):  # neighbour p's rows in columns p*gc:(p+1)*gc
             groups = sketch[rows, :].reshape(len(rows), -1, gc)
-            comb = np.einsum("mlg,lp->mpg", groups, w_pinv[i], optimize=True)
+            comb = np.einsum("mlg,lp->mpg", groups, bundle.plan.right_inverses[i], optimize=True)
             return project_out(basis, comb.reshape(len(rows), -1))
 
         y_comb = combined(bases.u_blocks[i], bundle.y)
@@ -534,7 +527,7 @@ def compress(
         else:  # type B needs short tagging right inverses and m + p wide groups
             plan = plan_tagging(
                 tess, extra_cols, distribution, stream.child(1), optimize=optimize,
-                extra_check=(lambda T: b2_denominators_ok(T, tess)) if family == "B" else None,
+                extra_check=b2_denominators_ok if family == "B" else None,
             )
             bases, bundle = tagging_bases(
                 cop, tess, k, p, plan, stream.child(0),

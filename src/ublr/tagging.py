@@ -7,6 +7,9 @@ surviving far-field weights are the projected tags, whose max/min magnitude
 ratio (the aspect ratio) measures sketch quality. With extra columns the
 null space has dimension >= 2 and the vector can be optimized over the unit
 sphere to shrink that ratio.
+
+The TaggingPlan holds each block's single QR of T(N_i, :)*: the null basis
+Z_i, whose last column is the base null vector, and W_i = T(N_i, :)^+.
 """
 
 from __future__ import annotations
@@ -132,13 +135,7 @@ def _equidistributed_rows(b, ell, stream, iterations=200):
 
 def tag_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVector:
     """Unit null vector of the neighbor-row submatrix T(N_i, :)."""
-    sub = T.entries[tess.neighbor_lists[i], :]
-    try:
-        z = null_basis(sub, 1)[:, 0]
-    except ValueError as exc:
-        raise DegenerateTagsError(f"block {i}: {exc}") from exc
-    # null_basis has already bounded this residual by _NULL_RTOL max(1, ||T(N_i, :)||_F)
-    return NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z)))
+    return _factor_block(T, tess, i)[0]
 
 
 def projected_tags(T: TaggingMatrix, tess: Tessellation, nv: NullVector) -> ProjectedTags:
@@ -201,40 +198,48 @@ def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVe
     directions. The unoptimized vector is always kept as a candidate, so the
     result is never worse than the base.
     """
-    base = tag_null_vector(T, tess, i)
-    far = tess.far_fields[i]
-    nbrs = tess.neighbor_lists[i]
-    ell = T.n_cols
-    nullity = ell - len(nbrs)
-    if nullity < 2:
+    if T.n_cols - len(tess.neighbor_lists[i]) < 2:
         warnings.warn(
             f"block {i}: null space is one-dimensional, nothing to optimize"
         )
-        return base
-    if len(far) == 0:
-        return base
+    return _factor_block(T, tess, i, optimize=True)[1]
 
-    sub = T.entries[nbrs, :]
+
+def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool = False):
+    """(base, chosen, Z_i, W_i) for block i from one QR of T(N_i, :)*.
+
+    Z_i is the full null basis and base its last column; chosen is
+    optimize_null_vector's vector with optimize, else base. W_i is the right
+    inverse T(N_i, :)^+, or None when R has an exactly zero pivot (dtrtrs);
+    only then does Z_i come from a second QR."""
+    sub = T.entries[tess.neighbor_lists[i], :]
+    nullity = T.n_cols - len(tess.neighbor_lists[i])
     try:
-        X = null_basis(sub, nullity)
+        try:
+            Z, W, _ = null_basis(sub, nullity, rows=np.eye(T.n_cols))
+        except np.linalg.LinAlgError:  # exactly dependent rows have no right inverse
+            Z, W = null_basis(sub, nullity), None
     except ValueError as exc:
         raise DegenerateTagsError(f"block {i}: {exc}") from exc
-    s_use = min(nullity, 3)  # cap the search at a 3-dim parameterization
-    X = X[:, :s_use]
-    P = T.entries[far, :] @ X  # (|F|, s_use) far-field tags of the basis
+    # null_basis has already bounded the residuals by _NULL_RTOL max(1, ||T(N_i, :)||_F)
+    base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(sub @ Z[:, -1])))
+    far = tess.far_fields[i]
+    if not optimize or nullity < 2 or len(far) == 0:
+        return base, base, Z, W
+    X = Z[:, :3]  # cap the search at a 3-dim parameterization
+    P = T.entries[far, :] @ X  # far-field tags of the basis
 
-    if s_use == 2:
+    if X.shape[1] == 2:
         coeffs, ratio = _best_on_circle(P)
     else:
         coeffs, ratio = _best_on_sphere(P)
 
     base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
     if base_ratio <= ratio:
-        return base
+        return base, base, Z, W
     z = X @ coeffs
     z /= np.linalg.norm(z)
-    residual = float(np.linalg.norm(sub @ z))
-    return NullVector(block=i, vector=z, residual=residual)
+    return base, NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z))), Z, W
 
 
 def _best_on_circle(P):
@@ -288,13 +293,16 @@ def _best_on_sphere(P, coarse=64, zoom_rounds=3):
 
 @dataclass
 class TaggingPlan:
-    """A tagging matrix together with per-block null vectors and ratios."""
+    """A tagging matrix together with per-block null vectors and ratios, and
+    the two results of each block's single QR of T(N_i, :)*, Z_i and W_i."""
 
     matrix: TaggingMatrix
     null_vectors: list
     rho_base: np.ndarray
     rho_optimized: np.ndarray | None
     attempts: int
+    null_bases: list  # Z_i, ell x (ell - |N_i|)
+    right_inverses: list  # W_i = T(N_i, :)^+, ell x |N_i|
 
 
 def plan_tagging(
@@ -309,9 +317,9 @@ def plan_tagging(
     the next derived seed (at most _MAX_REDRAWS times) whenever a block comes
     out degenerate or with an aspect ratio above _RATIO_LIMIT.
 
-    extra_check, when given, must accept the candidate TaggingMatrix and
-    return False to force a redraw (used by the type-B pipeline to reject
-    matrices whose neighbour rows it cannot right-invert well)."""
+    extra_check, when given, must accept the evaluated TaggingPlan and return
+    False to force a redraw (the type-B pipeline rejects draws whose neighbour
+    rows it cannot right-invert well); only a draw it passes is returned."""
     if stream is None:
         stream = RandomStream(0)
     last_error = None
@@ -320,14 +328,14 @@ def plan_tagging(
         T = make_tagging_matrix(
             tess.b, tess.dim, extra_cols, distribution, stream.child(attempt)
         )
-        if extra_check is not None and not extra_check(T):
-            last_error = DegenerateTagsError("extra_check rejected the draw")
-            continue
         try:
-            plan = evaluate_plan(T, tess, optimize, attempt + 1)
+            candidate = evaluate_plan(T, tess, optimize, attempt + 1)
+            if extra_check is not None and not extra_check(candidate):
+                raise DegenerateTagsError("extra_check rejected the draw")
         except DegenerateTagsError as exc:
             last_error = exc
             continue
+        plan = candidate
         effective = plan.rho_optimized if plan.rho_optimized is not None else plan.rho_base
         finite = effective[~np.isnan(effective)]
         worst = finite.max() if finite.size else 1.0
@@ -351,28 +359,27 @@ def evaluate_plan(
 
     With optimize, blocks of nullity >= 2 take the ratio-minimizing null
     vector. Blocks with an empty far field keep NaN ratios. Raises
-    DegenerateTagsError when a block has no null vector."""
-    null_vectors = []
+    DegenerateTagsError when a block has no null vector or right inverse."""
+    null_vectors, null_bases, right_inverses = [], [], []
     rho_base = np.full(tess.b, np.nan)
     rho_opt = np.full(tess.b, np.nan) if optimize else None
     for i in range(tess.b):
-        base = tag_null_vector(T, tess, i)
+        base, chosen, Z, W = _factor_block(T, tess, i, optimize)
+        if W is None:
+            raise DegenerateTagsError(f"block {i}: neighbour tagging rows are exactly dependent")
         if len(tess.far_fields[i]) > 0:
             rho_base[i] = aspect_ratio(projected_tags(T, tess, base), tess)
-        chosen = base
-        if optimize:
-            nullity = T.n_cols - len(tess.neighbor_lists[i])
-            if nullity >= 2:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    chosen = optimize_null_vector(T, tess, i)
-            if len(tess.far_fields[i]) > 0:
+            if optimize:
                 rho_opt[i] = aspect_ratio(projected_tags(T, tess, chosen), tess)
         null_vectors.append(chosen)
+        null_bases.append(Z)
+        right_inverses.append(W)
     return TaggingPlan(
         matrix=T,
         null_vectors=null_vectors,
         rho_base=rho_base,
         rho_optimized=rho_opt,
         attempts=attempts,
+        null_bases=null_bases,
+        right_inverses=right_inverses,
     )

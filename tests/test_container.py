@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,30 @@ def _repeat_pair(raw):
     return raw[:table + 32] + raw[table + 16:table + 32] + raw[table + 48:]
 
 
+def _edit_tessellation(raw, edit):
+    # rewrites the tessellation JSON as write_ublr does, keeping its length
+    json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
+    start = 5 + 48
+    tess = json.loads(raw[start:start + json_len])
+    edit(tess)
+    text = json.dumps(tess, sort_keys=True, separators=(",", ":")).encode()
+    assert len(text) == json_len
+    return raw[:start] + text + raw[start + json_len:]
+
+
+def _move_point(tess):
+    # block 0 takes a point id of block 1 (of the same digit count) in place
+    # of one of its own, so one id is missing and another appears twice
+    first, second = tess["blocks"][:2]
+    pos, moved = next((p, q) for p, own in enumerate(first) for q in second
+                      if len(str(q)) == len(str(own)))
+    first[pos] = moved
+
+
+def _neighbour_out_of_range(tess):
+    tess["neighbors"][0][0] = tess["b"] + 1  # 9 has one digit, as has every id in 1..8
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -78,8 +104,13 @@ def _repeat_pair(raw):
         (lambda raw: raw[:-8], "length"),
         (lambda raw: raw + b"\x00" * 8, "length"),
         (_repeat_pair, "B index table: pairs are not strictly increasing"),
+        (lambda raw: _edit_tessellation(raw, _move_point),
+         "tessellation: blocks do not partition the point ids 1..128"),
+        (lambda raw: _edit_tessellation(raw, _neighbour_out_of_range),
+         "tessellation: neighbour lists are not 8 lists of block ids in 1..8"),
     ],
-    ids=["header-b", "truncated", "trailing-bytes", "repeated-pair"],
+    ids=["header-b", "truncated", "trailing-bytes", "repeated-pair",
+         "blocks-not-a-partition", "neighbour-out-of-range"],
 )
 def test_inconsistent_container_named_error(compressed, tmp_path, corrupt, field):
     _, rep = compressed

@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
+import ublr.bases
 import ublr.reconstruction
+import ublr.tagging
 from ublr import (
     ConfigError,
     DenseOperator,
@@ -237,3 +239,32 @@ def test_wrongly_shaped_oracle_output_raises_in_step_one(method_id, side, case):
     with pytest.raises(OracleShapeError, match=pattern):
         compress(RowDroppingOperator(op.matrix, side), tess, 3, method_id, compute_error=False)
     assert issubclass(OracleShapeError, ValueError)
+
+
+@pytest.mark.parametrize("method_id, kwargs", [
+    ("B2", {}),
+    ("A2", {}),
+    ("A2", {"optimize": True, "extra_cols": 2, "extra_samples": True}),
+])
+def test_each_block_tagging_rows_factored_once_per_draw(method_id, kwargs, case, monkeypatch):
+    # every QR of a neighbour tagging-row stack T(N_i, :), ell columns wide,
+    # wherever it is made: the plan, the optimizer, the extra samples, the
+    # B2 check and B2's step III
+    op, tess, _ = case
+    shapes = []
+
+    def counting(fn):
+        def wrapper(B, *args, **kwargs):
+            shapes.append(np.shape(B))
+            return fn(B, *args, **kwargs)
+        return wrapper
+
+    for module in (ublr.tagging, ublr.bases, ublr.reconstruction):
+        monkeypatch.setattr(module, "null_basis", counting(module.null_basis))
+    monkeypatch.setattr(ublr.reconstruction, "pseudo_inverse",
+                        counting(ublr.reconstruction.pseudo_inverse))
+    _, report = compress(op, tess, 3, method_id, stream=RandomStream(2),
+                         compute_error=False, **kwargs)
+    ell = report.config["ell"]
+    assert report.aspect_ratios["draws"] == 1
+    assert sum(shape[1] == ell for shape in shapes) == tess.b

@@ -19,6 +19,7 @@ from ublr import (
     compress_type_a,
     compress_type_b,
     direct_core,
+    evaluate_plan,
     gaussian,
     gaussian_pinv_discrepancy,
     grid_points,
@@ -38,6 +39,7 @@ from ublr import (
 from ublr.bases import BlockBases, SketchBundle, blkdiag, stack_t
 from ublr.linalg import col_basis
 from ublr.reconstruction import add_near_field, b2_denominators_ok
+from ublr.tagging import DegenerateTagsError
 
 from conftest import snorm, uniform_synthetic
 
@@ -308,7 +310,7 @@ class TestTypeBDiscrepancy:
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
         gc = tess.max_block_size + 6
         bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), group_cols=gc)
-        T = bundle.tagging.entries
+        T = bundle.plan.matrix.entries
 
         def term(i, j, sketch, basis, test_block):
             nbrs = tess.neighbor_lists[i]
@@ -353,21 +355,27 @@ class TestTypeBDiscrepancy:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13])
     def test_b2_check_rejects_dependent_neighbour_rows(self, offset):
-        # rows 0 and 1 are neighbours; identical or within 1e-12 of each
-        # other, their right inverse's columns blow up (or dtrtrs fails)
+        # rows 0 and 1 are neighbours; within 1e-12 of each other, their
+        # right inverse's columns blow up; identical, dtrtrs finds a zero
+        # pivot and the plan has no right inverse to check
         tess = build_tessellation(grid_points(32, 1), 8)
         assert 1 in tess.neighbor_lists[0]
         T = make_tagging_matrix(8, 1, 0, "gaussian", RandomStream(3))
         entries = T.entries.copy()
         entries[1] = entries[0] + offset
-        assert not b2_denominators_ok(dataclasses.replace(T, entries=entries), tess)
+        T = dataclasses.replace(T, entries=entries)
+        if offset == 0.0:
+            with pytest.raises(DegenerateTagsError, match="block 0: .* exactly dependent"):
+                evaluate_plan(T, tess)
+        else:
+            assert not b2_denominators_ok(evaluate_plan(T, tess))
 
     @pytest.mark.parametrize("d, b", [(1, 8), (2, 16), (2, 36)])
     def test_b2_check_accepts_gaussian_draws(self, d, b):
         tess = box_grid(d, b)
         for seed in range(10):
             T = make_tagging_matrix(b, d, 0, "gaussian", RandomStream(seed))
-            assert b2_denominators_ok(T, tess)
+            assert b2_denominators_ok(evaluate_plan(T, tess))
 
     def test_gaussian_right_inverse_accuracy(self, stream):
         # m x (m+p) Gaussian with p=10 has a right inverse to ~1e-8

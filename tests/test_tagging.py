@@ -7,6 +7,7 @@ from ublr import (
     RandomStream,
     aspect_ratio,
     build_tessellation,
+    evaluate_plan,
     gaussian,
     grid_points,
     make_tagging_matrix,
@@ -14,9 +15,10 @@ from ublr import (
     optimize_null_vector,
     plan_tagging,
     projected_tags,
+    pseudo_inverse,
     tag_null_vector,
 )
-from ublr.tagging import DegenerateTagsError, TaggingMatrix
+from ublr.tagging import DISTRIBUTIONS, DegenerateTagsError, TaggingMatrix
 
 from conftest import snorm
 
@@ -274,11 +276,63 @@ class TestPlanTagging:
         assert plan.attempts == 6  # 1 + _MAX_REDRAWS
 
     def test_extra_check_forces_redraw(self, tess_1d, stream):
+        seen = []
+
+        def reject(plan):
+            seen.append(plan)
+            return False
+
         with pytest.raises(DegenerateTagsError):
-            plan_tagging(tess_1d, 0, "gaussian", stream, extra_check=lambda T: False)
+            plan_tagging(tess_1d, 0, "gaussian", stream, extra_check=reject)
+        # every draw is evaluated before the check sees it, and none is kept
+        assert [plan.attempts for plan in seen] == [1, 2, 3, 4, 5, 6]
+        assert all(len(plan.right_inverses) == tess_1d.b for plan in seen)
+
+    def test_extra_check_rejection_is_never_the_fallback(self, tess_1d, stream, monkeypatch):
+        # every draw is over the ratio limit; the fallback is the last draw
+        # the check accepted, not the last one drawn
+        monkeypatch.setattr(ublr.tagging, "_RATIO_LIMIT", 1.0)
+        with pytest.warns(UserWarning):
+            plan = plan_tagging(tess_1d, 0, "gaussian", stream,
+                                extra_check=lambda plan: plan.attempts <= 2)
+        assert plan.attempts == 2
 
     def test_optimized_plan_records_both_ratios(self, tess_1d, stream):
         plan = plan_tagging(tess_1d, 1, "gaussian", stream, optimize=True)
         assert plan.rho_optimized is not None
         ok = ~np.isnan(plan.rho_base)
         assert np.all(plan.rho_optimized[ok] <= plan.rho_base[ok] + 1e-12)
+
+
+class TestPlanFactors:
+    """The plan's one QR per block gives bitwise what each public function
+    computes on its own."""
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("d, b, extra", [(1, 8, 0), (1, 8, 2), (2, 16, 1)])
+    def test_plan_matches_standalone_calls(self, distribution, d, b, extra):
+        tess = build_tessellation(grid_points(round(b ** (1 / d)) * 2, d), b)
+        for seed in range(3):
+            T = make_tagging_matrix(b, d, extra, distribution, RandomStream(seed))
+            plan = evaluate_plan(T, tess)
+            optimized = evaluate_plan(T, tess, optimize=True)
+            for i, nbrs in enumerate(tess.neighbor_lists):
+                sub = T.entries[nbrs, :]
+                nullity = T.n_cols - len(nbrs)
+                assert np.array_equal(plan.right_inverses[i], pseudo_inverse(sub))
+                assert np.array_equal(plan.null_bases[i], null_basis(sub, nullity))
+                assert np.array_equal(plan.null_vectors[i].vector,
+                                      tag_null_vector(T, tess, i).vector)
+                if nullity >= 2:
+                    assert np.array_equal(optimized.null_vectors[i].vector,
+                                          optimize_null_vector(T, tess, i).vector)
+
+    def test_exactly_dependent_rows_redraw_but_keep_a_null_vector(self, tess_1d):
+        # identical rows: tag_null_vector still finds a null vector, but the
+        # rows have no right inverse, so a plan cannot use the draw
+        row = np.array([0.3, -1.2, 0.7, 2.0])
+        T = TaggingMatrix(np.tile(row, (8, 1)), 1, 0, "gaussian", 0)
+        nv = tag_null_vector(T, tess_1d, 2)
+        assert nv.residual <= 1e-12 * snorm(T.entries)
+        with pytest.raises(DegenerateTagsError, match="exactly dependent"):
+            evaluate_plan(T, tess_1d)
