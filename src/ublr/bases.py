@@ -37,16 +37,23 @@ class SketchBundle:
     the same rows from z, psi[N_i, :] and V_i, and each stack's condition
     estimate. Only these rows are stored, never the QR factors they came from.
 
+    Only block nullification keeps omega and psi. Tagging keeps neither: its
+    test matrices are fixed by the plan's T and the per-block g_blocks and
+    h_blocks, so test_rows rebuilds block j's rows of omega on demand. Naive
+    bundles keep no array at all; their sketches go into the bases in step I.
+
     After step I, type A reads no field. Type B's step III reads y_rinv,
     z_rinv and stack_conds (B1), or y, z, plan, g_blocks, h_blocks and
-    group_cols (B2); its step II reads omega, y and s. compress releases
-    each array after the last step that reads it.
+    group_cols (B2); its step II reads y, s and test_rows (omega for B1,
+    plan and g_blocks for B2). compress releases psi after step I, z, h_blocks
+    and the right-inverse rows after step III (B1 drops z after step I), and
+    the bundle after step II.
     """
 
-    omega: np.ndarray | None  # (n, s); None from naive_bases
-    psi: np.ndarray | None  # (n, s); None from naive_bases
-    y: np.ndarray  # A @ omega
-    z: np.ndarray  # A* @ psi
+    omega: np.ndarray | None  # (n, s); block nullification only
+    psi: np.ndarray | None  # (n, s); block nullification only
+    y: np.ndarray | None  # A @ omega; None from naive_bases
+    z: np.ndarray | None  # A* @ psi; None from naive_bases
     s: int
     tess: Tessellation
     plan: TaggingPlan | None = None  # tagging: each block's one QR of T(N_i, :)*, Z_i and W_i
@@ -56,6 +63,14 @@ class SketchBundle:
     y_rinv: list | None = None  # (I - U_i U_i*) y_i B_i^+ per block (bn)
     z_rinv: list | None = None  # (I - V_i V_i*) z_i (psi[N_i, :])^+ per block
     stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block
+
+    def test_rows(self, j: int) -> np.ndarray:
+        """Block j's rows of omega, (m_j, s): a copy of the slice when the
+        bundle holds omega, else the tagging groups t_{j,l} G_j, bitwise
+        the rows assemble_tagging_test_matrix writes."""
+        if self.omega is not None:
+            return self.omega[self.tess.blocks[j]]
+        return _tagged_rows(self.plan.matrix.entries[j], self.g_blocks[j])
 
 
 @dataclass
@@ -174,17 +189,18 @@ def block_nullification_bases(
     return bases, bundle
 
 
+def _tagged_rows(t_row: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[t_1 G, ..., t_ell G]: one block's rows of the extended test matrix."""
+    return (g[:, None, :] * t_row[:, None]).reshape(g.shape[0], -1)
+
+
 def assemble_tagging_test_matrix(
     tess: Tessellation, T: TaggingMatrix, blocks: list, group_cols: int
 ) -> np.ndarray:
     """Stack t_{i,j} * G_i into the (n, ell * group_cols) extended test matrix."""
-    n = tess.n_points
-    ell = T.n_cols
-    out = np.zeros((n, ell * group_cols))
-    for i in range(tess.b):
-        rows = tess.blocks[i]
-        for j in range(ell):
-            out[rows, j * group_cols:(j + 1) * group_cols] = T.entries[i, j] * blocks[i]
+    out = np.zeros((tess.n_points, T.n_cols * group_cols))
+    for i, rows in enumerate(tess.blocks):
+        out[rows] = _tagged_rows(T.entries[i], blocks[i])
     return out
 
 
@@ -203,13 +219,13 @@ def tagging_bases(
     group_cols defaults to k + p; the type-B pipeline passes m + p so that the
     per-block test blocks admit right inverses. With extra_samples, every
     column of the plan's null basis Z_i contributes its own combined sample
-    and the samples are concatenated before the column basis.
+    and the samples are concatenated before the column basis. Each test
+    matrix goes straight into its oracle call; the bundle keeps the G_i and
+    H_i they are built from (see SketchBundle.test_rows).
     """
     r = k + p
     gc = r if group_cols is None else group_cols
     T = plan.matrix
-    ell = T.n_cols
-    n = tess.n_points
 
     g_blocks = [
         gaussian(len(tess.blocks[i]), gc, stream.child(0, i)) for i in range(tess.b)
@@ -217,10 +233,8 @@ def tagging_bases(
     h_blocks = [
         gaussian(len(tess.blocks[i]), gc, stream.child(1, i)) for i in range(tess.b)
     ]
-    omega = assemble_tagging_test_matrix(tess, T, g_blocks, gc)
-    psi = assemble_tagging_test_matrix(tess, T, h_blocks, gc)
-    y = op.apply(omega)
-    z = op.apply_adjoint(psi)
+    y = op.apply(assemble_tagging_test_matrix(tess, T, g_blocks, gc))
+    z = op.apply_adjoint(assemble_tagging_test_matrix(tess, T, h_blocks, gc))
 
     u_blocks, v_blocks, ranks = [], [], []
     for i in range(tess.b):
@@ -234,10 +248,9 @@ def tagging_bases(
         )
         ranks.append(u_blocks[-1].shape[1])
 
-    s = ell * gc
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
     bundle = SketchBundle(
-        omega=omega, psi=psi, y=y, z=z, s=s, tess=tess,
+        omega=None, psi=None, y=y, z=z, s=T.n_cols * gc, tess=tess,
         plan=plan, g_blocks=g_blocks, h_blocks=h_blocks, group_cols=gc,
     )
     return bases, bundle
@@ -261,7 +274,9 @@ def naive_bases(
     Block i's probe is an n x r Gaussian with the rows of every neighbor
     (including i itself) set to zero; all b probes are batched into a single
     oracle call per side, costing 2 b r matvec columns. No step reads the
-    probes later, so each side's go when its call returns; the bundle has none.
+    probes or sketches later: each side's probe goes when its call returns,
+    and its sketch once its bases are taken, before the other side's probe
+    is drawn. The bundle holds no array.
     """
     r = k + p
     n = tess.n_points
@@ -274,17 +289,14 @@ def naive_bases(
             out[tess.neighbor_indices(i), cols] = 0.0
         return out
 
-    y = op.apply(probes(0))
-    z = op.apply_adjoint(probes(1))
+    def block_bases(sketch):
+        return [_basis_or_identity(sketch[rows, i * r:(i + 1) * r], k)
+                for i, rows in enumerate(tess.blocks)]
 
-    u_blocks, v_blocks, ranks = [], [], []
-    for i in range(tess.b):
-        rows = tess.blocks[i]
-        cols = slice(i * r, (i + 1) * r)
-        u_blocks.append(_basis_or_identity(y[rows, cols], k))
-        v_blocks.append(_basis_or_identity(z[rows, cols], k))
-        ranks.append(u_blocks[-1].shape[1])
+    u_blocks = block_bases(op.apply(probes(0)))
+    v_blocks = block_bases(op.apply_adjoint(probes(1)))
+    ranks = [u.shape[1] for u in u_blocks]
 
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
-    bundle = SketchBundle(omega=None, psi=None, y=y, z=z, s=tess.b * r, tess=tess)
+    bundle = SketchBundle(omega=None, psi=None, y=None, z=None, s=tess.b * r, tess=tess)
     return bases, bundle

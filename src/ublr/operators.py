@@ -165,7 +165,9 @@ class CountingOperator(LinearOperatorHandle):
         where = f"oracle output of {side} in phase {self.ledger._phase!r}"
         if np.shape(Y) != expected:
             raise OracleShapeError(f"{where} has shape {np.shape(Y)}, expected {expected}")
-        if not np.isfinite(Y).all():
+        # min and max both propagate NaN and each catch one sign of inf,
+        # without an n x s boolean mask
+        if np.size(Y) and not (np.isfinite(np.min(Y)) and np.isfinite(np.max(Y))):
             raise NonFiniteOracleError(f"{where} is not finite")
         return Y
 

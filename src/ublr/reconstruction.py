@@ -263,16 +263,19 @@ def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -
 
     block_terms(i) yields row_ij and col_ji for each j in N_i, in order,
     both read from block i's sketch rows, so one pass over the pairs
-    (i, j in N_i) computes every term once.
+    (i, j in N_i) computes every term once. B_ij is formed as soon as both
+    of its terms exist, so only terms still waiting for their partner are
+    held.
     """
-    rows, cols = {}, {}
+    out, rows, cols = {}, {}, {}
     for i in range(tess.b):
         for j, (row, col) in zip(tess.neighbor_lists[i], block_terms(i)):
             rows[(i, j)], cols[(j, i)] = row, col
-    for (i, j), row in rows.items():  # B_ij replaces row_ij and col_ij goes
-        u_i = bases.u_blocks[i]
-        rows[(i, j)] = row + u_i @ (u_i.T @ cols.pop((i, j)))
-    return rows
+            for pair in ((i, j), (j, i)):
+                if pair in rows and pair in cols:
+                    u = bases.u_blocks[pair[0]]
+                    out[pair] = rows.pop(pair) + u @ (u.T @ cols.pop(pair))
+    return out
 
 
 def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
@@ -369,33 +372,43 @@ def pinv_core(
 
     V* Omega must have full row rank, so the test matrix is augmented with
     max(0, K + p - s) fresh Gaussian columns, the only extra matvecs of the
-    type-B path. U*(Y - B Omega) is formed one block row at a time as
-    U_i* Y_i - sum_j (U_i* B_ij) Omega_j: U_i* goes on first, so each pair
-    costs k/m_j of B_ij Omega_j's flops and no n x s or m_i x s
-    temporary is made. The right inverse comes from null_basis's QR
-    of (V* Omega)*, which also estimates cond(R): above _COND_LIMIT it
-    warns, and an exactly rank-deficient V* Omega raises
+    type-B path. Omega is read one block's rows at a time through
+    bundle.test_rows, with the extra columns appended, and each block's rows
+    are built once: they give V_j* Omega_j and every term (U_i* B_ij) Omega_j.
+    U*(Y - B Omega) is formed one block row at a time as
+    U_i* Y_i - sum_j (U_i* B_ij) Omega_j, with the j in ascending order:
+    U_i* goes on first, so each pair costs k/m_j of B_ij Omega_j's flops and
+    no n x s or m_i x s temporary is made. The right inverse comes from
+    null_basis's QR of (V* Omega)*, which also estimates cond(R): above
+    _COND_LIMIT it warns, and an exactly rank-deficient V* Omega raises
     np.linalg.LinAlgError (dtrtrs). Returns (core, columns_added).
     """
     tess = bundle.tess
-    omega, y = bundle.omega, bundle.y
     extra = max(0, bases.total_rank + p - bundle.s)
+    om_extra = y_extra = None
     if extra:
         om_extra = gaussian(tess.n_points, extra, stream)
         y_extra = op.apply(om_extra)
-        omega = np.hstack((omega, om_extra))
-        y = np.hstack((y, y_extra))
-    nbrs = {}
+
+    def widened(block_rows, extra_cols, j):  # block j's rows of [sketch | extra]
+        if extra_cols is None:
+            return block_rows
+        return np.hstack((block_rows, extra_cols[tess.blocks[j]]))
+
+    readers = {}  # block j -> the row blocks i with a B_ij, ascending
     for i, j in sorted(b_blocks):
-        nbrs.setdefault(i, []).append(j)
+        readers.setdefault(j, []).append(i)
     offs = bases.rank_offsets()
-    lhs = np.empty((offs[-1], omega.shape[1]))
+    lhs = np.empty((offs[-1], bundle.s + extra))
+    v_omega = np.empty_like(lhs)
     for i, u in enumerate(bases.u_blocks):
-        out = lhs[offs[i]:offs[i + 1]]
-        out[:] = u.T @ y[tess.blocks[i]]
-        for j in nbrs.get(i, ()):
-            out -= (u.T @ b_blocks[(i, j)]) @ omega[tess.blocks[j]]
-    _, core, cond = null_basis(stack_t(bases.v_blocks, tess, omega), 0, rows=lhs)
+        lhs[offs[i]:offs[i + 1]] = u.T @ widened(bundle.y[tess.blocks[i]], y_extra, i)
+    for j, v in enumerate(bases.v_blocks):
+        omega_j = widened(bundle.test_rows(j), om_extra, j)
+        v_omega[offs[j]:offs[j + 1]] = v.T @ omega_j
+        for i in readers.get(j, ()):
+            lhs[offs[i]:offs[i + 1]] -= (bases.u_blocks[i].T @ b_blocks[(i, j)]) @ omega_j
+    _, core, cond = null_basis(v_omega, 0, rows=lhs)
     if cond > _COND_LIMIT:
         warnings.warn(f"V* Omega has condition {cond:.2e} (LAPACK 1-norm estimate of cond(R))")
     return core, extra
@@ -480,11 +493,15 @@ def compress(
     distribution and optimize shape the tagging plan of A2 and B2;
     extra_cols and extra_samples shape A2's tagging sketch.
 
-    Each step-I sketch array is released after the last step that reads it
-    (see SketchBundle): type A drops the bundle after step I. Type B drops
-    psi after step I and z after step III (B1 already after step I, as its
-    step III reads y_rinv and z_rinv instead, which go after step III), and
-    keeps omega and y for step II.
+    Each step-I array lives only while a later step reads it (see
+    SketchBundle). Within step I, block nullification holds omega, psi, y
+    and z; tagging holds y, psi and z, as each test matrix goes when its
+    oracle call returns; naive holds one side's probe and sketch at a time.
+    Type A drops the bundle after step I. Type B drops psi after step I and
+    z and h_blocks after step III (B1 drops z already after step I, as its
+    step III reads y_rinv and z_rinv instead, which go after step III). Step
+    II reads y and block rows of omega: B1 keeps omega, B2 rebuilds the rows
+    from the plan and g_blocks.
 
     Raises ConfigError before the first oracle call for an unknown id, a
     keyword given other than at its default to an id that does not take
@@ -553,9 +570,10 @@ def compress(
                 b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
-        bundle.z = bundle.y_rinv = bundle.z_rinv = None
+        bundle.z = bundle.h_blocks = bundle.y_rinv = bundle.z_rinv = None
         with step("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
+        del bundle
 
     rep = UniformBLR(**vars(bases), tess=tess, core=core, b_blocks=b_blocks)
 

@@ -24,6 +24,7 @@ from ublr import (
     tagging_bases,
     write_ublr,
 )
+from ublr.bases import assemble_tagging_test_matrix
 from ublr.linalg import project_out
 
 from conftest import snorm, uniform_synthetic
@@ -102,10 +103,11 @@ class TestTaggingBases:
         _, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(0))
         gc = bundle.group_cols
         T = plan.matrix.entries
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
         for i in range(tess.b):
             rows = tess.blocks[i]
             for j in range(plan.matrix.n_cols):
-                got = bundle.omega[rows, j * gc:(j + 1) * gc]
+                got = omega[rows, j * gc:(j + 1) * gc]
                 assert np.array_equal(got, T[i, j] * bundle.g_blocks[i])
 
     def test_combined_sketch_zero_rows_on_neighborhood(self, synthetic_small):
@@ -113,12 +115,13 @@ class TestTaggingBases:
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
         _, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(0))
         gc = bundle.group_cols
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
         for i in range(tess.b):
             z = plan.null_vectors[i].vector
-            groups = bundle.omega.reshape(tess.n_points, -1, gc)
+            groups = omega.reshape(tess.n_points, -1, gc)
             combined = np.tensordot(groups, z, axes=(1, 0))
             nbr_rows = tess.neighbor_indices(i)
-            assert np.max(np.abs(combined[nbr_rows])) <= 1e-12 * snorm(bundle.omega)
+            assert np.max(np.abs(combined[nbr_rows])) <= 1e-12 * snorm(omega)
 
     def test_far_field_residual(self, synthetic_small):
         op, tess, _ = synthetic_small

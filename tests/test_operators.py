@@ -5,6 +5,7 @@ import pytest
 from ublr import (
     CountingOperator,
     DenseOperator,
+    NonFiniteOracleError,
     PointCloud,
     RandomStream,
     build_tessellation,
@@ -39,6 +40,40 @@ class TestCountingWrapper:
         X = gaussian(15, 4, stream.child(1))
         assert np.array_equal(wrapped.apply(X), inner.apply(X))
         assert np.array_equal(wrapped.apply_adjoint(X), inner.apply_adjoint(X))
+
+    @staticmethod
+    def spiked(value, row, col):
+        """A dense oracle whose every output has value at (row, col)."""
+
+        class Spiked(DenseOperator):
+            def apply(self, X):
+                Y = super().apply(X)
+                Y[row, col] = value
+                return Y
+
+            def apply_adjoint(self, X):
+                Y = super().apply_adjoint(X)
+                Y[row, col] = value
+                return Y
+
+        return CountingOperator(Spiked(np.eye(12)))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row, col", [(0, 0), (7, 2), (11, 3)])
+    def test_any_non_finite_entry_raises(self, value, row, col):
+        op = self.spiked(value, row, col)
+        X = gaussian(12, 4, RandomStream(0))
+        with pytest.raises(NonFiniteOracleError, match=r"of A in phase"):
+            op.apply(X)
+        with pytest.raises(NonFiniteOracleError, match=r"of A\* in phase"):
+            op.apply_adjoint(X)
+
+    def test_zero_column_output_passes(self):
+        # k = 0 gives type A's step II no columns: nothing to reduce
+        op = CountingOperator(DenseOperator(np.eye(12)))
+        assert op.apply(np.zeros((12, 0))).shape == (12, 0)
+        assert op.apply_adjoint(np.zeros((12, 0))).shape == (12, 0)
+        assert op.ledger.total == 0
 
 
 class TestSyntheticUBLR:

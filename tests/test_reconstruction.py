@@ -26,6 +26,7 @@ from ublr import (
     ground_truth_rep,
     laplace2d_operator,
     make_tagging_matrix,
+    naive_bases,
     null_basis,
     pinv_core,
     plan_tagging,
@@ -36,7 +37,7 @@ from ublr import (
     tagging_bases,
     tagging_pinv_discrepancy,
 )
-from ublr.bases import BlockBases, SketchBundle, blkdiag, stack_t
+from ublr.bases import BlockBases, SketchBundle, assemble_tagging_test_matrix, blkdiag, stack_t
 from ublr.linalg import col_basis
 from ublr.reconstruction import add_near_field, b2_denominators_ok
 from ublr.tagging import DegenerateTagsError
@@ -467,12 +468,14 @@ class TestPinvCore:
                 op, tess, k, p, plan, RandomStream(1), group_cols=tess.max_block_size + p
             )
             b_blocks = tagging_pinv_discrepancy(bundle, bases)
+            omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, bundle.group_cols)
         else:
             bases, bundle = block_nullification_bases(
                 op, tess, k, p, RandomStream(1), right_inverses=True
             )
             b_blocks = gaussian_pinv_discrepancy(bundle, bases)
-        omega, y = bundle.omega, bundle.y
+            omega = bundle.omega
+        y = bundle.y
         if case == "augmented":  # K = 160: 40 columns leave 130 to add
             bundle.omega, bundle.y, bundle.s = omega[:, :40], y[:, :40], 40
             om_extra = gaussian(tess.n_points, 130, RandomStream(5))
@@ -485,6 +488,42 @@ class TestPinvCore:
         _, want, _ = null_basis(v_om, 0, rows=stack_t(bases.u_blocks, tess, y - b_om))
         tol = 100 * np.finfo(float).eps * np.linalg.cond(v_om)
         assert np.linalg.norm(core - want) <= tol * np.linalg.norm(want)
+
+    @staticmethod
+    def b2_case(extra):
+        """A B2 bundle with its bases; with extra, K + p exceeds its width s
+        (214 columns on this N = 1024 grid), so pinv_core widens Omega."""
+        n, b, k = (1024, 36, 20) if extra else (576, 16, 10)
+        pts = random_points(n, 2, RandomStream(3).child(1))
+        tess = build_tessellation(pts, b)
+        op = laplace2d_operator(pts)
+        plan = plan_tagging(tess, 0, "gaussian", RandomStream(2), extra_check=b2_denominators_ok)
+        bases, bundle = tagging_bases(
+            op, tess, k, 10, plan, RandomStream(1), group_cols=tess.max_block_size + 10
+        )
+        assert (bases.total_rank + 10 > bundle.s) == extra
+        return op, tess, plan, bases, bundle
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
+    def test_tagging_test_rows_are_the_assembled_rows(self, extra):
+        _, tess, plan, _, bundle = self.b2_case(extra)
+        assert bundle.omega is None and bundle.psi is None
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, bundle.group_cols)
+        for j, rows in enumerate(tess.blocks):
+            assert np.array_equal(bundle.test_rows(j), omega[rows])
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
+    def test_tagging_core_same_with_dense_omega(self, extra):
+        # rows rebuilt from the plan give the core the assembled Omega gives
+        op, tess, plan, bases, bundle = self.b2_case(extra)
+        b_blocks = tagging_pinv_discrepancy(bundle, bases)
+        core, added = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
+        assert (added > 0) == extra
+        bundle.omega = assemble_tagging_test_matrix(
+            tess, plan.matrix, bundle.g_blocks, bundle.group_cols
+        )
+        dense_core, _ = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
+        assert np.array_equal(core, dense_core)
 
     @staticmethod
     def b1_case(synthetic_case):
@@ -514,31 +553,57 @@ class TestPinvCore:
 
 class TestCompressMemory:
     @staticmethod
-    def traced_peak(method):
-        """tracemalloc peak inside compress, in units of n s doubles."""
+    def memory_case():
         pts = random_points(1024, 2, RandomStream(0).child(1))
-        tess = build_tessellation(pts, 16)
-        op = laplace2d_operator(pts)
+        return laplace2d_operator(pts), build_tessellation(pts, 16)
+
+    @staticmethod
+    def traced(fn):
+        """(result, tracemalloc peak in bytes) of fn()."""
         tracemalloc.start()
         try:
-            _, report = compress(op, tess, 20, method, stream=RandomStream(0), compute_error=False)
+            out = fn()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return out, peak
+
+    @classmethod
+    def traced_peak(cls, method):
+        """tracemalloc peak inside compress, in units of n s doubles."""
+        op, tess = cls.memory_case()
+        (_, report), peak = cls.traced(
+            lambda: compress(op, tess, 20, method, stream=RandomStream(0), compute_error=False)
+        )
         return peak / (tess.n_points * report.matvecs["I"]["A"] * 8)
 
-    # Tagging's step I must hold omega, psi, y and z (4 n s doubles) at
-    # once; nothing after it may hold more. Before the sketch arrays were released after
-    # their last reader, these peaks were 5.73 (A3) and 7.62 (B2) n s doubles.
+    # Tagging's step I holds y, psi and z (3 n s doubles) at once, since
+    # each test matrix goes when its oracle call returns and step II rebuilds
+    # Omega's block rows from the plan; nothing after step I may hold more.
+    # Before the sketch arrays were released after their last reader, these
+    # peaks were 5.73 (A3) and 7.62 (B2) n s doubles; B2's was 4.68 while
+    # it kept omega and psi, and is 3.31.
     @pytest.mark.parametrize("method", ["A3", "B2"])
     def test_traced_peak_within_five_sketch_arrays(self, method):
-        assert self.traced_peak(method) < 5
+        assert self.traced_peak(method) < {"A3": 5, "B2": 3.6}[method]
 
     def test_a3_step_one_holds_one_probe_at_a_time(self):
-        # y, then psi, z and the oracle check's boolean mask: 3.13 n s
-        # doubles; 4.14 while naive_bases kept both probes to its end
+        # 3.20 n s doubles, set by step III now that step I holds at most
+        # one probe and its sketch; 4.14 while naive_bases kept both probes
+        # to its end
         assert self.traced_peak("A3") < 3.5
 
+    def test_naive_bases_hold_one_side_at_a_time(self):
+        # A3's whole-compress peak is set by step III at this size, so this
+        # traces naive_bases alone: one probe and its sketch, the U_i taken
+        # before the adjoint probe is drawn: 2.06 n s doubles, against 3.00
+        # when y lived on beside psi, z and the oracle check's boolean mask.
+        op, tess = self.memory_case()
+        (_, bundle), peak = self.traced(
+            lambda: naive_bases(op, tess, 20, 10, RandomStream(0))
+        )
+        assert bundle.y is None and bundle.z is None
+        assert peak / (tess.n_points * bundle.s * 8) < 2.5
 
 
 def dense_rep(rep):
