@@ -38,8 +38,7 @@ def _f64(array) -> bytes:
 def write_ublr(path, rep: UniformBLR) -> None:
     tess = rep.tess
     tess_json = json.dumps(
-        tess.to_json_dict(colors=color_boxes(tess).colors),
-        sort_keys=True, separators=(",", ":"),
+        tess.to_json_dict(), sort_keys=True, separators=(",", ":")
     ).encode()
     pairs = sorted(rep.b_blocks)
     with open(path, "wb") as fh:
@@ -63,9 +62,11 @@ def read_ublr(path) -> UniformBLR:
 
     Raises ValueError naming the path and the field when the header
     disagrees with the tessellation JSON, the blocks do not partition the
-    point ids 1..n, a neighbour id falls outside 1..b, the B index table is
-    not strictly increasing, or the file is not exactly as long as its
-    header, ranks and B index table say.
+    point ids 1..n, a neighbour id is not an integer in 1..b, a neighbour
+    list is not strictly increasing or lacks its own block, the neighbour
+    lists are not symmetric, the stored colors are not color_boxes of the
+    tessellation read, the B index table is not strictly increasing, or the
+    file is not exactly as long as its header, ranks and B index table say.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -103,8 +104,9 @@ def read_ublr(path) -> UniformBLR:
             ("n", n, sum(len(blk) for blk in blocks)),
         )
         point_ids = sorted(i for blk in blocks for i in blk)
-        neighbor_ids = [j for nbrs in tess_dict["neighbors"] for j in nbrs]
-        neighbor_rows = len(tess_dict["neighbors"])
+        neighbors = tess_dict["neighbors"]
+        neighbor_ids = [j for nbrs in neighbors for j in nbrs]
+        stored_colors = tess_dict["colors"]
     except (ValueError, KeyError, TypeError) as exc:
         fail("tessellation", f"unreadable JSON ({exc!r})")
     off += json_len
@@ -113,8 +115,19 @@ def read_ublr(path) -> UniformBLR:
             fail(field, f"header says {header}, tessellation JSON says {stored}")
     if point_ids != list(range(1, n + 1)):
         fail("tessellation", f"blocks do not partition the point ids 1..{n}")
-    if neighbor_rows != b or any(not 1 <= j <= b for j in neighbor_ids):
+    if len(neighbors) != b or any(type(j) is not int or not 1 <= j <= b for j in neighbor_ids):
         fail("tessellation", f"neighbour lists are not {b} lists of block ids in 1..{b}")
+    for i, nbrs in enumerate(neighbors, start=1):
+        if any(p >= q for p, q in zip(nbrs, nbrs[1:])):
+            fail("tessellation", f"neighbour list of block {i} is not strictly increasing")
+        if i not in nbrs:
+            fail("tessellation", f"neighbour list of block {i} lacks block {i}")
+        for j in nbrs:
+            if i not in neighbors[j - 1]:
+                fail("tessellation", f"block {i} lists block {j}, but not the reverse")
+    tess = _tess_from_json(tess_dict, n)
+    if stored_colors != (color_boxes(tess).colors + 1).tolist():
+        fail("tessellation", "stored colors differ from the distance-2 coloring")
     ranks = take_u64(b, "effective ranks")
     sizes = [len(blk) for blk in blocks]
     total = sum(ranks)
@@ -130,7 +143,6 @@ def read_ublr(path) -> UniformBLR:
     if expected != len(raw):
         fail("length", f"header and tables give {expected} bytes, file has {len(raw)}")
 
-    tess = _tess_from_json(tess_dict, n)
     off = body
     u_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
     v_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
@@ -146,14 +158,7 @@ def read_ublr(path) -> UniformBLR:
 def _tess_from_json(data: dict, n: int) -> Tessellation:
     blocks = [np.asarray(blk, dtype=int) - 1 for blk in data["blocks"]]
     neighbor_lists = [[j - 1 for j in nbrs] for nbrs in data["neighbors"]]
-    # axis_count/grid coordinates are not in the container; rebuild enough
-    # structure for applying the representation
     return Tessellation(
-        dim=int(data["dim"]),
-        axis_count=0,
-        n_points=int(n),
-        blocks=blocks,
+        dim=int(data["dim"]), n_points=int(n), blocks=blocks,
         neighbor_lists=neighbor_lists,
-        grid_coords=np.zeros((len(blocks), int(data["dim"])), dtype=int),
-        full_grid=False,
     )

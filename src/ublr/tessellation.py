@@ -1,14 +1,17 @@
 """Flat box partitions of the unit hypercube.
 
 Builds the regular grid of boxes behind the strong admissibility pattern:
-per-box index sets, neighbor lists (Chebyshev distance 1 on the grid, self
-included), far fields, and the distance-2 coloring used by the structured
-identity probes.
+per-box index sets and neighbor lists (Chebyshev distance 1 on the grid,
+self included), from which far fields follow, and the distance-2 coloring
+used by the structured identity probes. A Tessellation holds only its
+blocks and neighbor lists, so one read back from a container is the one
+that was built; the grid itself is not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,20 +63,18 @@ def random_points(n: int, d: int, stream: RandomStream) -> PointCloud:
 class Tessellation:
     """Partition of point indices into boxes on a regular grid.
 
+    dim is the geometry dimension d and n_points the number of points.
     blocks[i] holds the (ascending) global indices in box i; neighbor_lists[i]
-    contains every box within Chebyshev distance 1 on the grid, including i
-    itself. Empty grid cells have been dropped, so block ids are contiguous.
-    Immutable after construction; safe to share.
+    lists, ascending, every box within Chebyshev distance 1 on the grid,
+    including i itself. Empty grid cells have been dropped, so block ids are
+    contiguous. Far fields and the coloring (color_boxes) are derived from
+    the neighbor lists. Immutable after construction; safe to share.
     """
 
     dim: int
-    axis_count: int
     n_points: int
     blocks: list
     neighbor_lists: list
-    grid_coords: np.ndarray  # (b, d) integer cell coordinates
-    full_grid: bool
-    _far_fields: list = field(default=None, repr=False)
 
     @property
     def b(self) -> int:
@@ -87,14 +88,10 @@ class Tessellation:
     def max_block_size(self) -> int:
         return int(self.block_sizes.max())
 
-    @property
+    @cached_property
     def far_fields(self) -> list:
-        if self._far_fields is None:
-            all_ids = set(range(self.b))
-            self._far_fields = [
-                sorted(all_ids - set(nbrs)) for nbrs in self.neighbor_lists
-            ]
-        return self._far_fields
+        all_ids = set(range(self.b))
+        return [sorted(all_ids - set(nbrs)) for nbrs in self.neighbor_lists]
 
     def neighbor_row_count(self, i: int) -> int:
         """Total number of points in the neighborhood of box i."""
@@ -105,17 +102,16 @@ class Tessellation:
         in neighbor-list order."""
         return np.concatenate([self.blocks[j] for j in self.neighbor_lists[i]])
 
-    def to_json_dict(self, colors=None) -> dict:
-        """JSON-ready form; block and box ids are 1-based on the wire."""
-        out = {
+    def to_json_dict(self) -> dict:
+        """JSON-ready form with the color_boxes coloring; block, box and
+        color ids are 1-based on the wire."""
+        return {
             "dim": self.dim,
             "b": self.b,
             "blocks": [(np.asarray(blk) + 1).tolist() for blk in self.blocks],
             "neighbors": [[j + 1 for j in nbrs] for nbrs in self.neighbor_lists],
+            "colors": (color_boxes(self).colors + 1).tolist(),
         }
-        if colors is not None:
-            out["colors"] = [int(c) + 1 for c in np.asarray(colors)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -160,64 +156,36 @@ def build_tessellation(points: PointCloud, target_block_count: int) -> Tessellat
         flat = flat * per_axis + cell_of_point[:, axis]
 
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    boundaries = np.flatnonzero(np.diff(sorted_flat)) + 1
+    boundaries = np.flatnonzero(np.diff(flat[order])) + 1
     groups = np.split(order, boundaries)
-    occupied_cells = sorted_flat[np.concatenate(([0], boundaries))] if points.n else []
 
     blocks = [np.sort(g) for g in groups]
-    grid_coords = np.array(
-        [_unflatten(c, per_axis, d) for c in occupied_cells], dtype=int
-    )
-
-    b = len(blocks)
-    neighbor_lists = []
-    for i in range(b):
-        cheb = np.abs(grid_coords - grid_coords[i]).max(axis=1)
-        neighbor_lists.append(np.flatnonzero(cheb <= 1).tolist())
-
+    cells = cell_of_point[[g[0] for g in groups]]  # (b, d) grid coordinates
+    neighbor_lists = [
+        np.flatnonzero(np.abs(cells - cell).max(axis=1) <= 1).tolist()
+        for cell in cells
+    ]
     return Tessellation(
-        dim=d,
-        axis_count=per_axis,
-        n_points=points.n,
-        blocks=blocks,
-        neighbor_lists=neighbor_lists,
-        grid_coords=grid_coords,
-        full_grid=(b == per_axis**d),
+        dim=d, n_points=points.n, blocks=blocks, neighbor_lists=neighbor_lists
     )
 
 
 def color_boxes(tess: Tessellation) -> BoxColoring:
-    """Distance-2 box coloring.
+    """Greedy distance-2 box coloring in block-id order.
 
-    Full grids use per-axis coordinates modulo 3, which is optimal there
-    (3^d colors once each axis has >= 3 boxes). Grids with dropped cells fall
-    back to greedy coloring of the distance-2 graph in block-id order.
+    Box i takes the smallest color that no box sharing a neighbor with it
+    holds yet; those boxes are the neighbors of i's neighbors. On a full
+    grid this is the per-axis coordinate modulo 3 coloring, 3^d colors once
+    each axis has >= 3 boxes.
     """
-    if tess.full_grid:
-        raw = np.zeros(tess.b, dtype=int)
-        for axis in range(tess.dim):
-            raw = raw * 3 + (tess.grid_coords[:, axis] % 3)
-        _, colors = np.unique(raw, return_inverse=True)
-    else:
-        colors = _greedy_distance2_coloring(tess)
-    return BoxColoring(colors=colors, num_colors=int(colors.max()) + 1)
-
-
-def _greedy_distance2_coloring(tess: Tessellation) -> np.ndarray:
-    neighbor_sets = [set(nbrs) for nbrs in tess.neighbor_lists]
-    colors = np.full(tess.b, -1, dtype=int)
-    for i in range(tess.b):
-        taken = {
-            colors[j]
-            for j in range(tess.b)
-            if j != i and colors[j] >= 0 and neighbor_sets[i] & neighbor_sets[j]
-        }
+    colors = [-1] * tess.b
+    for i, nbrs in enumerate(tess.neighbor_lists):
+        taken = {colors[j] for l in nbrs for j in tess.neighbor_lists[l]}
         c = 0
         while c in taken:
             c += 1
         colors[i] = c
-    return colors
+    return BoxColoring(colors=np.array(colors), num_colors=max(colors) + 1)
 
 
 def _per_axis_count(target: int, d: int) -> int:
@@ -230,11 +198,3 @@ def _per_axis_count(target: int, d: int) -> int:
     raise ValueError(
         f"target_block_count={target} is not a {d}-th power of a per-axis count"
     )
-
-
-def _unflatten(flat: int, per_axis: int, d: int) -> tuple:
-    coords = []
-    for _ in range(d):
-        coords.append(flat % per_axis)
-        flat //= per_axis
-    return tuple(reversed(coords))

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from ublr import (
+    PointCloud,
     RandomStream,
+    build_tessellation,
+    color_boxes,
+    compress,
     compress_type_a,
     gaussian,
+    make_synthetic_spec,
+    random_points,
     read_ublr,
+    synthetic_ublr,
     write_ublr,
 )
 
@@ -37,6 +44,35 @@ def test_write_is_byte_deterministic(compressed, tmp_path):
     write_ublr(p1, rep)
     write_ublr(p2, rep)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _disc_points():
+    # 2000 uniform points, those within 0.5 of the centre kept: on the 7x7
+    # grid four corner cells are empty, leaving 45 boxes
+    raw = random_points(2000, 2, RandomStream(1)).coords
+    return PointCloud(raw[np.linalg.norm(raw - 0.5, axis=1) <= 0.5], 2)
+
+
+@pytest.mark.parametrize(
+    "points, target, b",
+    [(lambda: random_points(400, 2, RandomStream(0)), 36, 36), (_disc_points, 49, 45)],
+    ids=["full-6x6", "ragged-disc"],
+)
+def test_read_returns_written_tessellation(tmp_path, points, target, b):
+    tess = build_tessellation(points(), target)
+    assert tess.b == b
+    op = synthetic_ublr(make_synthetic_spec(tess, 3, RandomStream(2)))
+    rep, _ = compress(op, tess, 3, "A3", stream=RandomStream(1), compute_error=False)
+    path, again = tmp_path / "rep.ublr", tmp_path / "again.ublr"
+    write_ublr(path, rep)
+    back = read_ublr(path).tess
+    assert (back.dim, back.n_points) == (tess.dim, tess.n_points)
+    assert len(back.blocks) == tess.b
+    assert all(np.array_equal(p, q) for p, q in zip(back.blocks, tess.blocks))
+    assert back.neighbor_lists == tess.neighbor_lists
+    assert np.array_equal(color_boxes(back).colors, color_boxes(tess).colors)
+    write_ublr(again, read_ublr(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_magic_validation(tmp_path):
@@ -97,6 +133,28 @@ def _neighbour_out_of_range(tess):
     tess["neighbors"][0][0] = tess["b"] + 1  # 9 has one digit, as has every id in 1..8
 
 
+# the fixture is a row of 8 boxes: block 1 lists [1, 2], block 2 [1, 2, 3]
+def _neighbour_not_an_id(tess):
+    tess["neighbors"][0] = [1.5]
+
+
+def _neighbours_unsorted(tess):
+    tess["neighbors"][1] = [2, 1, 3]
+
+
+def _neighbours_lack_self(tess):
+    tess["neighbors"][1] = [1, 3, 4]
+
+
+def _neighbours_asymmetric(tess):
+    tess["neighbors"][0] = [1, 3]  # block 3 does not list block 1
+
+
+def _colors_swapped(tess):
+    colors = tess["colors"]
+    colors[0], colors[1] = colors[1], colors[0]
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -108,9 +166,21 @@ def _neighbour_out_of_range(tess):
          "tessellation: blocks do not partition the point ids 1..128"),
         (lambda raw: _edit_tessellation(raw, _neighbour_out_of_range),
          "tessellation: neighbour lists are not 8 lists of block ids in 1..8"),
+        (lambda raw: _edit_tessellation(raw, _neighbour_not_an_id),
+         "tessellation: neighbour lists are not 8 lists of block ids in 1..8"),
+        (lambda raw: _edit_tessellation(raw, _neighbours_unsorted),
+         "tessellation: neighbour list of block 2 is not strictly increasing"),
+        (lambda raw: _edit_tessellation(raw, _neighbours_lack_self),
+         "tessellation: neighbour list of block 2 lacks block 2"),
+        (lambda raw: _edit_tessellation(raw, _neighbours_asymmetric),
+         "tessellation: block 1 lists block 3, but not the reverse"),
+        (lambda raw: _edit_tessellation(raw, _colors_swapped),
+         "tessellation: stored colors differ from the distance-2 coloring"),
     ],
     ids=["header-b", "truncated", "trailing-bytes", "repeated-pair",
-         "blocks-not-a-partition", "neighbour-out-of-range"],
+         "blocks-not-a-partition", "neighbour-out-of-range", "neighbour-not-an-id",
+         "neighbours-unsorted", "neighbours-lack-self", "neighbours-asymmetric",
+         "colors-differ"],
 )
 def test_inconsistent_container_named_error(compressed, tmp_path, corrupt, field):
     _, rep = compressed

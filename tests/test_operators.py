@@ -248,7 +248,7 @@ class TestThinSlabSchur:
         op, pts = thin_slab_schur_operator(32, 32, 10)
         assert pts.n == 1024
         tess = build_tessellation(pts, 16)
-        assert tess.full_grid
+        assert tess.b == 16
         assert tess.block_sizes.min() == tess.block_sizes.max() == 64
 
     def test_interior_resonance_reported(self):

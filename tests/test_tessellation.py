@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ublr import (
     PointCloud,
@@ -51,10 +53,12 @@ class TestBuildTessellation:
         assert len(tess.neighbor_lists[0]) == 2 < 3
 
     def test_interior_box_2d(self):
-        tess = build_tessellation(grid_points(8, 2), 16)  # 4x4 boxes, 2x2 pts each
+        pts = grid_points(8, 2)
+        tess = build_tessellation(pts, 16)  # 4x4 boxes, 2x2 pts each
+        cells = [(pts.coords[tess.blocks[i][0]] * 4).astype(int) for i in range(tess.b)]
         interior = [
             i for i in range(tess.b)
-            if np.all(tess.grid_coords[i] >= 1) and np.all(tess.grid_coords[i] <= 2)
+            if np.all(cells[i] >= 1) and np.all(cells[i] <= 2)
         ]
         assert interior
         for i in interior:
@@ -71,7 +75,6 @@ class TestBuildTessellation:
         coords = np.linspace(0.0, 0.45, 30).reshape(-1, 1)
         tess = build_tessellation(PointCloud(coords, 1), 8)
         assert tess.b == 4
-        assert not tess.full_grid
         check_tessellation_invariants(tess)
 
     def test_point_at_upper_boundary(self):
@@ -99,7 +102,7 @@ class TestBuildTessellation:
 
     def test_json_serialization_one_based(self):
         tess = build_tessellation(grid_points(4, 1), 4)
-        data = tess.to_json_dict(colors=color_boxes(tess).colors)
+        data = tess.to_json_dict()
         assert data["dim"] == 1 and data["b"] == 4
         assert data["blocks"][0][0] == 1  # 1-based indices
         assert min(min(n) for n in data["neighbors"]) == 1
@@ -164,5 +167,64 @@ class TestColorBoxes:
             (np.linspace(0, 0.3, 20), np.linspace(0.7, 1.0, 20))
         ).reshape(-1, 1)
         tess = build_tessellation(PointCloud(coords, 1), 16)
-        assert not tess.full_grid
+        assert tess.b < 16
         check_coloring(tess, color_boxes(tess))
+
+
+def greedy_distance2_reference(tess):
+    # O(b^2) greedy in block-id order: box i takes the smallest color of no
+    # earlier box whose neighbor list meets its own
+    neighbor_sets = [set(nbrs) for nbrs in tess.neighbor_lists]
+    colors = np.full(tess.b, -1, dtype=int)
+    for i in range(tess.b):
+        taken = {
+            colors[j]
+            for j in range(tess.b)
+            if j != i and colors[j] >= 0 and neighbor_sets[i] & neighbor_sets[j]
+        }
+        c = 0
+        while c in taken:
+            c += 1
+        colors[i] = c
+    return colors
+
+
+def mod3_reference(cells, d):
+    # full grids: per-axis cell coordinate modulo 3, colors numbered in
+    # ascending order of the base-3 code
+    raw = np.zeros(len(cells), dtype=int)
+    for axis in range(d):
+        raw = raw * 3 + (cells[:, axis] % 3)
+    return np.unique(raw, return_inverse=True)[1]
+
+
+@st.composite
+def clustered_points(draw):
+    """(points, per_axis): a few clusters of points, so that grid cells can be
+    empty, plus optionally one point at every cell centre (a full grid)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    per_axis = draw(st.integers(2, {1: 20, 2: 8, 3: 5}[d]))
+    centres = draw(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * d), min_size=1, max_size=4))
+    radius = draw(st.floats(0.0, 0.3))
+    seed = draw(st.integers(0, 2**31))
+    offsets = RandomStream(seed).uniform(len(centres) * 20, d) * 2 * radius - radius
+    coords = np.repeat(np.asarray(centres), 20, axis=0) + offsets
+    if draw(st.booleans()):
+        coords = np.vstack([coords, grid_points(per_axis, d).coords])
+    return PointCloud(np.clip(coords, 0.0, 1.0), d), per_axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_points())
+def test_coloring_matches_references(case):
+    pts, per_axis = case
+    d = pts.dim
+    tess = build_tessellation(pts, per_axis**d)
+    check_tessellation_invariants(tess)
+    coloring = color_boxes(tess)
+    check_coloring(tess, coloring)
+    assert np.array_equal(coloring.colors, greedy_distance2_reference(tess))
+    if tess.b == per_axis**d:
+        first = pts.coords[[blk[0] for blk in tess.blocks]]
+        cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
+        assert np.array_equal(coloring.colors, mod3_reference(cells, d))
