@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomStream, col_basis, gaussian, null_basis
+from .linalg import RandomStream, col_basis, gaussian, null_basis, project_out
 from .operators import LinearOperatorHandle
 from .tagging import TaggingMatrix, TaggingPlan
 from .tessellation import Tessellation
@@ -29,40 +29,41 @@ from .tessellation import Tessellation
 
 @dataclass
 class SketchBundle:
-    """Test matrices and sketches kept around for reuse in reconstruction.
+    """What step I hands on to the type-B steps; no n x s sketch is kept.
 
-    Block nullification built with right_inverses=True also keeps, per block
-    i with neighbor stack B_i = omega[N_i, :], the projected right-inverse
-    rows (I - U_i U_i*) y_i B_i^+ (m_i x |N_i|, columns in neighbor order),
-    the same rows from z, psi[N_i, :] and V_i, and each stack's condition
-    estimate. Only these rows are stored, never the QR factors they came from.
+    Type-B bundles hold, per block i with neighbour test rows
+    B_i = Omega(N_i, :), the projected right-inverse rows
+    (I - U_i U_i*) Y_i B_i^+ (y_rinv[i], m_i x sum_{j in N_i} m_j, neighbour
+    j's m_j columns in neighbour order), the same rows from the adjoint
+    sketch, Psi(N_i, :) and V_i (z_rinv[i]), and U_i* Y_i (uy[i], k_i x s).
+    These rows are near-field sized. Block nullification builds them with
+    right_inverses=True, B_i^+ from the QR of each stack, and also keeps each
+    stack's condition estimate; tagging builds them when called with
+    group_cols, B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
 
     Only block nullification keeps omega and psi. Tagging keeps neither: its
-    test matrices are fixed by the plan's T and the per-block g_blocks and
-    h_blocks, so test_rows rebuilds block j's rows of omega on demand. Naive
-    bundles keep no array at all; their sketches go into the bases in step I.
+    test matrix is fixed by the plan's T and the per-block g_blocks, so
+    test_rows rebuilds block j's rows of omega on demand. Naive bundles keep
+    no array at all; their sketches go into the bases in step I.
 
     After step I, type A reads no field. Type B's step III reads y_rinv,
-    z_rinv and stack_conds (B1), or y, z, plan, g_blocks, h_blocks and
-    group_cols (B2); its step II reads y, s and test_rows (omega for B1,
-    plan and g_blocks for B2). compress releases psi after step I, z, h_blocks
-    and the right-inverse rows after step III (B1 drops z after step I), and
-    the bundle after step II.
+    z_rinv and, for B1, stack_conds; its step II reads uy, s and test_rows
+    (omega for B1, plan and g_blocks for B2). compress releases psi after
+    step I, the right-inverse rows after step III, and the bundle after
+    step II.
     """
 
     omega: np.ndarray | None  # (n, s); block nullification only
     psi: np.ndarray | None  # (n, s); block nullification only
-    y: np.ndarray | None  # A @ omega; None from naive_bases
-    z: np.ndarray | None  # A* @ psi; None from naive_bases
     s: int
     tess: Tessellation
     plan: TaggingPlan | None = None  # tagging: each block's one QR of T(N_i, :)*, Z_i and W_i
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
-    h_blocks: list | None = None
     group_cols: int | None = None  # columns per tagging group
-    y_rinv: list | None = None  # (I - U_i U_i*) y_i B_i^+ per block (bn)
-    z_rinv: list | None = None  # (I - V_i V_i*) z_i (psi[N_i, :])^+ per block
-    stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block
+    y_rinv: list | None = None  # (I - U_i U_i*) Y_i B_i^+ per block (type B)
+    z_rinv: list | None = None  # (I - V_i V_i*) Z_i (Psi(N_i, :))^+ per block
+    uy: list | None = None  # U_i* Y_i per block, k_i x s (type B)
+    stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block (bn)
 
     def test_rows(self, j: int) -> np.ndarray:
         """Block j's rows of omega, (m_j, s): a copy of the slice when the
@@ -143,8 +144,9 @@ def block_nullification_bases(
 
     With right_inverses (the type-B path), the QR of each neighbor stack
     that yields its null basis also yields the stack's right inverse, and
-    the bundle keeps the projected right-inverse rows and condition
-    estimates described on SketchBundle. The bases do not depend on it.
+    the bundle keeps the projected right-inverse rows, U_i* Y_i and the
+    condition estimates described on SketchBundle. The bases do not depend
+    on it. The sketches y and z go when this returns.
     """
     r = k + p
     s = block_nullification_width(tess, r)
@@ -166,26 +168,29 @@ def block_nullification_bases(
         for i in range(tess.b)
     ]
 
-    u_blocks, v_blocks, y_rinv, z_rinv, conds = [], [], [], [], []
-    for i, pair in enumerate(factors):
-        rows = tess.blocks[i]
+    u_blocks, v_blocks, y_rinv, z_rinv, uy, conds = [], [], [], [], [], []
+    for i, rows in enumerate(tess.blocks):
+        pair, factors[i] = factors[i], None  # each block's factors go once used
         if not right_inverses:
             pair = [(proj, None, None) for proj in pair]
         (proj_u, rinv_u, cond_u), (proj_v, rinv_v, cond_v) = pair
-        u_blocks.append(_basis_or_identity(y[rows, :] @ proj_u, k))
+        y_rows = y[rows, :]
+        u_blocks.append(_basis_or_identity(y_rows @ proj_u, k))
         v_blocks.append(_basis_or_identity(z[rows, :] @ proj_v, k))
         if right_inverses:  # Y B^+ becomes (I - U U*) Y B^+ in place
             rinv_u -= u_blocks[-1] @ (u_blocks[-1].T @ rinv_u)
             rinv_v -= v_blocks[-1] @ (v_blocks[-1].T @ rinv_v)
             y_rinv.append(rinv_u)
             z_rinv.append(rinv_v)
+            uy.append(u_blocks[-1].T @ y_rows)
             conds.append((cond_u, cond_v))
     ranks = [u.shape[1] for u in u_blocks]
 
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
-    bundle = SketchBundle(omega=omega, psi=psi, y=y, z=z, s=s, tess=tess)
+    bundle = SketchBundle(omega=omega, psi=psi, s=s, tess=tess)
     if right_inverses:
-        bundle.y_rinv, bundle.z_rinv, bundle.stack_conds = y_rinv, z_rinv, np.array(conds)
+        bundle.y_rinv, bundle.z_rinv, bundle.uy = y_rinv, z_rinv, uy
+        bundle.stack_conds = np.array(conds)
     return bases, bundle
 
 
@@ -219,41 +224,80 @@ def tagging_bases(
     group_cols defaults to k + p; the type-B pipeline passes m + p so that the
     per-block test blocks admit right inverses. With extra_samples, every
     column of the plan's null basis Z_i contributes its own combined sample
-    and the samples are concatenated before the column basis. Each test
-    matrix goes straight into its oracle call; the bundle keeps the G_i and
-    H_i they are built from (see SketchBundle.test_rows).
+    and the samples are concatenated before the column basis.
+
+    One side at a time, adjoint first: its test matrix goes straight into
+    its oracle call, and its sketch goes once its bases are taken, before the
+    other side's test matrix is assembled. The bundle keeps the G_i that
+    Omega is built from (see SketchBundle.test_rows). With group_cols (type
+    B), every G_j^+ and H_j^+ is factored before the first oracle call, and
+    each side also leaves the projected right-inverse rows of SketchBundle,
+    the forward side U_i* Y_i too; the H_j and H_j^+ go with the adjoint
+    sketch.
     """
     r = k + p
     gc = r if group_cols is None else group_cols
     T = plan.matrix
 
-    g_blocks = [
-        gaussian(len(tess.blocks[i]), gc, stream.child(0, i)) for i in range(tess.b)
-    ]
-    h_blocks = [
-        gaussian(len(tess.blocks[i]), gc, stream.child(1, i)) for i in range(tess.b)
-    ]
-    y = op.apply(assemble_tagging_test_matrix(tess, T, g_blocks, gc))
-    z = op.apply_adjoint(assemble_tagging_test_matrix(tess, T, h_blocks, gc))
+    g_blocks, h_blocks = (
+        [gaussian(len(rows), gc, stream.child(side, i)) for i, rows in enumerate(tess.blocks)]
+        for side in (0, 1)
+    )
+    g_pinv = h_pinv = None
+    if group_cols is not None:
+        # every LAPACK call before numpy's products (see block_nullification_bases)
+        g_pinv = [null_basis(g, 0, rows=np.eye(gc))[1] for g in g_blocks]
+        h_pinv = [null_basis(h, 0, rows=np.eye(gc))[1] for h in h_blocks]
 
-    u_blocks, v_blocks, ranks = [], [], []
-    for i in range(tess.b):
-        rows = tess.blocks[i]
-        vectors = plan.null_bases[i].T if extra_samples else [plan.null_vectors[i].vector]
-        u_blocks.append(
-            _basis_or_identity(_combined_sample(y[rows, :], vectors, gc), k)
-        )
-        v_blocks.append(
-            _basis_or_identity(_combined_sample(z[rows, :], vectors, gc), k)
-        )
-        ranks.append(u_blocks[-1].shape[1])
+    def one_side(apply, test_blocks, pinv_blocks, with_uy=False):
+        """(bases, right-inverse rows, bases* sketch rows) of one side; the
+        rows are None without pinv_blocks, the last also without with_uy.
+        Column p of W_i tags neighbour p with 1 and the others with 0, so
+        one contraction of block i's sketch groups with W_i isolates every
+        neighbour."""
+        sketch = apply(assemble_tagging_test_matrix(tess, T, test_blocks, gc))
+        bases, rinv, basis_rows = [], None, None
+        if pinv_blocks is not None:
+            rinv = _views([(len(rows), tess.neighbor_row_count(i))
+                           for i, rows in enumerate(tess.blocks)])
+        if with_uy:
+            basis_rows = _views([(min(k, len(rows)), sketch.shape[1]) for rows in tess.blocks])
+        for i, rows in enumerate(tess.blocks):
+            block_rows = sketch[rows, :]
+            vectors = plan.null_bases[i].T if extra_samples else [plan.null_vectors[i].vector]
+            bases.append(_basis_or_identity(_combined_sample(block_rows, vectors, gc), k))
+            if pinv_blocks is None:
+                continue
+            groups = block_rows.reshape(len(rows), -1, gc)
+            comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
+            comb = project_out(bases[-1], comb.reshape(len(rows), -1))
+            np.concatenate([comb[:, q * gc:(q + 1) * gc] @ pinv_blocks[j]
+                            for q, j in enumerate(tess.neighbor_lists[i])], axis=1, out=rinv[i])
+            if with_uy:
+                np.matmul(bases[-1].T, block_rows, out=basis_rows[i])
+        return bases, rinv, basis_rows
 
+    v_blocks, z_rinv, _ = one_side(op.apply_adjoint, h_blocks, h_pinv)
+    del h_blocks, h_pinv
+    u_blocks, y_rinv, uy = one_side(op.apply, g_blocks, g_pinv, with_uy=group_cols is not None)
+
+    ranks = [u.shape[1] for u in u_blocks]
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
     bundle = SketchBundle(
-        omega=None, psi=None, y=y, z=z, s=T.n_cols * gc, tess=tess,
-        plan=plan, g_blocks=g_blocks, h_blocks=h_blocks, group_cols=gc,
+        omega=None, psi=None, s=T.n_cols * gc, tess=tess, plan=plan,
+        g_blocks=g_blocks, group_cols=gc, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
     )
     return bases, bundle
+
+
+def _views(shapes: list) -> list:
+    """2-D arrays of the given shapes, as views into one new buffer: one
+    large allocation goes back to the OS when its last view goes, where
+    many block-sized ones leave holes in the heap."""
+    sizes = [rows * cols for rows, cols in shapes]
+    buffer = np.empty(sum(sizes))
+    offs = np.cumsum([0] + sizes)
+    return [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(offs[:-1], offs[1:], shapes)]
 
 
 def _combined_sample(sketch_rows: np.ndarray, vectors: list, group_cols: int) -> np.ndarray:
@@ -298,5 +342,5 @@ def naive_bases(
     ranks = [u.shape[1] for u in u_blocks]
 
     bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
-    bundle = SketchBundle(omega=None, psi=None, y=None, z=None, s=tess.b * r, tess=tess)
+    bundle = SketchBundle(omega=None, psi=None, s=tess.b * r, tess=tess)
     return bases, bundle

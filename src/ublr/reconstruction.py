@@ -14,10 +14,12 @@ reconstruction families fills in C and B:
   (I - U_i U_i*) Y_i Omega(N_i, :)^+ and its adjoint-side twin (no new
   matvecs), then C from a least-squares solve against the same test
   matrix, augmented with extra Gaussian columns when the bundle is too
-  narrow. B1 and B2 compute the same quantity and differ only in how the
-  right inverse Omega(N_i, :)^+ is formed: block nullification takes it
-  from the QR of the Gaussian stack its step I already computed; tagging
-  uses (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+), since its stack factors as
+  narrow. Step I already forms those right-inverse rows, and U_i* Y_i for
+  step II, so no n x s sketch outlives it: step III only slices the rows.
+  B1 and B2 differ only in how step I forms the right inverse
+  Omega(N_i, :)^+: block nullification takes it from the QR of the
+  Gaussian stack that also gives the null basis; tagging uses
+  (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+), since its stack factors as
   blkdiag(G_k) (T(N_i, :) kron I_gc). Every right inverse is Q_1 R_1^-*
   from linalg.null_basis's QR of the full-row-rank matrix.
 
@@ -28,9 +30,9 @@ U* B X, which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
 Products with identities are not formed: ``direct_core`` writes each V_i
 into block-diagonal V, and type A's step III places each V_j* in its
 color's probe columns and applies U_i only to the slices read as B_ij.
-Both type-B step-III variants build B_ij = row_ij + U_i U_i* col_ij in one
-pass over the near pairs; they differ only in where the two terms come
-from.
+Both type-B step-III variants build B_ij = row_ij + U_i U_i* col_ij from
+the same slices of the bundle's rows; B1 also warns on ill-conditioned
+neighbour stacks.
 
 ``compress`` calls every step through its module-level name at call time,
 so a profiler can rebind those names in this module to time each step.
@@ -61,8 +63,7 @@ from .linalg import (
     estimate_spectral_norm,
     gaussian,
     null_basis,
-    project_out,
-    pseudo_inverse,
+    pseudo_inverse,  # no step calls it; kept a global for perfbench/tracer.py to rebind
 )
 from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
 from .tagging import TaggingPlan, plan_tagging
@@ -163,14 +164,18 @@ def relative_error(
     method with the given iteration count."""
     if stream is None:
         stream = RandomStream(0)
-    if op.shape != rep.shape:
-        raise ValueError(f"shape mismatch: {op.shape} vs {rep.shape}")
-    diff = DifferenceOperator(op, rep)
-    numerator = estimate_spectral_norm(diff, iterations, stream.child(0))
-    denominator = estimate_spectral_norm(op, iterations, stream.child(1))
+    numerator, denominator = _error_norms(op, rep, iterations, stream)
     if denominator == 0.0:
         raise ValueError("operator norm estimate is zero")
     return numerator / denominator
+
+
+def _error_norms(op, rep, iterations, stream):
+    """(||A - A_compressed||, ||A||) estimates, as relative_error takes them."""
+    if op.shape != rep.shape:
+        raise ValueError(f"shape mismatch: {op.shape} vs {rep.shape}")
+    numerator = estimate_spectral_norm(DifferenceOperator(op, rep), iterations, stream.child(0))
+    return numerator, estimate_spectral_norm(op, iterations, stream.child(1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +260,33 @@ def structured_identity_discrepancy(
 _DENOM_RTOL = 1e-10
 # cond(R) estimate above which B1's neighbour stacks and pinv_core's V* Omega warn
 _COND_LIMIT = 1e8
+_TYPE_B_BUNDLE = ("build it with block_nullification_bases(..., right_inverses=True) "
+                  "or tagging_bases(..., group_cols=m + p)")
 
 
-def _near_field_from_pairs(tess: Tessellation, bases: BlockBases, block_terms) -> dict:
+def _near_field_from_pairs(bundle: SketchBundle, bases: BlockBases) -> dict:
     """B_ij = row_ij + U_i U_i* col_ij over every near pair, with
     row_ij = (I - U_i U_i*) A_ij and col_ij = A_ij (I - V_j V_j*).
 
-    block_terms(i) yields row_ij and col_ji for each j in N_i, in order,
-    both read from block i's sketch rows, so one pass over the pairs
-    (i, j in N_i) computes every term once. B_ij is formed as soon as both
-    of its terms exist, so only terms still waiting for their partner are
-    held.
+    Block i's right-inverse rows hold, in neighbour order, m_j columns per
+    neighbour j: row_ij in y_rinv[i] and col_ji* in z_rinv[i]. Raises
+    ValueError when step I left no such rows.
     """
-    out, rows, cols = {}, {}, {}
-    for i in range(tess.b):
-        for j, (row, col) in zip(tess.neighbor_lists[i], block_terms(i)):
-            rows[(i, j)], cols[(j, i)] = row, col
-            for pair in ((i, j), (j, i)):
-                if pair in rows and pair in cols:
-                    u = bases.u_blocks[pair[0]]
-                    out[pair] = rows.pop(pair) + u @ (u.T @ cols.pop(pair))
+    if bundle.y_rinv is None:
+        raise ValueError(f"bundle has no right-inverse rows; {_TYPE_B_BUNDLE}")
+    tess = bundle.tess
+
+    def by_neighbour(rinv, i):  # neighbour j -> its columns of block i's rows
+        nbrs = tess.neighbor_lists[i]
+        bounds = np.cumsum([0] + [len(tess.blocks[j]) for j in nbrs])
+        return {j: rinv[i][:, lo:hi] for j, lo, hi in zip(nbrs, bounds[:-1], bounds[1:])}
+
+    rows = [by_neighbour(bundle.y_rinv, i) for i in range(tess.b)]
+    cols = [by_neighbour(bundle.z_rinv, j) for j in range(tess.b)]
+    out = {}
+    for i, u in enumerate(bases.u_blocks):
+        for j in tess.neighbor_lists[i]:
+            out[(i, j)] = rows[i][j] + u @ (u.T @ cols[j][i].T)
     return out
 
 
@@ -289,25 +301,14 @@ def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     Warns for every stack whose condition estimate, LAPACK's 1-norm
     estimate of cond(R), exceeds _COND_LIMIT. Costs no extra matvecs.
     """
-    if bundle.y_rinv is None:
-        raise ValueError(
-            "bundle has no right-inverse rows; build it with "
-            "block_nullification_bases(..., right_inverses=True)"
-        )
-    tess = bundle.tess
+    b_blocks = _near_field_from_pairs(bundle, bases)
     for side, col in (("", 0), ("adjoint ", 1)):
         for i in np.flatnonzero(bundle.stack_conds[:, col] > _COND_LIMIT):
             warnings.warn(
                 f"block {i}: neighbor {side}test-matrix stack has condition "
                 f"{bundle.stack_conds[i, col]:.2e} (LAPACK 1-norm estimate of cond(R))"
             )
-
-    def block_terms(i):  # block j's columns of block i's neighbor stack
-        bounds = np.cumsum([0] + [len(tess.blocks[j]) for j in tess.neighbor_lists[i]])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield bundle.y_rinv[i][:, lo:hi], bundle.z_rinv[i][:, lo:hi].T
-
-    return _near_field_from_pairs(tess, bases, block_terms)
+    return b_blocks
 
 
 def b2_denominators_ok(plan: TaggingPlan) -> bool:
@@ -332,32 +333,11 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     (W_i kron I_gc) blkdiag(G_k^+) is a right inverse of them. As in B1,
     (I - U_i U_i*) Y_i times it is (I - U_i U_i*) A(I_i, N_i) up to
     far-field leakage, and Z_i with the H_k gives A(N_i, I_i) (I - V_i V_i*).
-    Column p of W_i tags neighbour p with 1 and the others with 0, so one
-    contraction of block i's sketch groups with W_i isolates every
-    neighbour, projected once per side. W_i comes from the plan. Costs no
-    extra matvecs beyond the step-I bundle.
+    tagging_bases with group_cols already formed both products, so this
+    step only slices and combines them. Costs no extra matvecs beyond the
+    step-I bundle.
     """
-    tess = bundle.tess
-    gc = bundle.group_cols
-    # every LAPACK call before numpy's products (see block_nullification_bases)
-    g_pinv = [pseudo_inverse(g) for g in bundle.g_blocks]
-    h_pinv = [pseudo_inverse(h) for h in bundle.h_blocks]
-
-    def block_terms(i):
-        rows = tess.blocks[i]
-
-        def combined(basis, sketch):  # neighbour p's rows in columns p*gc:(p+1)*gc
-            groups = sketch[rows, :].reshape(len(rows), -1, gc)
-            comb = np.einsum("mlg,lp->mpg", groups, bundle.plan.right_inverses[i], optimize=True)
-            return project_out(basis, comb.reshape(len(rows), -1))
-
-        y_comb = combined(bases.u_blocks[i], bundle.y)
-        z_comb = combined(bases.v_blocks[i], bundle.z)
-        for p, j in enumerate(tess.neighbor_lists[i]):
-            cols = slice(p * gc, (p + 1) * gc)
-            yield y_comb[:, cols] @ g_pinv[j], (z_comb[:, cols] @ h_pinv[j]).T
-
-    return _near_field_from_pairs(tess, bases, block_terms)
+    return _near_field_from_pairs(bundle, bases)
 
 
 def pinv_core(
@@ -375,36 +355,38 @@ def pinv_core(
     type-B path. Omega is read one block's rows at a time through
     bundle.test_rows, with the extra columns appended, and each block's rows
     are built once: they give V_j* Omega_j and every term (U_i* B_ij) Omega_j.
-    U*(Y - B Omega) is formed one block row at a time as
-    U_i* Y_i - sum_j (U_i* B_ij) Omega_j, with the j in ascending order:
-    U_i* goes on first, so each pair costs k/m_j of B_ij Omega_j's flops and
-    no n x s or m_i x s temporary is made. The right inverse comes from
+    U*(Y - B Omega) starts from step I's U_i* Y_i (bundle.uy), with the
+    extra columns' U_i* Y_i beside it, and takes off
+    sum_j (U_i* B_ij) Omega_j one block row at a time, with the j in
+    ascending order: U_i* goes on first, so each pair costs k/m_j of
+    B_ij Omega_j's flops and no n x s or m_i x s temporary is made. The
+    right inverse comes from
     null_basis's QR of (V* Omega)*, which also estimates cond(R): above
     _COND_LIMIT it warns, and an exactly rank-deficient V* Omega raises
     np.linalg.LinAlgError (dtrtrs). Returns (core, columns_added).
     """
+    if bundle.uy is None:
+        raise ValueError(f"bundle has no U_i* Y_i rows; {_TYPE_B_BUNDLE}")
     tess = bundle.tess
     extra = max(0, bases.total_rank + p - bundle.s)
-    om_extra = y_extra = None
+    lhs = np.vstack(bundle.uy)
+    om_extra = None
     if extra:
         om_extra = gaussian(tess.n_points, extra, stream)
-        y_extra = op.apply(om_extra)
+        lhs = np.hstack((lhs, stack_t(bases.u_blocks, tess, op.apply(om_extra))))
 
-    def widened(block_rows, extra_cols, j):  # block j's rows of [sketch | extra]
-        if extra_cols is None:
+    def widened(block_rows, j):  # block j's rows of [Omega | extra]
+        if om_extra is None:
             return block_rows
-        return np.hstack((block_rows, extra_cols[tess.blocks[j]]))
+        return np.hstack((block_rows, om_extra[tess.blocks[j]]))
 
     readers = {}  # block j -> the row blocks i with a B_ij, ascending
     for i, j in sorted(b_blocks):
         readers.setdefault(j, []).append(i)
     offs = bases.rank_offsets()
-    lhs = np.empty((offs[-1], bundle.s + extra))
     v_omega = np.empty_like(lhs)
-    for i, u in enumerate(bases.u_blocks):
-        lhs[offs[i]:offs[i + 1]] = u.T @ widened(bundle.y[tess.blocks[i]], y_extra, i)
     for j, v in enumerate(bases.v_blocks):
-        omega_j = widened(bundle.test_rows(j), om_extra, j)
+        omega_j = widened(bundle.test_rows(j), j)
         v_omega[offs[j]:offs[j + 1]] = v.T @ omega_j
         for i in readers.get(j, ()):
             lhs[offs[i]:offs[i + 1]] -= (bases.u_blocks[i].T @ b_blocks[(i, j)]) @ omega_j
@@ -495,13 +477,16 @@ def compress(
 
     Each step-I array lives only while a later step reads it (see
     SketchBundle). Within step I, block nullification holds omega, psi, y
-    and z; tagging holds y, psi and z, as each test matrix goes when its
-    oracle call returns; naive holds one side's probe and sketch at a time.
-    Type A drops the bundle after step I. Type B drops psi after step I and
-    z and h_blocks after step III (B1 drops z already after step I, as its
-    step III reads y_rinv and z_rinv instead, which go after step III). Step
-    II reads y and block rows of omega: B1 keeps omega, B2 rebuilds the rows
-    from the plan and g_blocks.
+    and z; tagging and naive hold one side's test matrix and sketch at a
+    time, and type-B tagging also the adjoint side's right-inverse rows. No
+    sketch outlives step I. Type A drops the bundle after step I. Type B
+    drops psi after step I, and the right-inverse rows after step III. Step
+    II reads U_i* Y_i and block rows of omega: B1 keeps omega, B2 rebuilds
+    the rows from the plan and g_blocks.
+
+    A compute_error estimate of ||A|| that reads zero leaves
+    report.relative_error None, with a UserWarning, and the representation
+    is still returned.
 
     Raises ConfigError before the first oracle call for an unknown id, a
     keyword given other than at its default to an id that does not take
@@ -563,14 +548,12 @@ def compress(
             )
     else:
         bundle.psi = None
-        if basis == "bn":  # B1's step III reads y_rinv and z_rinv instead
-            bundle.z = None
         with step("III"):
             if basis == "bn":
                 b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
-        bundle.z = bundle.h_blocks = bundle.y_rinv = bundle.z_rinv = None
+        bundle.y_rinv = bundle.z_rinv = None
         with step("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
         del bundle
@@ -579,7 +562,12 @@ def compress(
 
     rel = None
     if compute_error:
-        rel = relative_error(op, rep, error_iterations, stream.child(9))
+        numerator, denominator = _error_norms(op, rep, error_iterations, stream.child(9))
+        if denominator == 0.0:
+            warnings.warn(f"no relative error: the operator norm estimate is zero "
+                          f"(absolute error estimate {numerator:.3g})")
+        else:
+            rel = numerator / denominator
 
     aspect = None
     if plan is not None:

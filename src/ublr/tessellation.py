@@ -10,6 +10,7 @@ that was built; the grid itself is not kept.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,8 +143,9 @@ def build_tessellation(points: PointCloud, target_block_count: int) -> Tessellat
     """Partition points into a regular grid of target_block_count boxes.
 
     target_block_count must be a d-th power; empty cells are dropped and
-    block ids reindexed. Neighbor lists are computed from grid coordinates
-    before dropping, then restricted to surviving boxes.
+    block ids reindexed. Each box's neighbors are looked up among its 3^d
+    grid cells through an index from cell to block id, so the build is
+    O(b 3^d) and empty cells yield no neighbor.
     """
     d = points.dim
     per_axis = _per_axis_count(target_block_count, d)
@@ -160,11 +162,20 @@ def build_tessellation(points: PointCloud, target_block_count: int) -> Tessellat
     groups = np.split(order, boundaries)
 
     blocks = [np.sort(g) for g in groups]
-    cells = cell_of_point[[g[0] for g in groups]]  # (b, d) grid coordinates
-    neighbor_lists = [
-        np.flatnonzero(np.abs(cells - cell).max(axis=1) <= 1).tolist()
-        for cell in cells
-    ]
+    firsts = [g[0] for g in groups]
+    cells = cell_of_point[firsts]  # (b, d) grid coordinates
+    # each box's 3^d candidate cells are looked up, not compared with all b
+    block_of_cell = np.full(per_axis**d, -1)
+    block_of_cell[flat[firsts]] = np.arange(len(groups))
+    found = []
+    for offset in itertools.product((-1, 0, 1), repeat=d):
+        shifted = cells + offset
+        inside = ((shifted >= 0) & (shifted < per_axis)).all(axis=1)
+        ids = np.full(len(groups), -1)
+        ids[inside] = block_of_cell[np.ravel_multi_index(shifted[inside].T, (per_axis,) * d)]
+        found.append(ids)
+    found = np.sort(np.column_stack(found), axis=1)
+    neighbor_lists = [row[row >= 0].tolist() for row in found]
     return Tessellation(
         dim=d, n_points=points.n, blocks=blocks, neighbor_lists=neighbor_lists
     )

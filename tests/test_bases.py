@@ -262,16 +262,19 @@ class TestBlockNullificationRightInverses:
         assert bundle.stack_conds.shape == (tess.b, 2)
         assert np.all(np.isfinite(bundle.stack_conds))
         assert np.all(bundle.stack_conds >= 1.0)
+        # the bundle keeps no sketch: rebuild both from the test matrices
+        y, z = op.apply(bundle.omega), op.apply_adjoint(bundle.psi)
         for i in range(tess.b):
             rows, nbrs = tess.blocks[i], tess.neighbor_indices(i)
             sides = (
-                (bundle.y_rinv[i], bases.u_blocks[i], bundle.y, bundle.omega),
-                (bundle.z_rinv[i], bases.v_blocks[i], bundle.z, bundle.psi),
+                (bundle.y_rinv[i], bases.u_blocks[i], y, bundle.omega),
+                (bundle.z_rinv[i], bases.v_blocks[i], z, bundle.psi),
             )
             for got, basis, sketch, test in sides:
                 want = project_out(basis, sketch[rows, :]) @ np.linalg.pinv(test[nbrs, :])
                 assert got.shape == (len(rows), len(nbrs))
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(bundle.uy[i], bases.u_blocks[i].T @ y[rows])
 
     def test_a1_container_matches_keyword_off_pipeline(self, synthetic_small, tmp_path):
         op, tess, _ = synthetic_small

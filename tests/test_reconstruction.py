@@ -38,7 +38,7 @@ from ublr import (
     tagging_pinv_discrepancy,
 )
 from ublr.bases import BlockBases, SketchBundle, assemble_tagging_test_matrix, blkdiag, stack_t
-from ublr.linalg import col_basis
+from ublr.linalg import col_basis, project_out
 from ublr.reconstruction import add_near_field, b2_denominators_ok
 from ublr.tagging import DegenerateTagsError
 
@@ -282,9 +282,10 @@ class TestTypeBDiscrepancy:
         # entirely from the adjoint-side term
         op, tess, _ = uniform_synthetic(d=1, b=8, m=4, k=2, seed=3)
         bases, bundle = block_nullification_bases(op, tess, 6, 2, RandomStream(0))
+        y = op.apply(bundle.omega)
         for i in range(tess.b):
-            perp = bundle.y[tess.blocks[i], :] - bases.u_blocks[i] @ (
-                bases.u_blocks[i].T @ bundle.y[tess.blocks[i], :]
+            perp = y[tess.blocks[i], :] - bases.u_blocks[i] @ (
+                bases.u_blocks[i].T @ y[tess.blocks[i], :]
             )
             assert np.max(np.abs(perp)) <= 1e-12
 
@@ -312,6 +313,11 @@ class TestTypeBDiscrepancy:
         gc = tess.max_block_size + 6
         bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), group_cols=gc)
         T = bundle.plan.matrix.entries
+        # the bundle keeps no sketch and no H_i: rebuild them from its streams
+        h_blocks = [gaussian(len(rows), gc, RandomStream(1).child(1, i))
+                    for i, rows in enumerate(tess.blocks)]
+        y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc))
+        z = op.apply_adjoint(assemble_tagging_test_matrix(tess, plan.matrix, h_blocks, gc))
 
         def term(i, j, sketch, basis, test_block):
             nbrs = tess.neighbor_lists[i]
@@ -325,8 +331,8 @@ class TestTypeBDiscrepancy:
         big = max(snorm(v) for v in got.values())
         for i in range(tess.b):
             for j in tess.neighbor_lists[i]:
-                row = term(i, j, bundle.y, bases.u_blocks, bundle.g_blocks[j])
-                col = term(j, i, bundle.z, bases.v_blocks, bundle.h_blocks[i]).T
+                row = term(i, j, y, bases.u_blocks, bundle.g_blocks[j])
+                col = term(j, i, z, bases.v_blocks, h_blocks[i]).T
                 want = row + bases.u_blocks[i] @ (bases.u_blocks[i].T @ col)
                 assert snorm(got[(i, j)] - want) <= 1e-12 * big
 
@@ -432,9 +438,10 @@ class TestPinvCore:
         )
         s = 40  # > K + p = 34
         omega = gaussian(64, s, stream.child(3))
+        y = A @ omega
         bundle = SketchBundle(
-            omega=omega, psi=omega, y=A @ omega, z=A.T @ omega,
-            s=s, tess=tess,
+            omega=omega, psi=omega, s=s, tess=tess,
+            uy=[u.T @ y[rows] for u, rows in zip(u_blocks, tess.blocks)],
         )
         core, added = pinv_core(op, bundle, bases, {}, 10, stream.child(4))
         assert added == 0
@@ -443,9 +450,11 @@ class TestPinvCore:
     def test_augmentation_count_ledgered(self, synthetic_case):
         op, tess, _ = synthetic_case
         # K = 24; shrink the bundle so augmentation is needed
-        bases, bundle = block_nullification_bases(op, tess, 3, 10, RandomStream(1))
+        bases, bundle = block_nullification_bases(
+            op, tess, 3, 10, RandomStream(1), right_inverses=True
+        )
         bundle.omega = bundle.omega[:, :20]
-        bundle.y = bundle.y[:, :20]
+        bundle.uy = [uy[:, :20] for uy in bundle.uy]
         bundle.s = 20
         cop = CountingOperator(op)
         b_blocks = {}
@@ -475,12 +484,13 @@ class TestPinvCore:
             )
             b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             omega = bundle.omega
-        y = bundle.y
+        y = op.apply(omega)  # the bundle keeps U_i* Y_i, not Y
         if case == "augmented":  # K = 160: 40 columns leave 130 to add
-            bundle.omega, bundle.y, bundle.s = omega[:, :40], y[:, :40], 40
+            bundle.omega, bundle.s = omega[:, :40], 40
+            bundle.uy = [uy[:, :40] for uy in bundle.uy]
             om_extra = gaussian(tess.n_points, 130, RandomStream(5))
             omega = np.hstack((bundle.omega, om_extra))
-            y = np.hstack((bundle.y, op.apply(om_extra)))
+            y = np.hstack((y[:, :40], op.apply(om_extra)))
         core, added = pinv_core(op, bundle, bases, b_blocks, p, RandomStream(5))
         assert added == (130 if case == "augmented" else 0)
         b_om = add_near_field(np.zeros_like(omega), tess, b_blocks, omega)
@@ -511,6 +521,31 @@ class TestPinvCore:
         omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, bundle.group_cols)
         for j, rows in enumerate(tess.blocks):
             assert np.array_equal(bundle.test_rows(j), omega[rows])
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
+    def test_tagging_rows_are_the_sketch_formula(self, extra):
+        # step I's rows are bitwise project_out(U_i, Y_i contracted with W_i)
+        # in neighbour p's group, times G_j^+, and U_i* Y_i; the adjoint side
+        # likewise with Z, V_i and H_j^+
+        op, tess, plan, bases, bundle = self.b2_case(extra)
+        gc = bundle.group_cols
+        h_blocks = [gaussian(len(rows), gc, RandomStream(1).child(1, i))
+                    for i, rows in enumerate(tess.blocks)]
+        sides = [
+            (bundle.y_rinv, bundle.uy, bases.u_blocks, bundle.g_blocks, op.apply),
+            (bundle.z_rinv, None, bases.v_blocks, h_blocks, op.apply_adjoint),
+        ]
+        for got, got_uy, basis, test_blocks, apply in sides:
+            sketch = apply(assemble_tagging_test_matrix(tess, plan.matrix, test_blocks, gc))
+            for i, rows in enumerate(tess.blocks):
+                groups = sketch[rows, :].reshape(len(rows), -1, gc)
+                comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
+                comb = project_out(basis[i], comb.reshape(len(rows), -1))
+                want = [comb[:, p * gc:(p + 1) * gc] @ pseudo_inverse(test_blocks[j])
+                        for p, j in enumerate(tess.neighbor_lists[i])]
+                assert np.array_equal(got[i], np.hstack(want))
+                if got_uy is not None:
+                    assert np.array_equal(got_uy[i], basis[i].T @ sketch[rows])
 
     @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
     def test_tagging_core_same_with_dense_omega(self, extra):
@@ -577,15 +612,39 @@ class TestCompressMemory:
         )
         return peak / (tess.n_points * report.matvecs["I"]["A"] * 8)
 
-    # Tagging's step I holds y, psi and z (3 n s doubles) at once, since
-    # each test matrix goes when its oracle call returns and step II rebuilds
-    # Omega's block rows from the plan; nothing after step I may hold more.
-    # Before the sketch arrays were released after their last reader, these
-    # peaks were 5.73 (A3) and 7.62 (B2) n s doubles; B2's was 4.68 while
-    # it kept omega and psi, and is 3.31.
+    # B2's step I holds one side's test matrix and sketch (2 n s doubles) at
+    # a time, beside the adjoint side's right-inverse rows once its sketch
+    # has gone; step II rebuilds Omega's block rows from the plan. Before the
+    # sketch arrays were released after their last reader, these peaks were
+    # 5.73 (A3) and 7.62 (B2) n s doubles. B2's was 4.68 while it kept omega
+    # and psi, and 3.31 while y and z lived on into steps III and II; it is
+    # 2.87 since step I hands on only the rows later steps read.
     @pytest.mark.parametrize("method", ["A3", "B2"])
     def test_traced_peak_within_five_sketch_arrays(self, method):
-        assert self.traced_peak(method) < {"A3": 5, "B2": 3.6}[method]
+        assert self.traced_peak(method) < {"A3": 5, "B2": 3.1}[method]
+
+    @pytest.mark.parametrize("method", ["B1", "B2"])
+    def test_type_b_bundle_holds_no_sketch(self, method):
+        # step I hands on right-inverse rows and U_i* Y_i, never y or z: no
+        # field but block nullification's omega and psi has n rows
+        op, tess = self.memory_case()
+        if method == "B1":
+            _, bundle = block_nullification_bases(
+                op, tess, 20, 10, RandomStream(0), right_inverses=True
+            )
+        else:
+            plan = plan_tagging(tess, 0, "gaussian", RandomStream(1))
+            _, bundle = tagging_bases(
+                op, tess, 20, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10
+            )
+        assert not {"y", "z"} & set(vars(bundle))
+        assert len(bundle.uy) == len(bundle.y_rinv) == len(bundle.z_rinv) == tess.b
+        arrays = [
+            a for name, value in vars(bundle).items() if name not in ("omega", "psi")
+            for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray)
+        ]
+        assert all(a.shape[0] < tess.n_points for a in arrays)
 
     def test_a3_step_one_holds_one_probe_at_a_time(self):
         # 3.20 n s doubles, set by step III now that step I holds at most
@@ -602,7 +661,7 @@ class TestCompressMemory:
         (_, bundle), peak = self.traced(
             lambda: naive_bases(op, tess, 20, 10, RandomStream(0))
         )
-        assert bundle.y is None and bundle.z is None
+        assert bundle.omega is None and bundle.psi is None and bundle.uy is None
         assert peak / (tess.n_points * bundle.s * 8) < 2.5
 
 
@@ -716,6 +775,19 @@ class TestRelativeError:
         rep, _ = compress_type_a(zero_op, tess, 2, 4, "bn", RandomStream(1), compute_error=False)
         with pytest.raises(ValueError):
             relative_error(zero_op, rep, 5, RandomStream(2))
+
+    @pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
+    def test_zero_operator_keeps_its_representation(self, method_id):
+        # compress warns and reports no relative error; relative_error raises
+        pts = random_points(600, 2, RandomStream(0))
+        tess = build_tessellation(pts, 16)
+        op = DenseOperator(np.zeros((600, 600)))
+        with pytest.warns(UserWarning, match="operator norm estimate is zero"):
+            rep, report = compress(op, tess, 5, method_id, stream=RandomStream(1))
+        assert report.relative_error is None
+        assert np.array_equal(rep.to_dense(), np.zeros((600, 600)))
+        with pytest.raises(ValueError, match="operator norm estimate is zero"):
+            relative_error(op, rep, 5, RandomStream(2))
 
     def test_shape_mismatch_raises(self, synthetic_case):
         op, tess, _ = synthetic_case

@@ -228,3 +228,15 @@ def test_coloring_matches_references(case):
         first = pts.coords[[blk[0] for blk in tess.blocks]]
         cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
         assert np.array_equal(coloring.colors, mod3_reference(cells, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_points())
+def test_neighbor_lists_match_brute_force(case):
+    # the 3^d cell lookup against comparing every box's cell with all b cells
+    pts, per_axis = case
+    tess = build_tessellation(pts, per_axis**pts.dim)
+    first = pts.coords[[blk[0] for blk in tess.blocks]]
+    cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
+    want = [np.flatnonzero(np.abs(cells - cell).max(axis=1) <= 1).tolist() for cell in cells]
+    assert tess.neighbor_lists == want
