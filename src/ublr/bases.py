@@ -57,7 +57,7 @@ class SketchBundle:
     psi: np.ndarray | None  # (n, s); block nullification only
     s: int
     tess: Tessellation
-    plan: TaggingPlan | None = None  # tagging: each block's one QR of T(N_i, :)*, Z_i and W_i
+    plan: TaggingPlan | None = None  # tagging: T, the null vectors and each W_i = T(N_i, :)^+
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
     group_cols: int | None = None  # columns per tagging group
     y_rinv: list | None = None  # (I - U_i U_i*) Y_i B_i^+ per block (type B)
@@ -81,7 +81,11 @@ class BlockBases:
     u_blocks: list
     v_blocks: list
     rank: int
-    effective_ranks: np.ndarray
+
+    @property
+    def effective_ranks(self) -> np.ndarray:
+        """k_i, the column count of each U_i."""
+        return np.array([u.shape[1] for u in self.u_blocks], dtype=int)
 
     @property
     def total_rank(self) -> int:
@@ -184,9 +188,8 @@ def block_nullification_bases(
             z_rinv.append(rinv_v)
             uy.append(u_blocks[-1].T @ y_rows)
             conds.append((cond_u, cond_v))
-    ranks = [u.shape[1] for u in u_blocks]
 
-    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
+    bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(omega=omega, psi=psi, s=s, tess=tess)
     if right_inverses:
         bundle.y_rinv, bundle.z_rinv, bundle.uy = y_rinv, z_rinv, uy
@@ -217,14 +220,12 @@ def tagging_bases(
     plan: TaggingPlan,
     stream: RandomStream,
     group_cols: int | None = None,
-    extra_samples: bool = False,
 ) -> tuple:
     """Bases from tagged sketches: block i, group j carries t_{i,j} G_i.
 
     group_cols defaults to k + p; the type-B pipeline passes m + p so that the
-    per-block test blocks admit right inverses. With extra_samples, every
-    column of the plan's null basis Z_i contributes its own combined sample
-    and the samples are concatenated before the column basis.
+    per-block test blocks admit right inverses. Block i's sample contracts
+    its sketch groups with the plan's null vector.
 
     One side at a time, adjoint first: its test matrix goes straight into
     its oracle call, and its sketch goes once its bases are taken, before the
@@ -264,11 +265,11 @@ def tagging_bases(
             basis_rows = _views([(min(k, len(rows)), sketch.shape[1]) for rows in tess.blocks])
         for i, rows in enumerate(tess.blocks):
             block_rows = sketch[rows, :]
-            vectors = plan.null_bases[i].T if extra_samples else [plan.null_vectors[i].vector]
-            bases.append(_basis_or_identity(_combined_sample(block_rows, vectors, gc), k))
+            groups = block_rows.reshape(len(rows), -1, gc)
+            sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
+            bases.append(_basis_or_identity(sample, k))
             if pinv_blocks is None:
                 continue
-            groups = block_rows.reshape(len(rows), -1, gc)
             comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
             comb = project_out(bases[-1], comb.reshape(len(rows), -1))
             np.concatenate([comb[:, q * gc:(q + 1) * gc] @ pinv_blocks[j]
@@ -281,8 +282,7 @@ def tagging_bases(
     del h_blocks, h_pinv
     u_blocks, y_rinv, uy = one_side(op.apply, g_blocks, g_pinv, with_uy=group_cols is not None)
 
-    ranks = [u.shape[1] for u in u_blocks]
-    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
+    bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(
         omega=None, psi=None, s=T.n_cols * gc, tess=tess, plan=plan,
         g_blocks=g_blocks, group_cols=gc, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
@@ -298,12 +298,6 @@ def _views(shapes: list) -> list:
     buffer = np.empty(sum(sizes))
     offs = np.cumsum([0] + sizes)
     return [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(offs[:-1], offs[1:], shapes)]
-
-
-def _combined_sample(sketch_rows: np.ndarray, vectors: list, group_cols: int) -> np.ndarray:
-    groups = sketch_rows.reshape(sketch_rows.shape[0], -1, group_cols)
-    samples = [np.tensordot(groups, v, axes=(1, 0)) for v in vectors]
-    return np.concatenate(samples, axis=1)
 
 
 def naive_bases(
@@ -339,8 +333,7 @@ def naive_bases(
 
     u_blocks = block_bases(op.apply(probes(0)))
     v_blocks = block_bases(op.apply_adjoint(probes(1)))
-    ranks = [u.shape[1] for u in u_blocks]
 
-    bases = BlockBases(u_blocks, v_blocks, k, np.array(ranks))
+    bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(omega=None, psi=None, s=tess.b * r, tess=tess)
     return bases, bundle

@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--n", type=int, help="problem size (synthetic, laplace2d)")
     comp.add_argument("--k", type=int, default=30, help="target block rank")
     comp.add_argument("--method", default="A2", choices=sorted(METHODS))
-    comp.add_argument("--extra-samples", action="store_true",
-                      help="concatenate samples from every extra null direction")
     comp.add_argument("--synthetic-rank", type=int, help="exact far-field rank (default: k)")
     comp.add_argument("--nx", type=int, help="slab grid size in x")
     comp.add_argument("--ny", type=int, help="slab grid size in y")

@@ -151,7 +151,7 @@ def read_ublr(path) -> UniformBLR:
     b_blocks = {(i, j): take_f64(sizes[i], sizes[j]) for i, j in pairs}
     return UniformBLR(
         tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
-        core=core, b_blocks=b_blocks, effective_ranks=np.asarray(ranks, dtype=int),
+        core=core, b_blocks=b_blocks,
     )
 
 

@@ -81,7 +81,7 @@ class Method(NamedTuple):
 
 METHODS = {
     "A1": Method("A", "bn"),
-    "A2": Method("A", "tag", ("distribution", "extra_cols", "optimize", "extra_samples")),
+    "A2": Method("A", "tag", ("distribution", "extra_cols", "optimize")),
     "A3": Method("A", "naive"),
     "B1": Method("B", "bn"),
     "B2": Method("B", "tag", ("distribution", "optimize")),
@@ -103,7 +103,9 @@ class UniformBLR(BlockBases):
 
     The bases are the BlockBases fields; core is the stacked K x K matrix
     with K = sum k_i; b_blocks maps near-field pairs (i, j) to dense
-    m_i x m_j blocks. Far-field pairs are never stored.
+    m_i x m_j blocks. Far-field pairs are never stored. Raises ValueError
+    naming the factor when a block lies on a far-field pair or has the
+    wrong shape, so that write_ublr never writes what read_ublr rejects.
     """
 
     tess: Tessellation
@@ -119,6 +121,20 @@ class UniformBLR(BlockBases):
         stray = set(self.b_blocks) - near
         if stray:
             raise ValueError(f"discrepancy blocks on far-field pairs: {sorted(stray)[:4]}")
+        if len(self.u_blocks) != self.tess.b or len(self.v_blocks) != self.tess.b:
+            raise ValueError(f"{len(self.u_blocks)} U and {len(self.v_blocks)} V blocks "
+                             f"for {self.tess.b} blocks")
+        sizes, ranks = self.tess.block_sizes.tolist(), self.effective_ranks.tolist()
+        factors = [(f"{name}_{i}", blk, (sizes[i], ranks[i]))
+                   for name, blocks in (("U", self.u_blocks), ("V", self.v_blocks))
+                   for i, blk in enumerate(blocks)]
+        factors.append(("core", self.core, (sum(ranks), sum(ranks))))
+        factors += [(f"B_{i},{j}", blk, (sizes[i], sizes[j]))
+                    for (i, j), blk in sorted(self.b_blocks.items())]
+        for name, blk, shape in factors:
+            if blk.shape != shape:
+                raise ValueError(f"{name} is {' x '.join(map(str, blk.shape))}, "
+                                 f"expected {shape[0]} x {shape[1]}")
 
     @property
     def n(self) -> int:
@@ -462,7 +478,6 @@ def compress(
     distribution: str = "gaussian",
     extra_cols: int = 0,
     optimize: bool = False,
-    extra_samples: bool = False,
     compute_error: bool = True,
     error_iterations: int = 20,
 ):
@@ -473,7 +488,7 @@ def compress(
     runs II (direct core) then III (structured-identity B), type B runs III
     (B from the step-I sketches) then II (core by least squares).
     distribution and optimize shape the tagging plan of A2 and B2;
-    extra_cols and extra_samples shape A2's tagging sketch.
+    extra_cols widens A2's tagging matrix.
 
     Each step-I array lives only while a later step reads it (see
     SketchBundle). Within step I, block nullification holds omega, psi, y
@@ -497,8 +512,7 @@ def compress(
     if method is None:
         raise ConfigError(f"unknown method id {method_id!r}; expected one of {sorted(METHODS)}")
     family, basis, keywords = method
-    options = {"distribution": distribution, "extra_cols": extra_cols,
-               "optimize": optimize, "extra_samples": extra_samples}
+    options = {"distribution": distribution, "extra_cols": extra_cols, "optimize": optimize}
     misplaced = [name for name, value in options.items()
                  if name not in keywords and value != KEYWORD_DEFAULTS[name]]
     if misplaced:
@@ -534,7 +548,6 @@ def compress(
             bases, bundle = tagging_bases(
                 cop, tess, k, p, plan, stream.child(0),
                 group_cols=tess.max_block_size + p if family == "B" else None,
-                extra_samples=extra_samples,
             )
 
     # Each sketch array is dropped after the last step that reads it.
@@ -603,7 +616,7 @@ def compress(
 # ConfigError.
 KEYWORD_DEFAULTS = {
     name: inspect.signature(compress).parameters[name].default
-    for name in ("distribution", "extra_cols", "optimize", "extra_samples")
+    for name in ("distribution", "extra_cols", "optimize")
 }
 
 
@@ -647,5 +660,4 @@ def ground_truth_rep(spec, op) -> UniformBLR:
     return UniformBLR(
         tess=tess, rank=k, u_blocks=spec.u_blocks, v_blocks=spec.v_blocks,
         core=core, b_blocks=b_blocks,
-        effective_ranks=np.full(b, k),
     )

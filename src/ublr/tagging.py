@@ -8,8 +8,9 @@ ratio (the aspect ratio) measures sketch quality. With extra columns the
 null space has dimension >= 2 and the vector can be optimized over the unit
 sphere to shrink that ratio.
 
-The TaggingPlan holds each block's single QR of T(N_i, :)*: the null basis
-Z_i, whose last column is the base null vector, and W_i = T(N_i, :)^+.
+Each block's single QR of T(N_i, :)* gives the null basis Z_i, whose last
+column is the base null vector, and W_i = T(N_i, :)^+. The TaggingPlan keeps
+the chosen null vector and W_i; Z_i lives only inside the QR.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class DegenerateTagsError(RuntimeError):
 @dataclass(frozen=True)
 class TaggingMatrix:
     entries: np.ndarray  # (b, ell)
-    dim: int
-    extra_cols: int
-    distribution: str
-    seed: int
 
     @property
     def b(self) -> int:
@@ -95,10 +92,7 @@ def make_tagging_matrix(
     else:
         raise ConfigError(f"unknown distribution {distribution!r}; expected one of "
                           f"{DISTRIBUTIONS}")
-    return TaggingMatrix(
-        entries=entries, dim=d, extra_cols=extra_cols,
-        distribution=distribution, seed=stream.seed,
-    )
+    return TaggingMatrix(entries)
 
 
 def _equidistributed_rows(b, ell, stream, iterations=200):
@@ -206,9 +200,9 @@ def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVe
 
 
 def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool = False):
-    """(base, chosen, Z_i, W_i) for block i from one QR of T(N_i, :)*.
+    """(base, chosen, W_i) for block i from one QR of T(N_i, :)*.
 
-    Z_i is the full null basis and base its last column; chosen is
+    base is the last column of the null basis Z_i; chosen is
     optimize_null_vector's vector with optimize, else base. W_i is the right
     inverse T(N_i, :)^+, or None when R has an exactly zero pivot (dtrtrs);
     only then does Z_i come from a second QR."""
@@ -225,7 +219,7 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(sub @ Z[:, -1])))
     far = tess.far_fields[i]
     if not optimize or nullity < 2 or len(far) == 0:
-        return base, base, Z, W
+        return base, base, W
     X = Z[:, :3]  # cap the search at a 3-dim parameterization
     P = T.entries[far, :] @ X  # far-field tags of the basis
 
@@ -236,10 +230,10 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
 
     base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
     if base_ratio <= ratio:
-        return base, base, Z, W
+        return base, base, W
     z = X @ coeffs
     z /= np.linalg.norm(z)
-    return base, NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z))), Z, W
+    return base, NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z))), W
 
 
 def _best_on_circle(P):
@@ -294,14 +288,14 @@ def _best_on_sphere(P, coarse=64, zoom_rounds=3):
 @dataclass
 class TaggingPlan:
     """A tagging matrix together with per-block null vectors and ratios, and
-    the two results of each block's single QR of T(N_i, :)*, Z_i and W_i."""
+    W_i from each block's single QR of T(N_i, :)*; the QR's null basis Z_i
+    is not kept."""
 
     matrix: TaggingMatrix
     null_vectors: list
     rho_base: np.ndarray
     rho_optimized: np.ndarray | None
     attempts: int
-    null_bases: list  # Z_i, ell x (ell - |N_i|)
     right_inverses: list  # W_i = T(N_i, :)^+, ell x |N_i|
 
 
@@ -360,11 +354,11 @@ def evaluate_plan(
     With optimize, blocks of nullity >= 2 take the ratio-minimizing null
     vector. Blocks with an empty far field keep NaN ratios. Raises
     DegenerateTagsError when a block has no null vector or right inverse."""
-    null_vectors, null_bases, right_inverses = [], [], []
+    null_vectors, right_inverses = [], []
     rho_base = np.full(tess.b, np.nan)
     rho_opt = np.full(tess.b, np.nan) if optimize else None
     for i in range(tess.b):
-        base, chosen, Z, W = _factor_block(T, tess, i, optimize)
+        base, chosen, W = _factor_block(T, tess, i, optimize)
         if W is None:
             raise DegenerateTagsError(f"block {i}: neighbour tagging rows are exactly dependent")
         if len(tess.far_fields[i]) > 0:
@@ -372,7 +366,6 @@ def evaluate_plan(
             if optimize:
                 rho_opt[i] = aspect_ratio(projected_tags(T, tess, chosen), tess)
         null_vectors.append(chosen)
-        null_bases.append(Z)
         right_inverses.append(W)
     return TaggingPlan(
         matrix=T,
@@ -380,6 +373,5 @@ def evaluate_plan(
         rho_base=rho_base,
         rho_optimized=rho_opt,
         attempts=attempts,
-        null_bases=null_bases,
         right_inverses=right_inverses,
     )

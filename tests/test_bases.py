@@ -21,10 +21,11 @@ from ublr import (
     plan_tagging,
     random_points,
     structured_identity_discrepancy,
+    tag_null_vector,
     tagging_bases,
     write_ublr,
 )
-from ublr.bases import assemble_tagging_test_matrix
+from ublr.bases import _basis_or_identity, assemble_tagging_test_matrix
 from ublr.linalg import project_out
 
 from conftest import snorm, uniform_synthetic
@@ -130,14 +131,23 @@ class TestTaggingBases:
         for i in range(tess.b):
             assert far_field_residual(op, tess, bases, i) <= 1e-9
 
-    def test_extra_samples_concatenate(self, synthetic_small):
+    def test_basis_is_one_combined_sample_per_block(self, synthetic_small):
+        # the optimized plan's vector, not the base null vector, combines
+        # block i's sketch groups into its one sample
         op, tess, _ = synthetic_small
-        plan = plan_tagging(tess, 1, "gaussian", RandomStream(3))
-        bases, _ = tagging_bases(
-            op, tess, 3, 10, plan, RandomStream(0), extra_samples=True
-        )
-        for i in range(tess.b):
-            assert far_field_residual(op, tess, bases, i) <= 1e-9
+        plan = plan_tagging(tess, 2, "gaussian", RandomStream(3), optimize=True)
+        base = [tag_null_vector(plan.matrix, tess, i).vector for i in range(tess.b)]
+        assert any(not np.array_equal(nv.vector, z) for nv, z in zip(plan.null_vectors, base))
+        stream = RandomStream(0)
+        bases, _ = tagging_bases(op, tess, 3, 10, plan, stream)
+        gc = 3 + 10  # k + p
+        g_blocks = [gaussian(len(rows), gc, stream.child(0, i))
+                    for i, rows in enumerate(tess.blocks)]
+        y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, g_blocks, gc))
+        for i, rows in enumerate(tess.blocks):
+            groups = y[rows].reshape(len(rows), -1, gc)
+            sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
+            assert np.array_equal(bases.u_blocks[i], _basis_or_identity(sample, 3))
 
     def test_wide_group_cols_for_type_b(self, synthetic_small):
         op, tess, _ = synthetic_small
@@ -290,7 +300,7 @@ class TestBlockNullificationRightInverses:
         b_blocks = structured_identity_discrepancy(op, tess, bases, core, color_boxes(tess))
         expected = digest(UniformBLR(
             tess=tess, rank=3, u_blocks=bases.u_blocks, v_blocks=bases.v_blocks,
-            core=core, b_blocks=b_blocks, effective_ranks=bases.effective_ranks,
+            core=core, b_blocks=b_blocks,
         ))
         rep, _ = compress(op, tess, 3, "A1", p=10, stream=stream, compute_error=False)
         assert digest(rep) == expected

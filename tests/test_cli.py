@@ -113,7 +113,7 @@ class TestCompress:
         assert "phase 'I' has shape (255, 104), expected (256, 104)" in err
 
     @pytest.mark.parametrize("method, options, named", [
-        ("A1", ["--extra-cols", "2", "--extra-samples"], "extra_cols, extra_samples"),
+        ("A1", ["--extra-cols", "2"], "extra_cols"),
         ("B1", ["--optimize"], "optimize"),
         ("A3", ["--distribution", "haar"], "distribution"),
         ("B2", ["--extra-cols", "1"], "extra_cols"),
@@ -348,7 +348,7 @@ class TestAspectRatios:
         # b = 3 in d = 1: the middle block neighbors every block. A valid
         # tagging matrix needs b >= 3^d + 1, so build the 3 x 4 one by hand.
         tess = build_tessellation(grid_points(6, 1), 3)
-        T = TaggingMatrix(gaussian(3, 4, RandomStream(5)), 1, 0, "gaussian", 5)
+        T = TaggingMatrix(gaussian(3, 4, RandomStream(5)))
         plan = evaluate_plan(T, tess, optimize=True)
         empty = [len(tess.far_fields[i]) == 0 for i in range(tess.b)]
         assert empty == [False, True, False]

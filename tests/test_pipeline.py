@@ -107,8 +107,7 @@ class UncallableOracle:
 
 @pytest.mark.parametrize(
     "method_id, kwargs",
-    [(m, kw) for m in ["A1", "A3", "B1", "B2"]
-     for kw in [{"extra_cols": 1}, {"extra_samples": True}]]
+    [(m, {"extra_cols": 1}) for m in ["A1", "A3", "B1", "B2"]]
     + [(m, kw) for m in ["A1", "A3", "B1"]
        for kw in [{"optimize": True}, {"distribution": "haar"}]],
 )
@@ -120,8 +119,8 @@ def test_a2_keywords_rejected_on_other_ids(method_id, kwargs, case):
 
 @pytest.mark.parametrize("method_id, k, kwargs, message", [
     ("A9", 3, {}, "unknown method id 'A9'"),
-    ("B1", 3, {"distribution": "haar", "extra_samples": True},
-     "B1: distribution, extra_samples do not apply"),
+    ("B1", 3, {"distribution": "haar", "optimize": True},
+     "B1: distribution, optimize do not apply"),
     ("A1", -1, {}, "k must be >= 0, got -1"),
     ("B2", 3, {"p": -2}, "p must be >= 0, got -2"),
     ("A3", 3, {"error_iterations": 0}, "error_iterations must be >= 1, got 0"),
@@ -144,7 +143,6 @@ def test_report_config_names_only_keywords_the_id_uses(method_id, case):
     assert (report.config["optimize"] is None) != tagging
     assert (report.config["distribution"] is None) != tagging
     assert (report.config["extra_cols"] is None) != (method_id == "A2")
-    assert (report.config["extra_samples"] is None) != (method_id == "A2")
 
 
 @pytest.mark.parametrize(
@@ -244,12 +242,12 @@ def test_wrongly_shaped_oracle_output_raises_in_step_one(method_id, side, case):
 @pytest.mark.parametrize("method_id, kwargs", [
     ("B2", {}),
     ("A2", {}),
-    ("A2", {"optimize": True, "extra_cols": 2, "extra_samples": True}),
+    ("A2", {"optimize": True, "extra_cols": 2}),
 ])
 def test_each_block_tagging_rows_factored_once_per_draw(method_id, kwargs, case, monkeypatch):
     # every QR of a neighbour tagging-row stack T(N_i, :), ell columns wide,
-    # wherever it is made: the plan, the optimizer, the extra samples, the
-    # B2 check and B2's step III
+    # wherever it is made: the plan, the optimizer, the B2 check and B2's
+    # step III
     op, tess, _ = case
     shapes = []
 

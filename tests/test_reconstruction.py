@@ -196,7 +196,7 @@ def random_bases(tess, k, seed):
          for i, (m, r) in enumerate(zip(tess.block_sizes, ranks))]
     v = [col_basis(gaussian(m, r, stream.child(1, i)), r)
          for i, (m, r) in enumerate(zip(tess.block_sizes, ranks))]
-    bases = BlockBases(u_blocks=u, v_blocks=v, rank=k, effective_ranks=ranks)
+    bases = BlockBases(u_blocks=u, v_blocks=v, rank=k)
     return bases, gaussian(bases.total_rank, bases.total_rank, stream.child(2))
 
 
@@ -432,10 +432,7 @@ class TestPinvCore:
 
         from ublr.bases import BlockBases
 
-        bases = BlockBases(
-            u_blocks=u_blocks, v_blocks=v_blocks, rank=k,
-            effective_ranks=np.full(8, k),
-        )
+        bases = BlockBases(u_blocks=u_blocks, v_blocks=v_blocks, rank=k)
         s = 40  # > K + p = 34
         omega = gaussian(64, s, stream.child(3))
         y = A @ omega
@@ -753,8 +750,32 @@ class TestUniformBLRApply:
         with pytest.raises(ValueError):
             UniformBLR(
                 tess=tess, rank=3, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
-                core=rep.core, b_blocks=bad, effective_ranks=rep.effective_ranks,
+                core=rep.core, b_blocks=bad,
             )
+
+    @pytest.mark.parametrize("factor", ["U", "V", "core", "B"])
+    def test_misshapen_factor_rejected(self, factor):
+        # write_ublr would write each of these into a file read_ublr rejects
+        points = random_points(400, 2, RandomStream(1))
+        tess = build_tessellation(points, 16)
+        rep, _ = compress(laplace2d_operator(points), tess, 5, "A1", compute_error=False)
+        fields = {"u_blocks": list(rep.u_blocks), "v_blocks": list(rep.v_blocks),
+                  "core": rep.core, "b_blocks": dict(rep.b_blocks)}
+        m, K = tess.block_sizes.tolist(), rep.total_rank
+        if factor == "U":
+            fields["u_blocks"][2] = rep.u_blocks[2][1:]
+            message = f"U_2 is {m[2] - 1} x 5, expected {m[2]} x 5"
+        elif factor == "V":
+            fields["v_blocks"][2] = rep.v_blocks[2][:, 1:]
+            message = f"V_2 is {m[2]} x 4, expected {m[2]} x 5"
+        elif factor == "core":
+            fields["core"] = rep.core[1:]
+            message = f"core is {K - 1} x {K}, expected {K} x {K}"
+        else:
+            fields["b_blocks"][(0, 1)] = rep.b_blocks[(0, 1)][:, 1:]
+            message = f"B_0,1 is {m[0]} x {m[1] - 1}, expected {m[0]} x {m[1]}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UniformBLR(tess=tess, rank=5, **fields)
 
 
 class TestRelativeError:
@@ -907,7 +928,7 @@ class TestFullPipelines:
                 b_blocks[(i, j)] = block - low
         dense_rep = UniformBLR(
             tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
-            core=core, b_blocks=b_blocks, effective_ranks=np.full(tess.b, k),
+            core=core, b_blocks=b_blocks,
         )
         err_dense = snorm(dense_rep.to_dense() - A) / snorm(A)
 

@@ -129,7 +129,7 @@ class TestTagNullVector:
     def test_degenerate_tags_detected(self, tess_1d):
         entries = np.ones((8, 4))
         entries[:, 1] = 2.0  # rank-1 rows: fine, nullity is large
-        T = TaggingMatrix(entries, 1, 0, "gaussian", 0)
+        T = TaggingMatrix(entries)
         nv = tag_null_vector(T, tess_1d, 2)  # still solvable
         assert nv.residual <= 1e-12 * snorm(entries)
 
@@ -151,7 +151,7 @@ class TestProjectedTags:
 
     def test_identical_rows_give_ratio_one(self, tess_1d):
         row = np.array([0.3, -1.2, 0.7, 2.0])
-        T = TaggingMatrix(np.tile(row, (8, 1)), 1, 0, "gaussian", 0)
+        T = TaggingMatrix(np.tile(row, (8, 1)))
         nv = tag_null_vector(T, tess_1d, 2)
         pt = projected_tags(T, tess_1d, nv)
         assert aspect_ratio(pt, tess_1d) == 1.0
@@ -236,7 +236,7 @@ class TestOptimizeNullVector:
         for sign, j in zip(signs, far):
             row = entries[j]
             entries[j] = row - (row @ z_star) * z_star + sign * z_star
-        T = TaggingMatrix(entries, 1, 1, "gaussian", 0)
+        T = TaggingMatrix(entries)
         best = optimize_null_vector(T, tess_1d, i)
         rho = aspect_ratio(projected_tags(T, tess_1d, best), tess_1d)
         assert rho <= 1.0 + 1e-6
@@ -320,7 +320,8 @@ class TestPlanFactors:
                 sub = T.entries[nbrs, :]
                 nullity = T.n_cols - len(nbrs)
                 assert np.array_equal(plan.right_inverses[i], pseudo_inverse(sub))
-                assert np.array_equal(plan.null_bases[i], null_basis(sub, nullity))
+                assert np.array_equal(plan.null_vectors[i].vector,
+                                      null_basis(sub, nullity)[:, -1])
                 assert np.array_equal(plan.null_vectors[i].vector,
                                       tag_null_vector(T, tess, i).vector)
                 if nullity >= 2:
@@ -331,7 +332,7 @@ class TestPlanFactors:
         # identical rows: tag_null_vector still finds a null vector, but the
         # rows have no right inverse, so a plan cannot use the draw
         row = np.array([0.3, -1.2, 0.7, 2.0])
-        T = TaggingMatrix(np.tile(row, (8, 1)), 1, 0, "gaussian", 0)
+        T = TaggingMatrix(np.tile(row, (8, 1)))
         nv = tag_null_vector(T, tess_1d, 2)
         assert nv.residual <= 1e-12 * snorm(T.entries)
         with pytest.raises(DegenerateTagsError, match="exactly dependent"):
