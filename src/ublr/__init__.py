@@ -24,7 +24,6 @@ from .operators import (
     DenseOperator,
     DifferenceOperator,
     LinearOperatorHandle,
-    MatvecLedger,
     NonFiniteOracleError,
     OracleShapeError,
     SyntheticUBLRSpec,

@@ -41,20 +41,19 @@ class SketchBundle:
     stack's condition estimate; tagging builds them when called with
     group_cols, B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
 
-    Only block nullification keeps omega and psi. Tagging keeps neither: its
-    test matrix is fixed by the plan's T and the per-block g_blocks, so
+    Only block nullification keeps omega, for B1's step II; its psi, like
+    the sketches, is local to step I. Tagging keeps neither test matrix:
+    Omega is fixed by the plan's T and the per-block g_blocks, so
     test_rows rebuilds block j's rows of omega on demand. Naive bundles keep
     no array at all; their sketches go into the bases in step I.
 
     After step I, type A reads no field. Type B's step III reads y_rinv,
     z_rinv and, for B1, stack_conds; its step II reads uy, s and test_rows
-    (omega for B1, plan and g_blocks for B2). compress releases psi after
-    step I, the right-inverse rows after step III, and the bundle after
-    step II.
+    (omega for B1, plan and g_blocks for B2). compress releases the
+    right-inverse rows after step III, and the bundle after step II.
     """
 
     omega: np.ndarray | None  # (n, s); block nullification only
-    psi: np.ndarray | None  # (n, s); block nullification only
     s: int
     tess: Tessellation
     plan: TaggingPlan | None = None  # tagging: T, the null vectors and each W_i = T(N_i, :)^+
@@ -150,7 +149,7 @@ def block_nullification_bases(
     that yields its null basis also yields the stack's right inverse, and
     the bundle keeps the projected right-inverse rows, U_i* Y_i and the
     condition estimates described on SketchBundle. The bases do not depend
-    on it. The sketches y and z go when this returns.
+    on it. psi and the sketches y and z go when this returns.
     """
     r = k + p
     s = block_nullification_width(tess, r)
@@ -190,7 +189,7 @@ def block_nullification_bases(
             conds.append((cond_u, cond_v))
 
     bases = BlockBases(u_blocks, v_blocks, k)
-    bundle = SketchBundle(omega=omega, psi=psi, s=s, tess=tess)
+    bundle = SketchBundle(omega=omega, s=s, tess=tess)
     if right_inverses:
         bundle.y_rinv, bundle.z_rinv, bundle.uy = y_rinv, z_rinv, uy
         bundle.stack_conds = np.array(conds)
@@ -265,7 +264,7 @@ def tagging_bases(
             basis_rows = _views([(min(k, len(rows)), sketch.shape[1]) for rows in tess.blocks])
         for i, rows in enumerate(tess.blocks):
             block_rows = sketch[rows, :]
-            groups = block_rows.reshape(len(rows), -1, gc)
+            groups = block_rows.reshape(len(rows), T.n_cols, gc)
             sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
             bases.append(_basis_or_identity(sample, k))
             if pinv_blocks is None:
@@ -284,7 +283,7 @@ def tagging_bases(
 
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(
-        omega=None, psi=None, s=T.n_cols * gc, tess=tess, plan=plan,
+        omega=None, s=T.n_cols * gc, tess=tess, plan=plan,
         g_blocks=g_blocks, group_cols=gc, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
     )
     return bases, bundle
@@ -335,5 +334,5 @@ def naive_bases(
     v_blocks = block_bases(op.apply_adjoint(probes(1)))
 
     bases = BlockBases(u_blocks, v_blocks, k)
-    bundle = SketchBundle(omega=None, psi=None, s=tess.b * r, tess=tess)
+    bundle = SketchBundle(omega=None, s=tess.b * r, tess=tess)
     return bases, bundle

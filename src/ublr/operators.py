@@ -2,14 +2,15 @@
 
 The compression algorithms only ever touch an operator through apply and
 apply_adjoint on blocks of columns. This module provides the handle
-protocol, a counting wrapper that attributes matvec columns to compression
-phases, and the desk-scale test operators: an exact-rank synthetic uniform
+protocol, a counting wrapper that bills matvec columns to compression
+phases and times them, and the desk-scale test operators: an exact-rank synthetic uniform
 BLR generator, the 2D Laplace log kernel, and the thin-slab Schur
 complement of a shifted Laplacian.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -72,59 +73,6 @@ class DifferenceOperator(LinearOperatorHandle):
         return self.a.apply_adjoint(X) - self.b.apply_adjoint(X)
 
 
-class MatvecLedger:
-    """Cumulative count of columns pushed through A and A*, by phase.
-
-    Phases are the compression steps ("I", "II", "III"); anything recorded
-    outside an explicit phase lands in "other".
-    """
-
-    def __init__(self):
-        self.counts = {}
-        self._phase = "other"
-
-    @contextmanager
-    def phase(self, name: str):
-        previous = self._phase
-        self._phase = name
-        try:
-            yield self
-        finally:
-            self._phase = previous
-
-    def record_apply(self, cols: int):
-        entry = self.counts.setdefault(self._phase, [0, 0])
-        entry[0] += cols
-
-    def record_adjoint(self, cols: int):
-        entry = self.counts.setdefault(self._phase, [0, 0])
-        entry[1] += cols
-
-    def phase_counts(self, name: str) -> tuple:
-        a, astar = self.counts.get(name, [0, 0])
-        return a, astar
-
-    def phase_total(self, name: str) -> int:
-        return sum(self.counts.get(name, [0, 0]))
-
-    @property
-    def count_a(self) -> int:
-        return sum(v[0] for v in self.counts.values())
-
-    @property
-    def count_astar(self) -> int:
-        return sum(v[1] for v in self.counts.values())
-
-    @property
-    def total(self) -> int:
-        return self.count_a + self.count_astar
-
-    def to_dict(self) -> dict:
-        return {
-            name: {"A": v[0], "Astar": v[1]} for name, v in sorted(self.counts.items())
-        }
-
-
 class ConfigError(ValueError):
     """A configuration the library cannot run: an unknown method id, a
     keyword the id does not take, or a value out of range. Raised before
@@ -141,28 +89,50 @@ class OracleShapeError(ValueError):
 
 
 class CountingOperator(LinearOperatorHandle):
-    """Pass-through wrapper that bills every column to its ledger and
-    raises OracleShapeError on oracle output of the wrong shape and
-    NonFiniteOracleError on any non-finite oracle output."""
+    """Pass-through wrapper that keeps the phase accounts of a compression.
+
+    matvecs maps each phase to {"A": cols, "Astar": cols}, the columns
+    pushed through A and A* while it was current; columns pushed outside a
+    phase go to "other". times_s holds the seconds spent in each phase, in
+    the order the phases ran. Raises OracleShapeError on oracle output of
+    the wrong shape and NonFiniteOracleError on any non-finite oracle output.
+    """
 
     def __init__(self, inner: LinearOperatorHandle):
         self.inner = inner
-        self.ledger = MatvecLedger()
+        self.matvecs = {}
+        self.times_s = {}
+        self._phase = "other"
+
+    @contextmanager
+    def phase(self, name: str):
+        """Bill columns to phase name, and time it, until the block exits."""
+        previous, self._phase = self._phase, name
+        t0 = time.perf_counter()
+        try:
+            yield self
+        finally:
+            self.times_s[name] = time.perf_counter() - t0
+            self._phase = previous
 
     @property
     def shape(self):
         return self.inner.shape
 
     def apply(self, X):
-        self.ledger.record_apply(X.shape[1] if X.ndim == 2 else 1)
+        self._bill("A", X)
         return self._checked(self.inner.apply(X), "A", (self.shape[0],) + X.shape[1:])
 
     def apply_adjoint(self, X):
-        self.ledger.record_adjoint(X.shape[1] if X.ndim == 2 else 1)
+        self._bill("Astar", X)
         return self._checked(self.inner.apply_adjoint(X), "A*", (self.shape[1],) + X.shape[1:])
 
+    def _bill(self, side: str, X):
+        entry = self.matvecs.setdefault(self._phase, {"A": 0, "Astar": 0})
+        entry[side] += X.shape[1] if X.ndim == 2 else 1
+
     def _checked(self, Y, side: str, expected: tuple):
-        where = f"oracle output of {side} in phase {self.ledger._phase!r}"
+        where = f"oracle output of {side} in phase {self._phase!r}"
         if np.shape(Y) != expected:
             raise OracleShapeError(f"{where} has shape {np.shape(Y)}, expected {expected}")
         # min and max both propagate NaN and each catch one sign of inf,

@@ -41,9 +41,7 @@ so a profiler can rebind those names in this module to time each step.
 from __future__ import annotations
 
 import inspect
-import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,16 +143,22 @@ class UniformBLR(BlockBases):
         return (self.n, self.n)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        """U C V* X + B X on a block of columns or on one vector."""
         X = np.asarray(X, dtype=float)
-        cv = self.core @ stack_t(self.v_blocks, self.tess, X)
-        return add_near_field(blkdiag(self.u_blocks, self.tess, cv), self.tess, self.b_blocks, X)
+        cols = X.reshape(len(X), -1)
+        cv = self.core @ stack_t(self.v_blocks, self.tess, cols)
+        out = blkdiag(self.u_blocks, self.tess, cv)
+        return add_near_field(out, self.tess, self.b_blocks, cols).reshape(X.shape)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
+        """V C* U* X + B* X on a block of columns or on one vector."""
         X = np.asarray(X, dtype=float)
-        cu = self.core.T @ stack_t(self.u_blocks, self.tess, X)
+        cols = X.reshape(len(X), -1)
+        cu = self.core.T @ stack_t(self.u_blocks, self.tess, cols)
         # B* has block (j, i) = B_ij*; per block row j the sum still runs over i ascending
         b_adj = {(j, i): blk.T for (i, j), blk in self.b_blocks.items()}
-        return add_near_field(blkdiag(self.v_blocks, self.tess, cu), self.tess, b_adj, X)
+        out = blkdiag(self.v_blocks, self.tess, cu)
+        return add_near_field(out, self.tess, b_adj, cols).reshape(X.shape)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix; test/debug convenience at desk scale."""
@@ -488,16 +492,17 @@ def compress(
     runs II (direct core) then III (structured-identity B), type B runs III
     (B from the step-I sketches) then II (core by least squares).
     distribution and optimize shape the tagging plan of A2 and B2;
-    extra_cols widens A2's tagging matrix.
+    extra_cols widens A2's tagging matrix. The report's matvecs and times_s
+    are the CountingOperator's phase accounts.
 
     Each step-I array lives only while a later step reads it (see
     SketchBundle). Within step I, block nullification holds omega, psi, y
     and z; tagging and naive hold one side's test matrix and sketch at a
     time, and type-B tagging also the adjoint side's right-inverse rows. No
     sketch outlives step I. Type A drops the bundle after step I. Type B
-    drops psi after step I, and the right-inverse rows after step III. Step
-    II reads U_i* Y_i and block rows of omega: B1 keeps omega, B2 rebuilds
-    the rows from the plan and g_blocks.
+    drops the right-inverse rows after step III. Step II reads U_i* Y_i
+    and block rows of omega: B1 keeps omega, B2 rebuilds the rows from the
+    plan and g_blocks.
 
     A compute_error estimate of ||A|| that reads zero leaves
     report.relative_error None, with a UserWarning, and the representation
@@ -523,17 +528,9 @@ def compress(
     if stream is None:
         stream = RandomStream(0)
     cop = CountingOperator(op)
-    times = {}
     plan = None
 
-    @contextmanager
-    def step(phase):
-        t0 = time.perf_counter()
-        with cop.ledger.phase(phase):
-            yield
-        times[phase] = time.perf_counter() - t0
-
-    with step("I"):
+    with cop.phase("I"):
         if basis == "bn":
             bases, bundle = block_nullification_bases(
                 cop, tess, k, p, stream.child(0), right_inverses=family == "B"
@@ -553,21 +550,20 @@ def compress(
     # Each sketch array is dropped after the last step that reads it.
     if family == "A":
         del bundle
-        with step("II"):
+        with cop.phase("II"):
             core = direct_core(cop, tess, bases)
-        with step("III"):
+        with cop.phase("III"):
             b_blocks = structured_identity_discrepancy(
                 cop, tess, bases, core, color_boxes(tess)
             )
     else:
-        bundle.psi = None
-        with step("III"):
+        with cop.phase("III"):
             if basis == "bn":
                 b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
         bundle.y_rinv = bundle.z_rinv = None
-        with step("II"):
+        with cop.phase("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
         del bundle
 
@@ -602,8 +598,8 @@ def compress(
     report = CompressionReport(
         method=method_id,
         config=config,
-        matvecs=cop.ledger.to_dict(),
-        times_s=times,
+        matvecs=dict(sorted(cop.matvecs.items())),
+        times_s=cop.times_s,
         relative_error=rel,
         storage_entries=rep.storage_entries,
         aspect_ratios=aspect,

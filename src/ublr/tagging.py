@@ -35,10 +35,6 @@ class TaggingMatrix:
     entries: np.ndarray  # (b, ell)
 
     @property
-    def b(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_cols(self) -> int:
         return self.entries.shape[1]
 
@@ -137,16 +133,15 @@ def projected_tags(T: TaggingMatrix, tess: Tessellation, nv: NullVector) -> Proj
     return ProjectedTags(block=nv.block, values=T.entries @ nv.vector)
 
 
-def aspect_ratio(pt: ProjectedTags, tess: Tessellation, i: int | None = None) -> float:
+def aspect_ratio(pt: ProjectedTags, tess: Tessellation) -> float:
     """Max-to-min magnitude of the far-field projected tags (>= 1).
 
     All-zero far fields return 1.0 (all values equal); a vanishing value
     among nonzero ones yields +inf. Raises on an empty far field.
     """
-    block = pt.block if i is None else i
-    far = tess.far_fields[block]
+    far = tess.far_fields[pt.block]
     if len(far) == 0:
-        raise ValueError(f"block {block} has an empty far field (b too small)")
+        raise ValueError(f"block {pt.block} has an empty far field (b too small)")
     return float(_ratio_per_column(pt.values[far][:, None])[0])
 
 

@@ -109,6 +109,24 @@ def _repeat_pair(raw):
     return raw[:table + 32] + raw[table + 16:table + 32] + raw[table + 48:]
 
 
+def _json_past_end(raw):
+    header = np.frombuffer(raw, dtype="<u8", count=6, offset=5).copy()
+    header[4] = len(raw)
+    return raw[:5] + header.tobytes() + raw[5 + 48:]
+
+
+def _json_unreadable(raw):
+    json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
+    return raw[:5 + 48] + b"{" * json_len + raw[5 + 48 + json_len:]
+
+
+def _pair_out_of_range(raw):
+    # the first table entry's row id becomes b + 1 = 9; the length stays
+    n_pairs = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[5])
+    table = len(raw) - n_pairs * (16 + 16 * 16 * 8)
+    return raw[:table] + np.asarray([9], dtype="<u8").tobytes() + raw[table + 8:]
+
+
 def _edit_tessellation(raw, edit):
     # rewrites the tessellation JSON as write_ublr does, keeping its length
     json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
@@ -159,6 +177,10 @@ def _colors_swapped(tess):
     "corrupt, field",
     [
         (_corrupt_b, "b: header says 9"),
+        (lambda raw: raw[:5 + 20], "header: file ends at byte 25, before byte 53"),
+        (_json_past_end, "tessellation: JSON length .* runs past the end of the file"),
+        (_json_unreadable, "tessellation: unreadable JSON"),
+        (_pair_out_of_range, "B index table: block ids outside 1..8"),
         (lambda raw: raw[:-8], "length"),
         (lambda raw: raw + b"\x00" * 8, "length"),
         (_repeat_pair, "B index table: pairs are not strictly increasing"),
@@ -177,7 +199,8 @@ def _colors_swapped(tess):
         (lambda raw: _edit_tessellation(raw, _colors_swapped),
          "tessellation: stored colors differ from the distance-2 coloring"),
     ],
-    ids=["header-b", "truncated", "trailing-bytes", "repeated-pair",
+    ids=["header-b", "header-truncated", "json-past-end", "json-unreadable",
+         "pair-out-of-range", "truncated", "trailing-bytes", "repeated-pair",
          "blocks-not-a-partition", "neighbour-out-of-range", "neighbour-not-an-id",
          "neighbours-unsorted", "neighbours-lack-self", "neighbours-asymmetric",
          "colors-differ"],
