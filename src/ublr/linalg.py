@@ -67,10 +67,7 @@ def col_basis(B: np.ndarray, k: int) -> np.ndarray:
     leading columns carry full rank.
 
     Those k columns span only B's first k columns, so the p oversampling
-    columns of an r = k + p sample never reach the basis. Taking the top k
-    left singular vectors of the same sample instead lowered compress's
-    error estimate 2-15x for all five ids on laplace2d N = 2048, seed 0,
-    k = 10 and 20, at equal matvecs; that accuracy change is not made here.
+    columns of an r = k + p sample never reach the basis.
     """
     B = np.asarray(B, dtype=float)
     m, n = B.shape

@@ -506,7 +506,9 @@ def compress(
 
     A compute_error estimate of ||A|| that reads zero leaves
     report.relative_error None, with a UserWarning, and the representation
-    is still returned.
+    is still returned. A type-B id at k = 0 warns too: with no basis to
+    remove it, the far-field part of each sketch stays in the near blocks
+    (exact only when A itself is block-banded).
 
     Raises ConfigError before the first oracle call for an unknown id, a
     keyword given other than at its default to an id that does not take
@@ -525,6 +527,9 @@ def compress(
     for name, value, low in (("k", k, 0), ("p", p, 0), ("error_iterations", error_iterations, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if family == "B" and k == 0:
+        warnings.warn(f"{method_id} at k = 0 keeps each sketch's far-field part in every "
+                      f"near block; a type-A id keeps only the near field there")
     if stream is None:
         stream = RandomStream(0)
     cop = CountingOperator(op)

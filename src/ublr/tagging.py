@@ -5,8 +5,9 @@ blocks. For each box i, a unit vector in the null space of the neighbor rows
 T(N_i, :) zeroes the inadmissible contributions in the combined sketch; the
 surviving far-field weights are the projected tags, whose max/min magnitude
 ratio (the aspect ratio) measures sketch quality. With extra columns the
-null space has dimension >= 2 and the vector can be optimized over the unit
-sphere to shrink that ratio.
+null space has dimension >= 2 and the vector can be chosen to shrink that
+ratio: one zoomed-grid search over the angles of at most three null
+directions serves every nullity.
 
 Each block's single QR of T(N_i, :)* gives the null basis Z_i, whose last
 column is the base null vector, and W_i = T(N_i, :)^+. The TaggingPlan keeps
@@ -55,7 +56,9 @@ class ProjectedTags:
 DISTRIBUTIONS = ("gaussian", "haar", "equidistributed")
 _MAX_REDRAWS = 5  # plan_tagging's redraws of degenerate or badly tagged draws
 _RATIO_LIMIT = 1e6  # the worst aspect ratio plan_tagging accepts
-_CIRCLE_GRID = 4096  # grid points over the half circle of a nullity-2 search
+_FIRST_GRID = 4096  # angle tuples in the null-vector search's first grid
+_ZOOM_GRID = 289  # angle tuples in each of its zoomed grids
+_ZOOM_ROUNDS = 3  # zoomed grids after the first
 
 
 def make_tagging_matrix(
@@ -156,36 +159,16 @@ def _ratio_per_column(far_vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _golden_section(f, a, b, tol=1e-10, max_iter=200):
-    """Golden-section minimization on [a, b]; returns (x, f(x))."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVector:
     """Null vector minimizing the aspect ratio over the unit sphere in the
     null space of T(N_i, :).
 
     Requires nullity >= 2; with nullity 1 it falls back to tag_null_vector
-    with a warning. Nullity 2 searches a dense grid over the half circle
-    (the ratio has period pi) plus golden-section refinement; nullity >= 3
-    searches a spherical grid with local zoom over the first three null
-    directions. The unoptimized vector is always kept as a candidate, so the
-    result is never worse than the base.
+    with a warning. One search serves every nullity: over the first three
+    null directions (two at nullity 2), a grid of 4096 directions up to sign,
+    then three zoomed grids of 289 around the best one found. The
+    unoptimized vector is kept whenever the search does not beat its ratio,
+    so the result is never worse than the base.
     """
     if T.n_cols - len(tess.neighbor_lists[i]) < 2:
         warnings.warn(
@@ -215,69 +198,37 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     far = tess.far_fields[i]
     if not optimize or nullity < 2 or len(far) == 0:
         return base, base, W
-    X = Z[:, :3]  # cap the search at a 3-dim parameterization
-    P = T.entries[far, :] @ X  # far-field tags of the basis
-
-    if X.shape[1] == 2:
-        coeffs, ratio = _best_on_circle(P)
-    else:
-        coeffs, ratio = _best_on_sphere(P)
-
-    base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
-    if base_ratio <= ratio:
-        return base, base, W
-    z = X @ coeffs
+    X = Z[:, :3]  # cap the search at three null directions
+    z = X @ _best_direction(T.entries[far, :] @ X)
     z /= np.linalg.norm(z)
-    return base, NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z))), W
+    chosen = NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z)))
+    base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
+    if base_ratio <= aspect_ratio(projected_tags(T, tess, chosen), tess):
+        return base, base, W
+    return base, chosen, W
 
 
-def _best_on_circle(P):
-    thetas = np.linspace(0.0, np.pi, _CIRCLE_GRID, endpoint=False)
-    vals = P @ np.vstack((np.cos(thetas), np.sin(thetas)))
-    ratios = _ratio_per_column(vals)
-    best = int(np.argmin(ratios))
-    h = np.pi / _CIRCLE_GRID
+def _best_direction(P: np.ndarray) -> np.ndarray:
+    """Unit coefficients c of the q <= 3 columns of P (the far-field tags of
+    q null directions) for which P c has the smallest aspect ratio found.
 
-    def objective(theta):
-        v = P @ np.array([np.cos(theta), np.sin(theta)])
-        return _ratio_per_column(v[:, None])[0]
-
-    theta_ref, ratio_ref = _golden_section(
-        objective, thetas[best] - h, thetas[best] + h
-    )
-    if ratio_ref <= ratios[best]:
-        theta, ratio = theta_ref, ratio_ref
-    else:
-        theta, ratio = thetas[best], ratios[best]
-    return np.array([np.cos(theta), np.sin(theta)]), float(ratio)
-
-
-def _best_on_sphere(P, coarse=64, zoom_rounds=3):
-    def alphas(phi, psi):
-        # rows of the (n, 3) coefficient array are unit vectors
-        return np.column_stack(
-            (np.cos(phi), np.sin(phi) * np.cos(psi), np.sin(phi) * np.sin(psi))
-        )
-
-    phi_c, phi_h = np.pi / 2, np.pi / 2
-    psi_c, psi_h = np.pi, np.pi
-    best_coeffs, best_ratio = None, np.inf
-    n = coarse
-    for _ in range(zoom_rounds + 1):
-        phi = np.linspace(phi_c - phi_h, phi_c + phi_h, n)
-        psi = np.linspace(psi_c - psi_h, psi_c + psi_h, n)
-        pp, ss = np.meshgrid(phi, psi, indexing="ij")
-        A = alphas(pp.ravel(), ss.ravel())
-        ratios = _ratio_per_column(P @ A.T)
-        idx = int(np.argmin(ratios))
-        if ratios[idx] < best_ratio:
-            best_ratio = float(ratios[idx])
-            best_coeffs = A[idx]
-        phi_c, psi_c = pp.ravel()[idx], ss.ravel()[idx]
-        phi_h /= n / 4.0
-        psi_h /= n / 4.0
-        n = 17
-    return best_coeffs, best_ratio
+    c runs over q - 1 hyperspherical angles, each in [0, pi], which reach
+    every direction up to sign. A first grid of _FIRST_GRID angle tuples is
+    followed by _ZOOM_ROUNDS grids of _ZOOM_GRID tuples; each spans two of
+    the last grid's spacings either side of its best point, and holds that
+    point, so no round loses it."""
+    dims = P.shape[1] - 1
+    n = round(_FIRST_GRID ** (1 / dims))
+    axes, spacing = [np.linspace(0.0, np.pi, n)] * dims, np.pi / (n - 1)
+    for _ in range(_ZOOM_ROUNDS + 1):
+        angles = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        sines = np.cumprod(np.sin(angles), axis=0)
+        coeffs = np.vstack((np.cos(angles[:1]), sines[:-1] * np.cos(angles[1:]), sines[-1:]))
+        best = int(np.argmin(_ratio_per_column(P @ coeffs)))
+        n = round(_ZOOM_GRID ** (1 / dims))
+        spacing *= 4.0 / (n - 1)
+        axes = [a + spacing * np.arange(-(n // 2), n // 2 + 1) for a in angles[:, best]]
+    return coeffs[:, best]
 
 
 @dataclass

@@ -856,14 +856,20 @@ class TestFullPipelines:
 
     def test_zero_rank_and_oversampling(self):
         # k + p = 0: step I samples nothing, and every type-A id keeps all
-        # of A's near field in B, the same blocks bitwise
+        # of A's near field in B, the same blocks bitwise; a type-B id keeps
+        # the far-field part of its sketches there too, and says so
         points = random_points(400, 2, RandomStream(1))
         tess = build_tessellation(points, 16)
         op = laplace2d_operator(points)
         reps = {}
         for mid in ("A1", "A2", "A3", "B1", "B2"):
-            rep, report = compress(op, tess, 0, mid, p=0, stream=RandomStream(0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rep, report = compress(op, tess, 0, mid, p=0, stream=RandomStream(0))
             assert rep.total_rank == 0 and np.isfinite(report.relative_error)
+            at_k0 = [str(w.message) for w in caught
+                     if w.category is UserWarning and "at k = 0" in str(w.message)]
+            assert [m.split()[0] for m in at_k0] == ([mid] if mid[0] == "B" else [])
             reps[mid] = rep
         for mid in ("A2", "A3"):
             assert reps[mid].b_blocks.keys() == reps["A1"].b_blocks.keys()

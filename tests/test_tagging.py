@@ -202,6 +202,22 @@ def grid_oracle_min_ratio(T, tess, i, n_grid=10000):
     return ratios.min()
 
 
+def sphere_grid(n_grid):
+    """Unit coefficient vectors at every point of an n_grid^2 angle grid over
+    [0, pi]^2, which reaches every direction of R^3 up to sign."""
+    phi, psi = (a.ravel() for a in np.meshgrid(*[np.linspace(0, np.pi, n_grid)] * 2))
+    return np.vstack((np.cos(phi), np.sin(phi) * np.cos(psi), np.sin(phi) * np.sin(psi)))
+
+
+def sphere_oracle_min_ratio(T, tess, i, coeffs):
+    """Dense-grid oracle over the first three null directions of block i."""
+    sub = T.entries[tess.neighbor_lists[i], :]
+    X = null_basis(sub, T.n_cols - len(tess.neighbor_lists[i]))[:, :3]
+    mags = np.abs(T.entries[tess.far_fields[i], :] @ X @ coeffs)
+    hi, lo = mags.max(axis=0), mags.min(axis=0)
+    return np.where(lo > 0, hi / np.maximum(lo, 1e-300), np.inf).min()
+
+
 class TestOptimizeNullVector:
     def test_monotone_vs_base(self, tess_1d):
         for seed in range(10):
@@ -221,6 +237,22 @@ class TestOptimizeNullVector:
                 best = optimize_null_vector(T, tess_1d, i)
                 rho = aspect_ratio(projected_tags(T, tess_1d, best), tess_1d)
                 assert rho <= (1 + 1e-3) * grid_oracle_min_ratio(T, tess_1d, i)
+
+    def test_nullity_three_near_dense_sphere_oracle(self):
+        # extra = 2 in 1-D: nullity 3 inside, 4 (searched over three
+        # directions) at the two ends; a local search may settle in another
+        # basin, so the worst gap is looser than the median
+        tess = build_tessellation(grid_points(16, 1), 16)
+        coeffs = sphere_grid(400)
+        gaps = []
+        for seed in range(3):
+            T = make_tagging_matrix(16, 1, 2, "gaussian", RandomStream(seed))
+            for i in range(tess.b):
+                best = optimize_null_vector(T, tess, i)
+                rho = aspect_ratio(projected_tags(T, tess, best), tess)
+                gaps.append(rho / sphere_oracle_min_ratio(T, tess, i, coeffs) - 1.0)
+        assert np.median(gaps) <= 1e-2
+        assert max(gaps) <= 0.25
 
     def test_engineered_all_equal_optimum(self, tess_1d, stream):
         # build T whose far-field rows all have |<t_j, z*>| = 1 for one unit
