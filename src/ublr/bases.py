@@ -2,9 +2,10 @@
 
 Three interchangeable constructions share the (U_i, V_i) contract:
 
-* block nullification: one wide Gaussian sketch per side; per block, the
-  sketch is right-multiplied by an orthonormal null basis of the neighbor
-  rows of the test matrix, which zeroes inadmissible contributions;
+* block nullification: one wide Gaussian test matrix sketches both sides;
+  per block, each sketch is right-multiplied by one orthonormal null basis
+  of the neighbor rows of the test matrix, which zeroes inadmissible
+  contributions;
 * tagging: per-block Gaussian test blocks scaled by tagging-matrix entries;
   a null vector of the neighbor rows of the tagging matrix combines the
   sketch groups into a clean sample at constant sketch width;
@@ -35,22 +36,25 @@ class SketchBundle:
     B_i = Omega(N_i, :), the projected right-inverse rows
     (I - U_i U_i*) Y_i B_i^+ (y_rinv[i], m_i x sum_{j in N_i} m_j, neighbour
     j's m_j columns in neighbour order), the same rows from the adjoint
-    sketch, Psi(N_i, :) and V_i (z_rinv[i]), and U_i* Y_i (uy[i], k_i x s).
-    These rows are near-field sized. Block nullification builds them with
-    right_inverses=True, B_i^+ from the QR of each stack, and also keeps each
-    stack's condition estimate; tagging builds them when called with
-    group_cols, B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
+    sketch and V_i (z_rinv[i]), and U* Y (uy, K x s, block i's U_i* Y_i in
+    its rank rows). These rows are near-field sized. Block nullification
+    builds them with right_inverses=True: both sides share Omega, so one QR
+    of each stack gives B_i^+ for both, and the bundle also keeps that
+    stack's condition estimate. Tagging builds them when called with
+    group_cols, from each side's own test blocks:
+    B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+), and H_k for the adjoint.
 
-    Only block nullification keeps omega, for B1's step II; its psi, like
-    the sketches, is local to step I. Tagging keeps neither test matrix:
-    Omega is fixed by the plan's T and the per-block g_blocks, so
-    test_rows rebuilds block j's rows of omega on demand. Naive bundles keep
-    no array at all; their sketches go into the bases in step I.
+    Only block nullification keeps omega, for B1's step II. Tagging keeps
+    neither test matrix: Omega is fixed by the plan's T and the per-block
+    g_blocks, so test_rows rebuilds block j's rows of omega on demand.
+    Naive bundles keep no array at all; their sketches go into the bases in
+    step I.
 
     After step I, type A reads no field. Type B's step III reads y_rinv,
-    z_rinv and, for B1, stack_conds; its step II reads uy, s and test_rows
-    (omega for B1, plan and g_blocks for B2). compress releases the
-    right-inverse rows after step III, and the bundle after step II.
+    z_rinv and, for B1, stack_conds; its step II reads s and test_rows
+    (omega for B1, plan and g_blocks for B2) and takes uy out of the
+    bundle. compress releases the right-inverse rows after step III, and
+    the bundle after step II.
     """
 
     omega: np.ndarray | None  # (n, s); block nullification only
@@ -60,9 +64,9 @@ class SketchBundle:
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
     group_cols: int | None = None  # columns per tagging group
     y_rinv: list | None = None  # (I - U_i U_i*) Y_i B_i^+ per block (type B)
-    z_rinv: list | None = None  # (I - V_i V_i*) Z_i (Psi(N_i, :))^+ per block
-    uy: list | None = None  # U_i* Y_i per block, k_i x s (type B)
-    stack_conds: np.ndarray | None = None  # (b, 2): omega, psi stack per block (bn)
+    z_rinv: list | None = None  # (I - V_i V_i*) Z_i B_i^+ per block, B_i of Z's test matrix
+    uy: np.ndarray | None = None  # U* Y, K x s, in rank-offset row order (type B)
+    stack_conds: np.ndarray | None = None  # (b,): cond estimate of each Omega(N_i, :) (bn)
 
     def test_rows(self, j: int) -> np.ndarray:
         """Block j's rows of omega, (m_j, s): a copy of the slice when the
@@ -143,55 +147,53 @@ def block_nullification_bases(
     stream: RandomStream,
     right_inverses: bool = False,
 ) -> tuple:
-    """Bases via null-space projection of one wide Gaussian sketch per side.
+    """Bases via null-space projection of one wide Gaussian sketch, taken
+    from both sides: Y = A Omega and Z = A* Omega.
 
-    With right_inverses (the type-B path), the QR of each neighbor stack
-    that yields its null basis also yields the stack's right inverse, and
-    the bundle keeps the projected right-inverse rows, U_i* Y_i and the
-    condition estimates described on SketchBundle. The bases do not depend
-    on it. psi and the sketches y and z go when this returns.
+    The paper draws an independent Psi for Z. Each side's range-finder
+    bound needs only its own Gaussian test matrix, so sharing Omega keeps
+    the 2 s columns and lets one null basis of each neighbour stack
+    Omega(N_i, :) give both U_i and V_i: one QR per stack instead of two.
+
+    With right_inverses (the type-B path), that QR also yields the stack's
+    right inverse for both sides at once, and the bundle keeps the
+    projected right-inverse rows, U* Y and the condition estimates
+    described on SketchBundle. The bases do not depend on it. The sketches
+    y and z go when this returns.
     """
     r = k + p
     s = block_nullification_width(tess, r)
-    n = tess.n_points
-    omega = gaussian(n, s, stream.child(0))
-    psi = gaussian(n, s, stream.child(1))
+    omega = gaussian(tess.n_points, s, stream.child(0))
     y = op.apply(omega)
-    z = op.apply_adjoint(psi)
+    z = op.apply_adjoint(omega)
 
     # Two passes: all per-stack LAPACK work first, then numpy's products.
     # numpy and scipy each ship their own threaded OpenBLAS, and switching
     # between the two thread pools inside one loop cost more than the QRs.
     factors = [
-        [
-            null_basis(test[tess.neighbor_indices(i), :], r,
-                       rows=sketch[tess.blocks[i], :] if right_inverses else None)
-            for test, sketch in ((omega, y), (psi, z))
-        ]
-        for i in range(tess.b)
+        null_basis(omega[tess.neighbor_indices(i), :], r,
+                   rows=np.vstack((y[rows, :], z[rows, :])) if right_inverses else None)
+        for i, rows in enumerate(tess.blocks)
     ]
 
-    u_blocks, v_blocks, y_rinv, z_rinv, uy, conds = [], [], [], [], [], []
+    u_blocks, v_blocks, y_rinv, z_rinv, conds = [], [], [], [], []
     for i, rows in enumerate(tess.blocks):
-        pair, factors[i] = factors[i], None  # each block's factors go once used
-        if not right_inverses:
-            pair = [(proj, None, None) for proj in pair]
-        (proj_u, rinv_u, cond_u), (proj_v, rinv_v, cond_v) = pair
-        y_rows = y[rows, :]
-        u_blocks.append(_basis_or_identity(y_rows @ proj_u, k))
-        v_blocks.append(_basis_or_identity(z[rows, :] @ proj_v, k))
-        if right_inverses:  # Y B^+ becomes (I - U U*) Y B^+ in place
-            rinv_u -= u_blocks[-1] @ (u_blocks[-1].T @ rinv_u)
-            rinv_v -= v_blocks[-1] @ (v_blocks[-1].T @ rinv_v)
-            y_rinv.append(rinv_u)
-            z_rinv.append(rinv_v)
-            uy.append(u_blocks[-1].T @ y_rows)
-            conds.append((cond_u, cond_v))
+        factor, factors[i] = factors[i], None  # each block's factors go once used
+        proj, rinv, cond = factor if right_inverses else (factor, None, None)
+        u_blocks.append(_basis_or_identity(y[rows, :] @ proj, k))
+        v_blocks.append(_basis_or_identity(z[rows, :] @ proj, k))
+        if right_inverses:  # [Y; Z] B^+ becomes [(I - U U*) Y; (I - V V*) Z] B^+ in place
+            y_rinv.append(rinv[:len(rows)])
+            z_rinv.append(rinv[len(rows):])
+            for half, basis in ((y_rinv[-1], u_blocks[-1]), (z_rinv[-1], v_blocks[-1])):
+                half -= basis @ (basis.T @ half)
+            conds.append(cond)
 
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(omega=omega, s=s, tess=tess)
     if right_inverses:
-        bundle.y_rinv, bundle.z_rinv, bundle.uy = y_rinv, z_rinv, uy
+        bundle.y_rinv, bundle.z_rinv = y_rinv, z_rinv
+        bundle.uy = stack_t(u_blocks, tess, y)
         bundle.stack_conds = np.array(conds)
     return bases, bundle
 
@@ -232,7 +234,7 @@ def tagging_bases(
     Omega is built from (see SketchBundle.test_rows). With group_cols (type
     B), every G_j^+ and H_j^+ is factored before the first oracle call, and
     each side also leaves the projected right-inverse rows of SketchBundle,
-    the forward side U_i* Y_i too; the H_j and H_j^+ go with the adjoint
+    the forward side U* Y too; the H_j and H_j^+ go with the adjoint
     sketch.
     """
     r = k + p
@@ -250,18 +252,16 @@ def tagging_bases(
         h_pinv = [null_basis(h, 0, rows=np.eye(gc))[1] for h in h_blocks]
 
     def one_side(apply, test_blocks, pinv_blocks, with_uy=False):
-        """(bases, right-inverse rows, bases* sketch rows) of one side; the
-        rows are None without pinv_blocks, the last also without with_uy.
+        """(bases, right-inverse rows, bases* sketch) of one side; the rows
+        are None without pinv_blocks, the last also without with_uy.
         Column p of W_i tags neighbour p with 1 and the others with 0, so
         one contraction of block i's sketch groups with W_i isolates every
         neighbour."""
         sketch = apply(assemble_tagging_test_matrix(tess, T, test_blocks, gc))
-        bases, rinv, basis_rows = [], None, None
+        bases, rinv = [], None
         if pinv_blocks is not None:
             rinv = _views([(len(rows), tess.neighbor_row_count(i))
                            for i, rows in enumerate(tess.blocks)])
-        if with_uy:
-            basis_rows = _views([(min(k, len(rows)), sketch.shape[1]) for rows in tess.blocks])
         for i, rows in enumerate(tess.blocks):
             block_rows = sketch[rows, :]
             groups = block_rows.reshape(len(rows), T.n_cols, gc)
@@ -273,9 +273,7 @@ def tagging_bases(
             comb = project_out(bases[-1], comb.reshape(len(rows), -1))
             np.concatenate([comb[:, q * gc:(q + 1) * gc] @ pinv_blocks[j]
                             for q, j in enumerate(tess.neighbor_lists[i])], axis=1, out=rinv[i])
-            if with_uy:
-                np.matmul(bases[-1].T, block_rows, out=basis_rows[i])
-        return bases, rinv, basis_rows
+        return bases, rinv, stack_t(bases, tess, sketch) if with_uy else None
 
     v_blocks, z_rinv, _ = one_side(op.apply_adjoint, h_blocks, h_pinv)
     del h_blocks, h_pinv

@@ -315,19 +315,19 @@ def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
 
     (I - U_i U_i*) A(I_i, nbrs) equals the projected sketch rows times the
     right pseudoinverse of the stacked neighbor rows of the test matrix;
-    the adjoint side gives A_ji (I - V_i V_i*). Step I already computed
-    both products from its QR of each stack (block_nullification_bases
-    with right_inverses=True), so this step only slices and combines them.
-    Warns for every stack whose condition estimate, LAPACK's 1-norm
-    estimate of cond(R), exceeds _COND_LIMIT. Costs no extra matvecs.
+    the adjoint side gives A_ji (I - V_i V_i*). Both sides sketch the same
+    Omega, so step I took both products from its one QR of each stack
+    (block_nullification_bases with right_inverses=True), and this step
+    only slices and combines them. Warns once for every stack whose
+    condition estimate, LAPACK's 1-norm estimate of cond(R), exceeds
+    _COND_LIMIT. Costs no extra matvecs.
     """
     b_blocks = _near_field_from_pairs(bundle, bases)
-    for side, col in (("", 0), ("adjoint ", 1)):
-        for i in np.flatnonzero(bundle.stack_conds[:, col] > _COND_LIMIT):
-            warnings.warn(
-                f"block {i}: neighbor {side}test-matrix stack has condition "
-                f"{bundle.stack_conds[i, col]:.2e} (LAPACK 1-norm estimate of cond(R))"
-            )
+    for i in np.flatnonzero(bundle.stack_conds > _COND_LIMIT):
+        warnings.warn(
+            f"block {i}: neighbor test-matrix stack, the test rows of both sides, has "
+            f"condition {bundle.stack_conds[i]:.2e} (LAPACK 1-norm estimate of cond(R))"
+        )
     return b_blocks
 
 
@@ -375,8 +375,9 @@ def pinv_core(
     type-B path. Omega is read one block's rows at a time through
     bundle.test_rows, with the extra columns appended, and each block's rows
     are built once: they give V_j* Omega_j and every term (U_i* B_ij) Omega_j.
-    U*(Y - B Omega) starts from step I's U_i* Y_i (bundle.uy), with the
-    extra columns' U_i* Y_i beside it, and takes off
+    U*(Y - B Omega) starts from step I's U* Y, which this takes out of the
+    bundle (bundle.uy is None after) and reduces in place, so no K x s copy
+    of it is made; the extra columns' U* Y goes beside it. It takes off
     sum_j (U_i* B_ij) Omega_j one block row at a time, with the j in
     ascending order: U_i* goes on first, so each pair costs k/m_j of
     B_ij Omega_j's flops and no n x s or m_i x s temporary is made. The
@@ -386,10 +387,10 @@ def pinv_core(
     np.linalg.LinAlgError (dtrtrs). Returns (core, columns_added).
     """
     if bundle.uy is None:
-        raise ValueError(f"bundle has no U_i* Y_i rows; {_TYPE_B_BUNDLE}")
+        raise ValueError(f"bundle has no U* Y rows; {_TYPE_B_BUNDLE}")
     tess = bundle.tess
     extra = max(0, bases.total_rank + p - bundle.s)
-    lhs = np.vstack(bundle.uy)
+    lhs, bundle.uy = bundle.uy, None
     om_extra = None
     if extra:
         om_extra = gaussian(tess.n_points, extra, stream)
@@ -496,13 +497,14 @@ def compress(
     are the CountingOperator's phase accounts.
 
     Each step-I array lives only while a later step reads it (see
-    SketchBundle). Within step I, block nullification holds omega, psi, y
-    and z; tagging and naive hold one side's test matrix and sketch at a
-    time, and type-B tagging also the adjoint side's right-inverse rows. No
+    SketchBundle). Within step I, block nullification holds omega, y and
+    z, and factors each neighbour stack of omega once for both sides;
+    tagging and naive hold one side's test matrix and sketch at a time,
+    and type-B tagging also the adjoint side's right-inverse rows. No
     sketch outlives step I. Type A drops the bundle after step I. Type B
-    drops the right-inverse rows after step III. Step II reads U_i* Y_i
-    and block rows of omega: B1 keeps omega, B2 rebuilds the rows from the
-    plan and g_blocks.
+    drops the right-inverse rows after step III. Step II reduces U* Y in
+    place and reads block rows of omega: B1 keeps omega, B2 rebuilds the
+    rows from the plan and g_blocks.
 
     A compute_error estimate of ||A|| that reads zero leaves
     report.relative_error None, with a UserWarning, and the representation

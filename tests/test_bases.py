@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import ublr.bases
+import ublr.reconstruction
 from ublr import (
     CountingOperator,
     DenseOperator,
@@ -25,7 +27,7 @@ from ublr import (
     tagging_bases,
     write_ublr,
 )
-from ublr.bases import _basis_or_identity, assemble_tagging_test_matrix
+from ublr.bases import _basis_or_identity, assemble_tagging_test_matrix, stack_t
 from ublr.linalg import project_out
 
 from conftest import snorm, uniform_synthetic
@@ -265,23 +267,48 @@ class TestBlockNullificationRightInverses:
         assert plain_bundle.y_rinv is None and plain_bundle.stack_conds is None
         for a, b in zip(plain.u_blocks + plain.v_blocks, bases.u_blocks + bases.v_blocks):
             assert np.array_equal(a, b)
-        assert bundle.stack_conds.shape == (tess.b, 2)
+        # one stack, and one condition estimate, per block serves both sides
+        assert bundle.stack_conds.shape == (tess.b,)
         assert np.all(np.isfinite(bundle.stack_conds))
         assert np.all(bundle.stack_conds >= 1.0)
-        # the bundle keeps no sketch and no psi: rebuild them from the streams
-        psi = gaussian(tess.n_points, bundle.s, RandomStream(seed).child(3).child(1))
-        y, z = op.apply(bundle.omega), op.apply_adjoint(psi)
+        # the bundle keeps no sketch: both come from omega
+        y, z = op.apply(bundle.omega), op.apply_adjoint(bundle.omega)
         for i in range(tess.b):
             rows, nbrs = tess.blocks[i], tess.neighbor_indices(i)
+            pinv = np.linalg.pinv(bundle.omega[nbrs, :])
             sides = (
-                (bundle.y_rinv[i], bases.u_blocks[i], y, bundle.omega),
-                (bundle.z_rinv[i], bases.v_blocks[i], z, psi),
+                (bundle.y_rinv[i], bases.u_blocks[i], y),
+                (bundle.z_rinv[i], bases.v_blocks[i], z),
             )
-            for got, basis, sketch, test in sides:
-                want = project_out(basis, sketch[rows, :]) @ np.linalg.pinv(test[nbrs, :])
+            for got, basis, sketch in sides:
+                want = project_out(basis, sketch[rows, :]) @ pinv
                 assert got.shape == (len(rows), len(nbrs))
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert np.array_equal(bundle.uy[i], bases.u_blocks[i].T @ y[rows])
+        assert np.array_equal(bundle.uy, stack_t(bases.u_blocks, tess, y))
+
+    def test_symmetric_operator_gives_equal_spans(self, synthetic_small):
+        # A* Omega = A Omega, and one null basis projects both sketches
+        _, tess, _ = synthetic_small
+        a = gaussian(tess.n_points, tess.n_points, RandomStream(4))
+        bases, _ = block_nullification_bases(DenseOperator(a + a.T), tess, 3, 10, RandomStream(6))
+        for u, v in zip(bases.u_blocks, bases.v_blocks):
+            assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10
+
+    def test_one_null_basis_per_stack(self, synthetic_small, monkeypatch):
+        # A1 factors each neighbour stack once; B1 also pinv_core's V* Omega
+        op, tess, _ = synthetic_small
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return null_basis(*args, **kwargs)
+
+        monkeypatch.setattr(ublr.bases, "null_basis", counted)
+        monkeypatch.setattr(ublr.reconstruction, "null_basis", counted)
+        for method, want in (("A1", tess.b), ("B1", tess.b + 1)):
+            calls.clear()
+            compress(op, tess, 3, method, p=10, stream=RandomStream(1), compute_error=False)
+            assert len(calls) == want
 
     def test_a1_container_matches_keyword_off_pipeline(self, synthetic_small, tmp_path):
         op, tess, _ = synthetic_small

@@ -437,7 +437,7 @@ class TestPinvCore:
         y = A @ omega
         bundle = SketchBundle(
             omega=omega, s=s, tess=tess,
-            uy=[u.T @ y[rows] for u, rows in zip(u_blocks, tess.blocks)],
+            uy=stack_t(u_blocks, tess, y),
         )
         core, added = pinv_core(op, bundle, bases, {}, 10, stream.child(4))
         assert added == 0
@@ -450,7 +450,7 @@ class TestPinvCore:
             op, tess, 3, 10, RandomStream(1), right_inverses=True
         )
         bundle.omega = bundle.omega[:, :20]
-        bundle.uy = [uy[:, :20] for uy in bundle.uy]
+        bundle.uy = bundle.uy[:, :20]
         bundle.s = 20
         cop = CountingOperator(op)
         b_blocks = {}
@@ -483,7 +483,7 @@ class TestPinvCore:
         y = op.apply(omega)  # the bundle keeps U_i* Y_i, not Y
         if case == "augmented":  # K = 160: 40 columns leave 130 to add
             bundle.omega, bundle.s = omega[:, :40], 40
-            bundle.uy = [uy[:, :40] for uy in bundle.uy]
+            bundle.uy = bundle.uy[:, :40]
             om_extra = gaussian(tess.n_points, 130, RandomStream(5))
             omega = np.hstack((bundle.omega, om_extra))
             y = np.hstack((y[:, :40], op.apply(om_extra)))
@@ -533,6 +533,8 @@ class TestPinvCore:
         ]
         for got, got_uy, basis, test_blocks, apply in sides:
             sketch = apply(assemble_tagging_test_matrix(tess, plan.matrix, test_blocks, gc))
+            if got_uy is not None:
+                assert np.array_equal(got_uy, stack_t(basis, tess, sketch))
             for i, rows in enumerate(tess.blocks):
                 groups = sketch[rows, :].reshape(len(rows), -1, gc)
                 comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
@@ -540,19 +542,19 @@ class TestPinvCore:
                 want = [comb[:, p * gc:(p + 1) * gc] @ pseudo_inverse(test_blocks[j])
                         for p, j in enumerate(tess.neighbor_lists[i])]
                 assert np.array_equal(got[i], np.hstack(want))
-                if got_uy is not None:
-                    assert np.array_equal(got_uy[i], basis[i].T @ sketch[rows])
 
     @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
     def test_tagging_core_same_with_dense_omega(self, extra):
         # rows rebuilt from the plan give the core the assembled Omega gives
         op, tess, plan, bases, bundle = self.b2_case(extra)
         b_blocks = tagging_pinv_discrepancy(bundle, bases)
+        uy = bundle.uy.copy()  # pinv_core takes U* Y out of the bundle
         core, added = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
-        assert (added > 0) == extra
+        assert (added > 0) == extra and bundle.uy is None
         bundle.omega = assemble_tagging_test_matrix(
             tess, plan.matrix, bundle.g_blocks, bundle.group_cols
         )
+        bundle.uy = uy
         dense_core, _ = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
         assert np.array_equal(core, dense_core)
 
@@ -568,10 +570,12 @@ class TestPinvCore:
         # zero rows of Omega make V_0* Omega[I_0] exactly zero, so R has an
         # exact zero on its diagonal; a well-posed V* Omega does not warn
         op, tess, bases, bundle, b_blocks = self.b1_case(synthetic_case)
+        uy = bundle.uy.copy()  # pinv_core takes U* Y out of the bundle
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
         bundle.omega[tess.blocks[0]] = 0.0
+        bundle.uy = uy
         with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
             pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
 
@@ -614,15 +618,24 @@ class TestCompressMemory:
     # sketch arrays were released after their last reader, these peaks were
     # 5.73 (A3) and 7.62 (B2) n s doubles. B2's was 4.68 while it kept omega
     # and psi, and 3.31 while y and z lived on into steps III and II; it is
-    # 2.87 since step I hands on only the rows later steps read.
+    # 2.87 since step I hands on only the rows later steps read, and 2.81
+    # since pinv_core reduces U* Y in place instead of stacking a copy.
     @pytest.mark.parametrize("method", ["A3", "B2"])
     def test_traced_peak_within_five_sketch_arrays(self, method):
         assert self.traced_peak(method) < {"A3": 5, "B2": 3.1}[method]
 
+    # Block nullification's step I holds omega, y and z and factors each
+    # neighbour stack once for both sides: 4.54 (A1) and 6.22 (B1) n s
+    # doubles, against 5.87 and 7.44 while the adjoint side drew its own
+    # psi and every stack was factored once per side.
+    @pytest.mark.parametrize("method", ["A1", "B1"])
+    def test_block_nullification_shares_one_test_matrix(self, method):
+        assert self.traced_peak(method) < {"A1": 5.0, "B1": 6.6}[method]
+
     @pytest.mark.parametrize("method", ["B1", "B2"])
     def test_type_b_bundle_holds_no_sketch(self, method):
-        # step I hands on right-inverse rows and U_i* Y_i, never y or z: no
-        # field but block nullification's omega and psi has n rows
+        # step I hands on right-inverse rows and U* Y, never y or z: no
+        # field but block nullification's omega has n rows
         op, tess = self.memory_case()
         if method == "B1":
             _, bundle = block_nullification_bases(
@@ -634,7 +647,7 @@ class TestCompressMemory:
                 op, tess, 20, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10
             )
         assert not {"y", "z"} & set(vars(bundle))
-        assert len(bundle.uy) == len(bundle.y_rinv) == len(bundle.z_rinv) == tess.b
+        assert len(bundle.y_rinv) == len(bundle.z_rinv) == tess.b
         arrays = [
             a for name, value in vars(bundle).items() if name != "omega"
             for a in (value if isinstance(value, list) else [value])
