@@ -10,7 +10,9 @@ complement of a shifted Laplacian.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -243,42 +245,67 @@ def synthetic_ublr(spec: SyntheticUBLRSpec) -> DenseOperator:
 # ---------------------------------------------------------------------------
 
 
-# rows of the kernel matrix evaluated per pass: one tile x N temporary
-# (1 MB at N = 4096) then stays in cache
+# rows of the kernel matrix evaluated per pass, summed over the build's
+# workers: their one _KERNEL_TILE x N temporary (1 MB at N = 4096) stays in
+# cache, and the cap of _KERNEL_TILE workers leaves each at least one row
 _KERNEL_TILE = 32
+
+
+def _build_workers() -> int:
+    """Threads that build the kernel matrix: the CPUs available to this
+    process, capped at _KERNEL_TILE."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _KERNEL_TILE)
 
 
 def laplace2d_operator(points: PointCloud) -> DenseOperator:
     """Dense kernel matrix log||x_i - x_j|| with a zero diagonal.
 
-    Built _KERNEL_TILE rows at a time in place in the result. Each tile
-    gets (x_0 - y_0)^2 written into it, then (x_a - y_a)^2 added for each
-    further coordinate through one _KERNEL_TILE x N temporary, the only
-    one. The sum is the all-pairs formula's, bit for bit. Each tile's
-    diagonal distances are set to 1 before the log, and log(1) = 0.
+    Built in place in the result by one thread per available CPU (at most
+    _KERNEL_TILE), each over its own contiguous range of rows, joined before
+    the call returns. A worker fills _KERNEL_TILE // workers rows per pass:
+    each tile gets (x_0 - y_0)^2 written into it, then (x_a - y_a)^2 added
+    for each further coordinate through the worker's slice of one
+    _KERNEL_TILE x N temporary, the only one. Every entry comes from the
+    same operations in the same order at any worker count, so the result is
+    the all-pairs formula's, bit for bit. Each tile's diagonal distances are
+    set to 1 before the log, and log(1) = 0.
     """
     if points.dim != 2:
         raise ValueError("laplace2d requires d=2 points")
     x = points.coords
     xt = np.ascontiguousarray(x.T)
-    A = np.empty((points.n, points.n))
-    sq = np.empty((min(_KERNEL_TILE, points.n), points.n))
-    for lo in range(0, points.n, _KERNEL_TILE):
-        tile = A[lo:lo + _KERNEL_TILE]
-        rows = np.arange(len(tile))
-        hi = lo + len(tile)
-        np.subtract(x[lo:hi, 0, None], xt[0], out=tile)
-        np.square(tile, out=tile)
-        for a in range(1, points.dim):
-            d = sq[:len(tile)]
-            np.subtract(x[lo:hi, a, None], xt[a], out=d)
-            np.square(d, out=d)
-            tile += d
-        np.sqrt(tile, out=tile)
-        tile[rows, lo + rows] = 1.0
-        if np.any(tile == 0.0):
-            raise ValueError("coincident points: log kernel is singular")
-        np.log(tile, out=tile)
+    n = points.n
+    A = np.empty((n, n))
+    workers = _build_workers()
+    step = _KERNEL_TILE // workers
+    sq = np.empty((workers * step, n))
+
+    def fill(w: int) -> None:
+        scratch = sq[w * step:(w + 1) * step]
+        stop = n * (w + 1) // workers
+        for lo in range(n * w // workers, stop, step):
+            hi = min(lo + step, stop)
+            tile = A[lo:hi]
+            rows = np.arange(hi - lo)
+            np.subtract(x[lo:hi, 0, None], xt[0], out=tile)
+            np.square(tile, out=tile)
+            for a in range(1, points.dim):
+                d = scratch[:hi - lo]
+                np.subtract(x[lo:hi, a, None], xt[a], out=d)
+                np.square(d, out=d)
+                tile += d
+            np.sqrt(tile, out=tile)
+            tile[rows, lo + rows] = 1.0
+            if tile.min() == 0.0:  # distances are >= 0, so no boolean mask
+                raise ValueError("coincident points: log kernel is singular")
+            np.log(tile, out=tile)
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, range(workers)))  # re-raises a worker's error
     return DenseOperator(A)
 
 

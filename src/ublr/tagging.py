@@ -59,6 +59,7 @@ _RATIO_LIMIT = 1e6  # the worst aspect ratio plan_tagging accepts
 _FIRST_GRID = 4096  # angle tuples in the null-vector search's first grid
 _ZOOM_GRID = 289  # angle tuples in each of its zoomed grids
 _ZOOM_ROUNDS = 3  # zoomed grids after the first
+_ZOOM_STARTS = 4  # first-grid local minima the zoomed grids search around
 
 
 def make_tagging_matrix(
@@ -166,7 +167,8 @@ def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVe
     Requires nullity >= 2; with nullity 1 it falls back to tag_null_vector
     with a warning. One search serves every nullity: over the first three
     null directions (two at nullity 2), a grid of 4096 directions up to sign,
-    then three zoomed grids of 289 around the best one found. The
+    then three zoomed grids of 289 around each of its four best local
+    minima, keeping the best direction found. The
     unoptimized vector is kept whenever the search does not beat its ratio,
     so the result is never worse than the base.
     """
@@ -214,21 +216,43 @@ def _best_direction(P: np.ndarray) -> np.ndarray:
 
     c runs over q - 1 hyperspherical angles, each in [0, pi], which reach
     every direction up to sign. A first grid of _FIRST_GRID angle tuples is
-    followed by _ZOOM_ROUNDS grids of _ZOOM_GRID tuples; each spans two of
-    the last grid's spacings either side of its best point, and holds that
-    point, so no round loses it."""
+    searched. Around each of its _ZOOM_STARTS best local minima (points no
+    worse than any grid neighbour), _ZOOM_ROUNDS grids of _ZOOM_GRID tuples
+    follow; each spans two of the last grid's spacings either side of that
+    start's best point so far, and holds that point, so no round loses it.
+    The best point over all starts is returned: never worse, up to
+    rounding, than zooming around the first grid's best point alone, whose
+    basin may not hold the best direction at nullity >= 3."""
     dims = P.shape[1] - 1
     n = round(_FIRST_GRID ** (1 / dims))
-    axes, spacing = [np.linspace(0.0, np.pi, n)] * dims, np.pi / (n - 1)
-    for _ in range(_ZOOM_ROUNDS + 1):
-        angles = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-        sines = np.cumprod(np.sin(angles), axis=0)
-        coeffs = np.vstack((np.cos(angles[:1]), sines[:-1] * np.cos(angles[1:]), sines[-1:]))
-        best = int(np.argmin(_ratio_per_column(P @ coeffs)))
-        n = round(_ZOOM_GRID ** (1 / dims))
+    angles = _angle_grid([np.linspace(0.0, np.pi, n)] * dims)
+    ratios = _ratio_per_column(P @ _unit_coefficients(angles))
+    pad = np.pad(ratios.reshape([n] * dims), 1, mode="edge")
+    shifts = [pad[tuple(slice(o, o + n) for o in at)] for at in np.ndindex(*[3] * dims)]
+    minima = np.flatnonzero(ratios == np.min(shifts, axis=0).ravel())
+    starts = minima[np.argsort(ratios[minima], kind="stable")[:_ZOOM_STARTS]]
+    points, ratios, rows = angles[:, starts], ratios[starts], np.arange(len(starts))
+    n, spacing = round(_ZOOM_GRID ** (1 / dims)), np.pi / (n - 1)
+    for _ in range(_ZOOM_ROUNDS):
         spacing *= 4.0 / (n - 1)
-        axes = [a + spacing * np.arange(-(n // 2), n // 2 + 1) for a in angles[:, best]]
-    return coeffs[:, best]
+        offsets = _angle_grid([spacing * np.arange(-(n // 2), n // 2 + 1)] * dims)
+        grid = points[:, :, None] + offsets[:, None, :]  # (dims, starts, n^dims)
+        zoom = _ratio_per_column(P @ _unit_coefficients(grid.reshape(dims, -1)))
+        zoom = zoom.reshape(len(starts), -1)
+        best = np.argmin(zoom, axis=1)
+        points, ratios = grid[:, rows, best], zoom[rows, best]
+    return _unit_coefficients(points[:, [int(np.argmin(ratios))]])[:, 0]
+
+
+def _angle_grid(axes: list) -> np.ndarray:
+    """Every tuple of one value per axis, as columns of a (len(axes), n) array."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _unit_coefficients(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors in R^q, one per column of q - 1 hyperspherical angles."""
+    sines = np.cumprod(np.sin(angles), axis=0)
+    return np.vstack((np.cos(angles[:1]), sines[:-1] * np.cos(angles[1:]), sines[-1:]))
 
 
 @dataclass

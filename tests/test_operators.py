@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from ublr import (
     suggest_block_count,
     thin_slab_schur_operator,
 )
+from ublr import operators
 from ublr.operators import _KERNEL_TILE as T
 from ublr.operators import check_adjoint, check_linearity
 
@@ -138,11 +141,16 @@ class TestLaplace2D:
         with pytest.raises(ValueError):
             laplace2d_operator(PointCloud(np.array([[0.1], [0.9]]), 1))
 
+    # at n = 1 every worker but the last has no rows; at n = 5 five workers
+    # have one row each
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize(
         "n", [1, 5, T - 1, T, T + 1, 2 * T + 1, 255, 256, 257, 300, 513]
     )
-    def test_row_tiles_match_one_broadcast(self, n):
+    def test_row_tiles_match_one_broadcast(self, n, workers, monkeypatch):
         # the row-tiled build gives the very bits of the all-pairs formula
+        # at any worker count
+        monkeypatch.setattr(operators, "_build_workers", lambda: workers)
         x = random_points(n, 2, RandomStream(n)).coords
         diff = x[:, None, :] - x[None, :, :]
         with np.errstate(divide="ignore"):
@@ -152,12 +160,35 @@ class TestLaplace2D:
         assert np.array_equal(got, want)
         assert not np.signbit(np.diag(got)).any()
 
-    @pytest.mark.parametrize("first, second", [(0, 300), (T - 1, T)])
-    def test_coincident_points_in_different_tiles_raise(self, first, second):
+    # 2 workers split 400 rows at 200; 5 give the last one rows 320-399
+    @pytest.mark.parametrize(
+        "first, second, workers", [(0, 300, 2), (T - 1, T, 2), (330, 399, 5)]
+    )
+    def test_coincident_points_in_different_tiles_raise(
+        self, first, second, workers, monkeypatch
+    ):
+        monkeypatch.setattr(operators, "_build_workers", lambda: workers)
         x = random_points(400, 2, RandomStream(4)).coords.copy()
         x[second] = x[first]
         with pytest.raises(ValueError, match="coincident"):
             laplace2d_operator(PointCloud(x, 2))
+
+    def test_build_joins_its_threads(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as possible:
+        # the same bits as one worker, and no thread left running
+        pts = random_points(300, 2, RandomStream(7))
+        monkeypatch.setattr(operators, "_build_workers", lambda: 1)
+        want = laplace2d_operator(pts).matrix
+        monkeypatch.setattr(operators, "_build_workers", lambda: 5)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = laplace2d_operator(pts).matrix
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert np.array_equal(got, want)
 
     def test_build_allocates_one_tile_beyond_the_result(self):
         # the only temporary is one T x N array, not N x N or T x N x 2

@@ -254,6 +254,16 @@ class TestOptimizeNullVector:
         assert np.median(gaps) <= 1e-2
         assert max(gaps) <= 0.25
 
+    def test_nullity_three_search_leaves_the_first_grids_basin(self):
+        # seed 8, block 5: zooming around the first grid's best point alone
+        # ends at ratio 5.000, 5 % above the dense grid; another of the
+        # first grid's local minima leads below it
+        tess = build_tessellation(grid_points(16, 1), 16)
+        T = make_tagging_matrix(16, 1, 2, "gaussian", RandomStream(8))
+        best = optimize_null_vector(T, tess, 5)
+        rho = aspect_ratio(projected_tags(T, tess, best), tess)
+        assert rho <= 1.01 * sphere_oracle_min_ratio(T, tess, 5, sphere_grid(200))
+
     def test_engineered_all_equal_optimum(self, tess_1d, stream):
         # build T whose far-field rows all have |<t_j, z*>| = 1 for one unit
         # z* in the null space of the neighbor rows of block 2
