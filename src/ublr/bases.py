@@ -2,15 +2,24 @@
 
 Three interchangeable constructions share the (U_i, V_i) contract:
 
-* block nullification: one wide Gaussian test matrix sketches both sides;
-  per block, each sketch is right-multiplied by one orthonormal null basis
-  of the neighbor rows of the test matrix, which zeroes inadmissible
-  contributions;
+* block nullification: one wide Gaussian test matrix; per block, each
+  sketch is right-multiplied by one orthonormal null basis of the neighbor
+  rows of the test matrix, which zeroes inadmissible contributions;
 * tagging: per-block Gaussian test blocks scaled by tagging-matrix entries;
   a null vector of the neighbor rows of the tagging matrix combines the
   sketch groups into a clean sample at constant sketch width;
-* naive blocked randSVD: a fresh Gaussian test matrix per block with the
-  neighborhood rows zeroed out, the benchmark everyone is compared against.
+* naive blocked randSVD: a Gaussian probe per block with the neighborhood
+  rows zeroed out, the benchmark everyone is compared against.
+
+Each builder departs from the paper in one respect: the paper draws
+independent test matrices for the two sides, Y = A Omega and Z = A* Psi,
+while here both sides sketch the same test matrix, Z = A* Omega. Each
+side's range-finder bound needs only a Gaussian test matrix of its own
+side, so the matvec columns stay the same, the forward side (and so every
+U_i) is what an independent Psi would give, and whatever is factored from
+the test matrix serves both sides: one null basis per neighbour stack
+(block nullification) and one right inverse per test block (tagging with
+group_cols).
 
 Each returns the bases together with the sketch bundle so the type-B
 reconstruction can reuse the samples.
@@ -37,12 +46,11 @@ class SketchBundle:
     (I - U_i U_i*) Y_i B_i^+ (y_rinv[i], m_i x sum_{j in N_i} m_j, neighbour
     j's m_j columns in neighbour order), the same rows from the adjoint
     sketch and V_i (z_rinv[i]), and U* Y (uy, K x s, block i's U_i* Y_i in
-    its rank rows). These rows are near-field sized. Block nullification
-    builds them with right_inverses=True: both sides share Omega, so one QR
-    of each stack gives B_i^+ for both, and the bundle also keeps that
-    stack's condition estimate. Tagging builds them when called with
-    group_cols, from each side's own test blocks:
-    B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+), and H_k for the adjoint.
+    its rank rows). These rows are near-field sized; both sides use the
+    same B_i^+. Block nullification builds them with right_inverses=True,
+    from one QR of each stack, and the bundle also keeps that stack's
+    condition estimate. Tagging builds them when called with group_cols:
+    B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
 
     Only block nullification keeps omega, for B1's step II. Tagging keeps
     neither test matrix: Omega is fixed by the plan's T and the per-block
@@ -148,12 +156,8 @@ def block_nullification_bases(
     right_inverses: bool = False,
 ) -> tuple:
     """Bases via null-space projection of one wide Gaussian sketch, taken
-    from both sides: Y = A Omega and Z = A* Omega.
-
-    The paper draws an independent Psi for Z. Each side's range-finder
-    bound needs only its own Gaussian test matrix, so sharing Omega keeps
-    the 2 s columns and lets one null basis of each neighbour stack
-    Omega(N_i, :) give both U_i and V_i: one QR per stack instead of two.
+    from both sides: Y = A Omega and Z = A* Omega. One null basis of each
+    neighbour stack Omega(N_i, :) gives both U_i and V_i.
 
     With right_inverses (the type-B path), that QR also yields the stack's
     right inverse for both sides at once, and the bundle keeps the
@@ -228,38 +232,32 @@ def tagging_bases(
     per-block test blocks admit right inverses. Block i's sample contracts
     its sketch groups with the plan's null vector.
 
-    One side at a time, adjoint first: its test matrix goes straight into
-    its oracle call, and its sketch goes once its bases are taken, before the
-    other side's test matrix is assembled. The bundle keeps the G_i that
-    Omega is built from (see SketchBundle.test_rows). With group_cols (type
-    B), every G_j^+ and H_j^+ is factored before the first oracle call, and
-    each side also leaves the projected right-inverse rows of SketchBundle,
-    the forward side U* Y too; the H_j and H_j^+ go with the adjoint
-    sketch.
+    One side at a time, adjoint first: the test matrix is assembled for each
+    oracle call and goes straight into it, and each sketch goes once its
+    bases are taken. The bundle keeps the G_i that Omega is built from (see
+    SketchBundle.test_rows). With group_cols (type B), every G_j^+ is
+    factored before the first oracle call, and each side also leaves the
+    projected right-inverse rows of SketchBundle, the forward side U* Y too.
     """
     r = k + p
     gc = r if group_cols is None else group_cols
     T = plan.matrix
 
-    g_blocks, h_blocks = (
-        [gaussian(len(rows), gc, stream.child(side, i)) for i, rows in enumerate(tess.blocks)]
-        for side in (0, 1)
-    )
-    g_pinv = h_pinv = None
+    g_blocks = [gaussian(len(rows), gc, stream.child(0, i)) for i, rows in enumerate(tess.blocks)]
+    g_pinv = None
     if group_cols is not None:
         # every LAPACK call before numpy's products (see block_nullification_bases)
         g_pinv = [null_basis(g, 0, rows=np.eye(gc))[1] for g in g_blocks]
-        h_pinv = [null_basis(h, 0, rows=np.eye(gc))[1] for h in h_blocks]
 
-    def one_side(apply, test_blocks, pinv_blocks, with_uy=False):
+    def one_side(apply, with_uy=False):
         """(bases, right-inverse rows, bases* sketch) of one side; the rows
-        are None without pinv_blocks, the last also without with_uy.
+        are None without group_cols, the last also without with_uy.
         Column p of W_i tags neighbour p with 1 and the others with 0, so
         one contraction of block i's sketch groups with W_i isolates every
         neighbour."""
-        sketch = apply(assemble_tagging_test_matrix(tess, T, test_blocks, gc))
+        sketch = apply(assemble_tagging_test_matrix(tess, T, g_blocks, gc))
         bases, rinv = [], None
-        if pinv_blocks is not None:
+        if g_pinv is not None:
             rinv = _views([(len(rows), tess.neighbor_row_count(i))
                            for i, rows in enumerate(tess.blocks)])
         for i, rows in enumerate(tess.blocks):
@@ -267,17 +265,16 @@ def tagging_bases(
             groups = block_rows.reshape(len(rows), T.n_cols, gc)
             sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
             bases.append(_basis_or_identity(sample, k))
-            if pinv_blocks is None:
+            if g_pinv is None:
                 continue
             comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
             comb = project_out(bases[-1], comb.reshape(len(rows), -1))
-            np.concatenate([comb[:, q * gc:(q + 1) * gc] @ pinv_blocks[j]
+            np.concatenate([comb[:, q * gc:(q + 1) * gc] @ g_pinv[j]
                             for q, j in enumerate(tess.neighbor_lists[i])], axis=1, out=rinv[i])
         return bases, rinv, stack_t(bases, tess, sketch) if with_uy else None
 
-    v_blocks, z_rinv, _ = one_side(op.apply_adjoint, h_blocks, h_pinv)
-    del h_blocks, h_pinv
-    u_blocks, y_rinv, uy = one_side(op.apply, g_blocks, g_pinv, with_uy=group_cols is not None)
+    v_blocks, z_rinv, _ = one_side(op.apply_adjoint)
+    u_blocks, y_rinv, uy = one_side(op.apply, with_uy=group_cols is not None)
 
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(
@@ -304,32 +301,29 @@ def naive_bases(
     p: int,
     stream: RandomStream,
 ) -> tuple:
-    """Blocked randSVD benchmark: a fresh zeroed Gaussian probe per block.
+    """Blocked randSVD benchmark: one zeroed Gaussian probe per block.
 
     Block i's probe is an n x r Gaussian with the rows of every neighbor
     (including i itself) set to zero; all b probes are batched into a single
     oracle call per side, costing 2 b r matvec columns. No step reads the
-    probes or sketches later: each side's probe goes when its call returns,
-    and its sketch once its bases are taken, before the other side's probe
-    is drawn. The bundle holds no array.
+    probe or the sketches later: the forward sketch goes once its bases are
+    taken, before the adjoint call, and the probe when this returns. The
+    bundle holds no array.
     """
     r = k + p
     n = tess.n_points
-
-    def probes(side):
-        out = np.zeros((n, tess.b * r))
-        for i in range(tess.b):
-            cols = slice(i * r, (i + 1) * r)
-            out[:, cols] = gaussian(n, r, stream.child(side, i))
-            out[tess.neighbor_indices(i), cols] = 0.0
-        return out
+    probe = np.zeros((n, tess.b * r))
+    for i in range(tess.b):
+        cols = slice(i * r, (i + 1) * r)
+        probe[:, cols] = gaussian(n, r, stream.child(0, i))
+        probe[tess.neighbor_indices(i), cols] = 0.0
 
     def block_bases(sketch):
         return [_basis_or_identity(sketch[rows, i * r:(i + 1) * r], k)
                 for i, rows in enumerate(tess.blocks)]
 
-    u_blocks = block_bases(op.apply(probes(0)))
-    v_blocks = block_bases(op.apply_adjoint(probes(1)))
+    u_blocks = block_bases(op.apply(probe))
+    v_blocks = block_bases(op.apply_adjoint(probe))
 
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(omega=None, s=tess.b * r, tess=tess)

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_compress, **KEYWORD_DEFAULTS)
 
     sweep = sub.add_parser("sweep", parents=[run], help="grid of compression runs, CSV output")
-    sweep.add_argument("--n-list", type=_int_list, default=[],
+    sweep.add_argument("--n-list", type=_int_list, required=True,
                        help="comma-separated problem sizes")
     sweep.add_argument("--k-list", type=_int_list, default=[30])
     sweep.add_argument("--methods", type=_str_list, default=["A1", "A2", "A3"])
@@ -225,9 +225,7 @@ def cmd_compress(args) -> int:
 
 def _sweep_row(args, method, k, n, seed):
     row = {c: "" for c in SWEEP_COLUMNS}
-    row.update(method=method, k=k, p=args.p, seed=seed)
-    if n is not None:
-        row["N"] = n
+    row.update(N=n, method=method, k=k, p=args.p, seed=seed)
     try:
         _, report = _run_one(args, method, k, n, seed, METHODS[method].keywords)
     except Exception as exc:  # partial failures become rows, sweep continues
@@ -257,10 +255,9 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     base_seed = _resolve_seed(args)
-    n_values = args.n_list if args.n_list else [None]
     combos = []
     for idx_nk, (n, k) in enumerate(
-        [(n, k) for n in n_values for k in args.k_list]
+        [(n, k) for n in args.n_list for k in args.k_list]
     ):
         for method in args.methods:
             if method not in METHODS:

@@ -11,8 +11,8 @@ reconstruction families fills in C and B:
   with structured identity probes over a distance-2 box coloring, every
   color's probe side by side in one oracle call;
 * type B (III, then II): B first, recovered from the step-I sketches as
-  (I - U_i U_i*) Y_i Omega(N_i, :)^+ and its adjoint-side twin (no new
-  matvecs), then C from a least-squares solve against the same test
+  (I - U_i U_i*) Y_i Omega(N_i, :)^+ and (I - V_i V_i*) Z_i Omega(N_i, :)^+
+  (no new matvecs), then C from a least-squares solve against the same test
   matrix, augmented with extra Gaussian columns when the bundle is too
   narrow. Step I already forms those right-inverse rows, and U_i* Y_i for
   step II, so no n x s sketch outlives it: step III only slices the rows.
@@ -352,7 +352,7 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
     kron I_gc) over k in N_i, so with W_i = T(N_i, :)^+ (ell x |N_i|),
     (W_i kron I_gc) blkdiag(G_k^+) is a right inverse of them. As in B1,
     (I - U_i U_i*) Y_i times it is (I - U_i U_i*) A(I_i, N_i) up to
-    far-field leakage, and Z_i with the H_k gives A(N_i, I_i) (I - V_i V_i*).
+    far-field leakage, and Z_i times it gives A(N_i, I_i) (I - V_i V_i*).
     tagging_bases with group_cols already formed both products, so this
     step only slices and combines them. Costs no extra matvecs beyond the
     step-I bundle.

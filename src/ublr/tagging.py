@@ -180,12 +180,14 @@ def optimize_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVe
 
 
 def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool = False):
-    """(base, chosen, W_i) for block i from one QR of T(N_i, :)*.
+    """(base, chosen, W_i, rho_base, rho_chosen) for block i from one QR of
+    T(N_i, :)*.
 
     base is the last column of the null basis Z_i; chosen is
     optimize_null_vector's vector with optimize, else base. W_i is the right
     inverse T(N_i, :)^+, or None when R has an exactly zero pivot (dtrtrs);
-    only then does Z_i come from a second QR."""
+    only then does Z_i come from a second QR. The ratios are the aspect
+    ratios of base and chosen, NaN when the far field is empty."""
     sub = T.entries[tess.neighbor_lists[i], :]
     nullity = T.n_cols - len(tess.neighbor_lists[i])
     try:
@@ -198,16 +200,19 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     # null_basis has already bounded the residuals by _NULL_RTOL max(1, ||T(N_i, :)||_F)
     base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(sub @ Z[:, -1])))
     far = tess.far_fields[i]
-    if not optimize or nullity < 2 or len(far) == 0:
-        return base, base, W
+    if len(far) == 0:
+        return base, base, W, np.nan, np.nan
+    base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
+    if not optimize or nullity < 2:
+        return base, base, W, base_ratio, base_ratio
     X = Z[:, :3]  # cap the search at three null directions
     z = X @ _best_direction(T.entries[far, :] @ X)
     z /= np.linalg.norm(z)
     chosen = NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z)))
-    base_ratio = aspect_ratio(projected_tags(T, tess, base), tess)
-    if base_ratio <= aspect_ratio(projected_tags(T, tess, chosen), tess):
-        return base, base, W
-    return base, chosen, W
+    chosen_ratio = aspect_ratio(projected_tags(T, tess, chosen), tess)
+    if base_ratio <= chosen_ratio:
+        return base, base, W, base_ratio, base_ratio
+    return base, chosen, W, base_ratio, chosen_ratio
 
 
 def _best_direction(P: np.ndarray) -> np.ndarray:
@@ -328,13 +333,11 @@ def evaluate_plan(
     rho_base = np.full(tess.b, np.nan)
     rho_opt = np.full(tess.b, np.nan) if optimize else None
     for i in range(tess.b):
-        base, chosen, W = _factor_block(T, tess, i, optimize)
+        _, chosen, W, rho_base[i], rho_chosen = _factor_block(T, tess, i, optimize)
         if W is None:
             raise DegenerateTagsError(f"block {i}: neighbour tagging rows are exactly dependent")
-        if len(tess.far_fields[i]) > 0:
-            rho_base[i] = aspect_ratio(projected_tags(T, tess, base), tess)
-            if optimize:
-                rho_opt[i] = aspect_ratio(projected_tags(T, tess, chosen), tess)
+        if optimize:
+            rho_opt[i] = rho_chosen
         null_vectors.append(chosen)
         right_inverses.append(W)
     return TaggingPlan(

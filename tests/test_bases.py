@@ -168,7 +168,7 @@ class TestNaiveBases:
         assert cop.matvecs == {"other": {"A": 8 * 40, "Astar": 8 * 40}}
 
     def test_zeroing_contract(self, synthetic_small):
-        # the probes the oracle receives, one per side, each b r wide
+        # the probe the oracle receives, b r wide, the same on both sides
         op, tess, _ = synthetic_small
         seen = {}
 
@@ -185,13 +185,12 @@ class TestNaiveBases:
         assert bundle.omega is None
         r = 3 + 10  # k + p
         assert seen["A"].shape == seen["A*"].shape == (tess.n_points, tess.b * r)
-        assert not np.array_equal(seen["A"], seen["A*"])
-        for probes in seen.values():
-            for i in range(tess.b):
-                probe = probes[:, i * r:(i + 1) * r]
-                assert np.all(probe[tess.neighbor_indices(i)] == 0.0)
-                far_rows = np.concatenate([tess.blocks[j] for j in tess.far_fields[i]])
-                assert np.all(probe[far_rows] != 0.0)
+        assert np.array_equal(seen["A"], seen["A*"])
+        for i in range(tess.b):
+            probe = seen["A"][:, i * r:(i + 1) * r]
+            assert np.all(probe[tess.neighbor_indices(i)] == 0.0)
+            far_rows = np.concatenate([tess.blocks[j] for j in tess.far_fields[i]])
+            assert np.all(probe[far_rows] != 0.0)
 
     def test_far_field_residual(self, synthetic_small):
         op, tess, _ = synthetic_small
@@ -221,6 +220,30 @@ class TestCrossMethod:
         b, _ = block_nullification_bases(op, tess, 3, 10, RandomStream(9))
         for ua, ub in zip(a.u_blocks, b.u_blocks):
             assert np.array_equal(ua, ub)
+
+    @pytest.mark.parametrize("builder", ["tagging", "tagging_group_cols", "naive"])
+    def test_forward_bases_ignore_the_adjoint(self, synthetic_small, builder):
+        # both sides sketch one test matrix, drawn as the forward side's:
+        # an oracle whose adjoint is another matrix leaves every U_i bitwise
+        op, tess, _ = synthetic_small
+        other = gaussian(tess.n_points, tess.n_points, RandomStream(8))
+
+        class OtherAdjoint(DenseOperator):
+            def apply_adjoint(self, X):
+                return other.T @ X
+
+        plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
+        build = {
+            "tagging": lambda o: tagging_bases(o, tess, 3, 10, plan, RandomStream(0)),
+            "tagging_group_cols": lambda o: tagging_bases(
+                o, tess, 3, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10),
+            "naive": lambda o: naive_bases(o, tess, 3, 10, RandomStream(0)),
+        }[builder]
+        want, _ = build(op)
+        got, _ = build(OtherAdjoint(op.matrix))
+        for u_want, u_got in zip(want.u_blocks, got.u_blocks):
+            assert np.array_equal(u_want, u_got)
+        assert any(not np.array_equal(a, b) for a, b in zip(want.v_blocks, got.v_blocks))
 
     def test_tiny_blocks_identity_padded(self):
         op, tess, _ = uniform_synthetic(d=1, b=8, m=4, k=2, seed=3)
@@ -295,7 +318,9 @@ class TestBlockNullificationRightInverses:
             assert np.linalg.norm(u @ u.T - v @ v.T) <= 1e-10
 
     def test_one_null_basis_per_stack(self, synthetic_small, monkeypatch):
-        # A1 factors each neighbour stack once; B1 also pinv_core's V* Omega
+        # A1 factors each neighbour stack once; B1 also pinv_core's V* Omega.
+        # A2 factors nothing in step I; B2 each test block G_j once for both
+        # sides, and pinv_core's V* Omega (the plan's QRs are tagging's own)
         op, tess, _ = synthetic_small
         calls = []
 
@@ -305,7 +330,7 @@ class TestBlockNullificationRightInverses:
 
         monkeypatch.setattr(ublr.bases, "null_basis", counted)
         monkeypatch.setattr(ublr.reconstruction, "null_basis", counted)
-        for method, want in (("A1", tess.b), ("B1", tess.b + 1)):
+        for method, want in (("A1", tess.b), ("B1", tess.b + 1), ("A2", 0), ("B2", tess.b + 1)):
             calls.clear()
             compress(op, tess, 3, method, p=10, stream=RandomStream(1), compute_error=False)
             assert len(calls) == want

@@ -192,6 +192,18 @@ class TestSweep:
         assert len(lines) == 1
         assert lines[0].startswith("N,b,m,k,p,d,method")
 
+    @pytest.mark.parametrize("op", ["laplace2d", "slab-schur"])
+    def test_missing_n_list_exit_2(self, tmp_path, capsys, op):
+        # no sweep runs without sizes: argparse names the missing flag
+        out = tmp_path / "none.csv"
+        code = run_cli([
+            "sweep", "--op", op, "--k-list", "4", "--methods", "A2",
+            "--seed", "2", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--n-list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_failure_recorded(self, tmp_path):
         out = tmp_path / "fail.csv"
         code = run_cli([

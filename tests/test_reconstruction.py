@@ -312,11 +312,9 @@ class TestTypeBDiscrepancy:
         gc = tess.max_block_size + 6
         bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), group_cols=gc)
         T = bundle.plan.matrix.entries
-        # the bundle keeps no sketch and no H_i: rebuild them from its streams
-        h_blocks = [gaussian(len(rows), gc, RandomStream(1).child(1, i))
-                    for i, rows in enumerate(tess.blocks)]
-        y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc))
-        z = op.apply_adjoint(assemble_tagging_test_matrix(tess, plan.matrix, h_blocks, gc))
+        # the bundle keeps no sketch: rebuild both from its one test matrix
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
+        y, z = op.apply(omega), op.apply_adjoint(omega)
 
         def term(i, j, sketch, basis, test_block):
             nbrs = tess.neighbor_lists[i]
@@ -331,7 +329,7 @@ class TestTypeBDiscrepancy:
         for i in range(tess.b):
             for j in tess.neighbor_lists[i]:
                 row = term(i, j, y, bases.u_blocks, bundle.g_blocks[j])
-                col = term(j, i, z, bases.v_blocks, h_blocks[i]).T
+                col = term(j, i, z, bases.v_blocks, bundle.g_blocks[i]).T
                 want = row + bases.u_blocks[i] @ (bases.u_blocks[i].T @ col)
                 assert snorm(got[(i, j)] - want) <= 1e-12 * big
 
@@ -522,24 +520,23 @@ class TestPinvCore:
     def test_tagging_rows_are_the_sketch_formula(self, extra):
         # step I's rows are bitwise project_out(U_i, Y_i contracted with W_i)
         # in neighbour p's group, times G_j^+, and U_i* Y_i; the adjoint side
-        # likewise with Z, V_i and H_j^+
+        # likewise with Z = A* Omega, V_i and the same G_j^+
         op, tess, plan, bases, bundle = self.b2_case(extra)
         gc = bundle.group_cols
-        h_blocks = [gaussian(len(rows), gc, RandomStream(1).child(1, i))
-                    for i, rows in enumerate(tess.blocks)]
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
         sides = [
-            (bundle.y_rinv, bundle.uy, bases.u_blocks, bundle.g_blocks, op.apply),
-            (bundle.z_rinv, None, bases.v_blocks, h_blocks, op.apply_adjoint),
+            (bundle.y_rinv, bundle.uy, bases.u_blocks, op.apply),
+            (bundle.z_rinv, None, bases.v_blocks, op.apply_adjoint),
         ]
-        for got, got_uy, basis, test_blocks, apply in sides:
-            sketch = apply(assemble_tagging_test_matrix(tess, plan.matrix, test_blocks, gc))
+        for got, got_uy, basis, apply in sides:
+            sketch = apply(omega)
             if got_uy is not None:
                 assert np.array_equal(got_uy, stack_t(basis, tess, sketch))
             for i, rows in enumerate(tess.blocks):
                 groups = sketch[rows, :].reshape(len(rows), -1, gc)
                 comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
                 comb = project_out(basis[i], comb.reshape(len(rows), -1))
-                want = [comb[:, p * gc:(p + 1) * gc] @ pseudo_inverse(test_blocks[j])
+                want = [comb[:, p * gc:(p + 1) * gc] @ pseudo_inverse(bundle.g_blocks[j])
                         for p, j in enumerate(tess.neighbor_lists[i])]
                 assert np.array_equal(got[i], np.hstack(want))
 
