@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomStream, col_basis, gaussian, null_basis, project_out
+from .linalg import RandomStream, col_basis, gaussian, mm, null_basis, project_out
 from .operators import LinearOperatorHandle
 from .tagging import TaggingMatrix, TaggingPlan
 from .tessellation import Tessellation
@@ -116,7 +116,7 @@ def stack_t(blocks: list, tess: Tessellation, X: np.ndarray) -> np.ndarray:
     offs = _width_offsets(blocks)
     out = np.empty((offs[-1], X.shape[1]))
     for i, w in enumerate(blocks):
-        out[offs[i]:offs[i + 1]] = w.T @ X[tess.blocks[i]]
+        out[offs[i]:offs[i + 1]] = mm(w.T, X[tess.blocks[i]])
     return out
 
 
@@ -125,7 +125,7 @@ def blkdiag(blocks: list, tess: Tessellation, Y: np.ndarray) -> np.ndarray:
     offs = _width_offsets(blocks)
     out = np.zeros((tess.n_points, Y.shape[1]))
     for i, w in enumerate(blocks):
-        out[tess.blocks[i]] = w @ Y[offs[i]:offs[i + 1]]
+        out[tess.blocks[i]] = mm(w, Y[offs[i]:offs[i + 1]])
     return out
 
 
@@ -171,26 +171,18 @@ def block_nullification_bases(
     y = op.apply(omega)
     z = op.apply_adjoint(omega)
 
-    # Two passes: all per-stack LAPACK work first, then numpy's products.
-    # numpy and scipy each ship their own threaded OpenBLAS, and switching
-    # between the two thread pools inside one loop cost more than the QRs.
-    factors = [
-        null_basis(omega[tess.neighbor_indices(i), :], r,
-                   rows=np.vstack((y[rows, :], z[rows, :])) if right_inverses else None)
-        for i, rows in enumerate(tess.blocks)
-    ]
-
     u_blocks, v_blocks, y_rinv, z_rinv, conds = [], [], [], [], []
     for i, rows in enumerate(tess.blocks):
-        factor, factors[i] = factors[i], None  # each block's factors go once used
+        factor = null_basis(omega[tess.neighbor_indices(i), :], r,
+                            rows=np.vstack((y[rows, :], z[rows, :])) if right_inverses else None)
         proj, rinv, cond = factor if right_inverses else (factor, None, None)
-        u_blocks.append(_basis_or_identity(y[rows, :] @ proj, k))
-        v_blocks.append(_basis_or_identity(z[rows, :] @ proj, k))
+        u_blocks.append(_basis_or_identity(mm(y[rows, :], proj), k))
+        v_blocks.append(_basis_or_identity(mm(z[rows, :], proj), k))
         if right_inverses:  # [Y; Z] B^+ becomes [(I - U U*) Y; (I - V V*) Z] B^+ in place
             y_rinv.append(rinv[:len(rows)])
             z_rinv.append(rinv[len(rows):])
-            for half, basis in ((y_rinv[-1], u_blocks[-1]), (z_rinv[-1], v_blocks[-1])):
-                half -= basis @ (basis.T @ half)
+            project_out(u_blocks[-1], y_rinv[-1])
+            project_out(v_blocks[-1], z_rinv[-1])
             conds.append(cond)
 
     bases = BlockBases(u_blocks, v_blocks, k)
@@ -236,8 +228,9 @@ def tagging_bases(
     oracle call and goes straight into it, and each sketch goes once its
     bases are taken. The bundle keeps the G_i that Omega is built from (see
     SketchBundle.test_rows). With group_cols (type B), every G_j^+ is
-    factored before the first oracle call, and each side also leaves the
-    projected right-inverse rows of SketchBundle, the forward side U* Y too.
+    factored up front, since both sides' rows use it, and each side also
+    leaves the projected right-inverse rows of SketchBundle, the forward
+    side U* Y too.
     """
     r = k + p
     gc = r if group_cols is None else group_cols
@@ -246,7 +239,6 @@ def tagging_bases(
     g_blocks = [gaussian(len(rows), gc, stream.child(0, i)) for i, rows in enumerate(tess.blocks)]
     g_pinv = None
     if group_cols is not None:
-        # every LAPACK call before numpy's products (see block_nullification_bases)
         g_pinv = [null_basis(g, 0, rows=np.eye(gc))[1] for g in g_blocks]
 
     def one_side(apply, with_uy=False):
@@ -261,16 +253,19 @@ def tagging_bases(
             rinv = _views([(len(rows), tess.neighbor_row_count(i))
                            for i, rows in enumerate(tess.blocks)])
         for i, rows in enumerate(tess.blocks):
-            block_rows = sketch[rows, :]
-            groups = block_rows.reshape(len(rows), T.n_cols, gc)
-            sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
+            m = len(rows)
+            # row l holds group l of every row of block i, so contracting
+            # the groups is one product from the left
+            groups = sketch[rows, :].reshape(m, T.n_cols, gc).transpose(1, 0, 2)
+            groups = groups.reshape(T.n_cols, m * gc)
+            sample = mm(plan.null_vectors[i].vector, groups).reshape(m, gc)
             bases.append(_basis_or_identity(sample, k))
             if g_pinv is None:
                 continue
-            comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
-            comb = project_out(bases[-1], comb.reshape(len(rows), -1))
-            np.concatenate([comb[:, q * gc:(q + 1) * gc] @ g_pinv[j]
-                            for q, j in enumerate(tess.neighbor_lists[i])], axis=1, out=rinv[i])
+            comb = mm(plan.right_inverses[i].T, groups).reshape(-1, m, gc)
+            np.concatenate([mm(comb[q], g_pinv[j]) for q, j in enumerate(tess.neighbor_lists[i])],
+                           axis=1, out=rinv[i])
+            project_out(bases[-1], rinv[i])
         return bases, rinv, stack_t(bases, tess, sketch) if with_uy else None
 
     v_blocks, z_rinv, _ = one_side(op.apply_adjoint)

@@ -1,20 +1,28 @@
 """Dense linear-algebra kernels shared by all compression algorithms.
 
-Orthonormal column/null-space extraction, right inverses from the same QR,
-seeded Gaussian sampling, and randomized power-method norm estimation. Every
-randomized routine draws from a RandomStream, so results are pure functions
-of (inputs, seed).
+The dense product mm, orthonormal column/null-space extraction, right
+inverses from the same QR, seeded Gaussian sampling, and randomized
+power-method norm estimation. Every randomized routine draws from a
+RandomStream, so results are pure functions of (inputs, seed).
 
-Null bases and right inverses come from LAPACK's compact-WY Householder QR:
-dgeqrt stores the T factor of each block reflector beside the reflectors and
-dgemqrt applies Q or Q* with it, so no workspace query is made and no step
-falls back to level-2 BLAS.
+One BLAS thread pool: numpy and scipy each load their own OpenBLAS, and the
+idle threads of one pool spin while the other pool works. So every dense
+product in ublr goes through mm, which calls scipy's dgemm or dgemv, and
+every factorization through scipy's LAPACK wrappers; no numpy product or
+np.linalg factorization is left to wake numpy's pool (tests/test_linalg.py
+scans the package for them). The sparse products of the Schur-complement
+oracle are scipy's own.
+
+Orthonormal columns, null bases and right inverses come from LAPACK's
+compact-WY Householder QR: dgeqrt stores the T factor of each block
+reflector beside the reflectors and dgemqrt applies Q or Q* with it, so no
+workspace query is made and no step falls back to level-2 BLAS.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dgemv, dnrm2
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dlange, dtrcon, dtrtrs
 
 
@@ -59,12 +67,101 @@ def gaussian(rows: int, cols: int, stream: RandomStream) -> np.ndarray:
     return stream.normal(rows, cols)
 
 
+def _transposed(x: np.ndarray) -> tuple:
+    """(f, trans): f Fortran-ordered with op(f) = x*, where op transposes
+    when trans is 1. f is x's own buffer when x is C- or F-contiguous."""
+    if x.flags.c_contiguous:
+        return x.T, 0
+    if x.flags.f_contiguous:
+        return x, 1
+    return np.ascontiguousarray(x).T, 0
+
+
+def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for a 2-D a and a 1-D x, by dgemv on a's own buffer."""
+    if a.shape[1] != x.shape[0]:
+        raise ValueError(f"mm: shapes {a.shape} and {x.shape} do not align")
+    if a.size == 0:
+        return np.zeros(a.shape[0])
+    f, trans = _transposed(a.T)  # op(f) = a
+    return dgemv(1.0, f, x, trans=trans)
+
+
+def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS, as a C-ordered array; a 1-D operand is a
+    vector, as for @.
+
+    A product with one column, one row or a 1-D operand is one dgemv. Any
+    other is one dgemm of (b* a*)*: each operand goes in as the transpose of
+    its own buffer, with trans_a/trans_b set from its layout, so no C- or
+    F-contiguous operand is copied, and the F-ordered result of dgemm,
+    transposed, is C-ordered. The flags depend on the layouts, so equal
+    operands of different layouts may give results that differ by rounding.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim + b.ndim < 3 or max(a.ndim, b.ndim) > 2:
+        raise ValueError(f"mm takes a matrix and a matrix or vector, not shapes "
+                         f"{a.shape} and {b.shape}")
+    if b.ndim == 1:
+        return _gemv(a, b)
+    if a.ndim == 1:
+        return _gemv(b.T, a)
+    (m, inner), n = a.shape, b.shape[1]
+    if inner != b.shape[0]:
+        raise ValueError(f"mm: shapes {a.shape} and {b.shape} do not align")
+    if n == 1:
+        return _gemv(a, b[:, 0])[:, None]
+    if m == 1:
+        return _gemv(b.T, a[0])[None, :]
+    if 0 in (m, n, inner):
+        return np.zeros((m, n))
+    f_b, op_b = _transposed(b)
+    f_a, op_a = _transposed(a)
+    return dgemm(1.0, f_b, f_a, trans_a=op_b, trans_b=op_a).T
+
+
+def _lapack_ok(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
+
+
+def _apply_q(qr: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
+    """Q c (trans "N") or Q* c (trans "T"), Q held as dgeqrt's output qr,
+    whose first min(m, n) columns hold the reflectors, and block reflector
+    factors t; c is overwritten."""
+    out, info = dgemqrt(qr[:, :t.shape[1]], t, c, trans=trans, overwrite_c=1)
+    _lapack_ok("dgemqrt", info)
+    return out
+
+
+_NULL_RTOL = 1e-12  # null_basis's residual limit, relative to max(1, ||B||)
+_QR_BLOCK = 64  # dgeqrt's block size nb, clamped to min(m, n)
+
+
+def _householder(B: np.ndarray) -> tuple:
+    """(qr, t) of dgeqrt's compact-WY QR of B, block size _QR_BLOCK clamped
+    to min(m, n) >= 1; B is not modified."""
+    qr, t, info = dgeqrt(min(_QR_BLOCK, *B.shape), B)
+    _lapack_ok("dgeqrt", info)
+    return qr, t
+
+
+def _q_columns(qr: np.ndarray, t: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Columns first .. first + count - 1 of the complete Q, as Q applied
+    to those unit vectors; F-ordered."""
+    unit = np.zeros((qr.shape[0], count), order="F")
+    unit[first:first + count] = np.eye(count)
+    return _apply_q(qr, t, unit, "N")
+
+
 def col_basis(B: np.ndarray, k: int) -> np.ndarray:
     """k orthonormal columns spanning the (numerical) column space of B.
 
-    First k columns of an unpivoted Householder QR. Unpivoted is safe here:
-    inputs are random matrices or products with random matrices, so any k
-    leading columns carry full rank.
+    First k columns of an unpivoted Householder QR (dgeqrt, then dgemqrt
+    applied to e_1 .. e_k). Unpivoted is safe here: inputs are random
+    matrices or products with random matrices, so any k leading columns
+    carry full rank.
 
     Those k columns span only B's first k columns, so the p oversampling
     columns of an r = k + p sample never reach the basis.
@@ -75,25 +172,7 @@ def col_basis(B: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k={k} exceeds matrix dimensions {m}x{n}")
     if k == 0:
         return np.zeros((m, 0))
-    q, _ = np.linalg.qr(B)
-    return q[:, :k]
-
-
-def _lapack_ok(routine: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
-
-
-def _apply_q(v: np.ndarray, t: np.ndarray, c: np.ndarray, trans: str) -> np.ndarray:
-    """Q c (trans "N") or Q* c (trans "T"), Q held as dgeqrt's reflectors v
-    and block reflector factors t; c is overwritten."""
-    out, info = dgemqrt(v, t, c, trans=trans, overwrite_c=1)
-    _lapack_ok("dgemqrt", info)
-    return out
-
-
-_NULL_RTOL = 1e-12  # null_basis's residual limit, relative to max(1, ||B||)
-_QR_BLOCK = 64  # dgeqrt's block size nb, clamped to min(m, n)
+    return _q_columns(*_householder(B), 0, k)
 
 
 def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
@@ -124,15 +203,11 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
     if m == 0:  # nothing to factor: Q = I (dgeqrt needs 1 <= nb <= min(m, n))
         Z = np.eye(n)[:, n - k:]
         return Z if rows is None else (Z, np.zeros((len(rows), 0)), 1.0)
-    # overwrite_a stays off: the residual check reads B after the factorization
-    qr, t, info = dgeqrt(min(_QR_BLOCK, m, n), B.T)
-    _lapack_ok("dgeqrt", info)
-    reflectors = qr[:, :min(m, n)]
+    # the residual check reads B after the factorization
+    qr, t = _householder(B.T)
     Z = np.zeros((n, 0))
     if k:
-        unit = np.zeros((n, k), order="F")
-        unit[n - k:] = np.eye(k)
-        Z = _apply_q(reflectors, t, unit, "N")
+        Z = _q_columns(qr, t, n - k, k)
         resid = dlange("F", dgemm(1.0, B.T, Z, trans_a=1))
         if resid > _NULL_RTOL:
             scale = max(1.0, dlange("F", B.T))
@@ -144,7 +219,7 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
     if rows is None:
         return Z
     r1 = qr[:m, :m]
-    yq = _apply_q(reflectors, t, np.array(rows, dtype=float).T, "T")
+    yq = _apply_q(qr, t, np.array(rows, dtype=float).T, "T")
     x, info = dtrtrs(r1, yq[:m])
     _lapack_ok("dtrtrs", info)
     rcond, info = dtrcon(r1)
@@ -153,8 +228,9 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
 
 
 def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(I - U U*) X for U with orthonormal columns."""
-    return X - u @ (u.T @ X)
+    """(I - U U*) X for U with orthonormal columns, in place in X; returns X."""
+    X -= mm(u, mm(u.T, X))
+    return X
 
 
 def pseudo_inverse(B: np.ndarray) -> np.ndarray:
@@ -179,16 +255,16 @@ def estimate_spectral_norm(op, iterations: int = 20, stream: RandomStream | None
     if n_cols == 0 or op.shape[0] == 0:
         return 0.0
     v = gaussian(n_cols, 1, stream)
-    nv = np.linalg.norm(v)
+    nv = dnrm2(np.ravel(v))
     if nv == 0.0:
         return 0.0
     v /= nv
     est = 0.0
     for _ in range(iterations):
         w = op.apply(v)
-        est = float(np.linalg.norm(w))
+        est = float(dnrm2(np.ravel(w)))
         if est == 0.0:
             return 0.0
         v = op.apply_adjoint(w)
-        v /= np.linalg.norm(v)
+        v /= dnrm2(np.ravel(v))
     return est

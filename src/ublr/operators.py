@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import RandomStream, col_basis, gaussian
+from .linalg import RandomStream, col_basis, gaussian, mm
 from .tessellation import PointCloud, Tessellation
 
 
@@ -39,7 +39,8 @@ class LinearOperatorHandle:
 
 
 class DenseOperator(LinearOperatorHandle):
-    """Handle around an explicitly stored dense matrix."""
+    """Handle around an explicitly stored dense matrix; both sides are one
+    linalg.mm call on its buffer, so neither copies it."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -49,10 +50,10 @@ class DenseOperator(LinearOperatorHandle):
         return self.matrix.shape
 
     def apply(self, X):
-        return self.matrix @ X
+        return mm(self.matrix, X)
 
     def apply_adjoint(self, X):
-        return self.matrix.T @ X
+        return mm(self.matrix.T, X)
 
 
 class DifferenceOperator(LinearOperatorHandle):
@@ -233,7 +234,7 @@ def synthetic_ublr(spec: SyntheticUBLRSpec) -> DenseOperator:
     for i in range(tess.b):
         rows = tess.blocks[i]
         for j in tess.far_fields[i]:
-            block = spec.u_blocks[i] @ spec.core_blocks[(i, j)] @ spec.v_blocks[j].T
+            block = mm(mm(spec.u_blocks[i], spec.core_blocks[(i, j)]), spec.v_blocks[j].T)
             A[np.ix_(rows, tess.blocks[j])] = block
         for j in tess.neighbor_lists[i]:
             A[np.ix_(rows, tess.blocks[j])] = spec.near_blocks[(i, j)]

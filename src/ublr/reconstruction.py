@@ -60,6 +60,7 @@ from .linalg import (
     RandomStream,
     estimate_spectral_norm,
     gaussian,
+    mm,
     null_basis,
     pseudo_inverse,  # no step calls it; kept a global for perfbench/tracer.py to rebind
 )
@@ -89,9 +90,17 @@ _IDS = {(m.family, m.basis): mid for mid, m in METHODS.items()}
 
 def add_near_field(out: np.ndarray, tess: Tessellation, b_blocks: dict, X: np.ndarray):
     """out += B X, summed in sorted pair order so the result is bitwise
-    reproducible; returns out."""
+    reproducible; returns out. Each block's rows of X are gathered once,
+    and each block row of out is read and written once."""
+    xs = [X[rows] for rows in tess.blocks]
+    row_pairs = {}
     for i, j in sorted(b_blocks):
-        out[tess.blocks[i]] += b_blocks[(i, j)] @ X[tess.blocks[j]]
+        row_pairs.setdefault(i, []).append(j)
+    for i, cols in row_pairs.items():
+        acc = out[tess.blocks[i]]
+        for j in cols:
+            acc += mm(b_blocks[(i, j)], xs[j])
+        out[tess.blocks[i]] = acc
     return out
 
 
@@ -111,6 +120,13 @@ class UniformBLR(BlockBases):
     b_blocks: dict
 
     def __post_init__(self):
+        # held C-ordered: mm picks its BLAS flags from each operand's layout,
+        # so only then does apply give the bits of read_ublr(write_ublr(self))
+        self.u_blocks = [np.ascontiguousarray(u, dtype=float) for u in self.u_blocks]
+        self.v_blocks = [np.ascontiguousarray(v, dtype=float) for v in self.v_blocks]
+        self.core = np.ascontiguousarray(self.core, dtype=float)
+        self.b_blocks = {pair: np.ascontiguousarray(blk, dtype=float)
+                         for pair, blk in self.b_blocks.items()}
         near = {
             (i, j)
             for i in range(self.tess.b)
@@ -146,7 +162,7 @@ class UniformBLR(BlockBases):
         """U C V* X + B X on a block of columns or on one vector."""
         X = np.asarray(X, dtype=float)
         cols = X.reshape(len(X), -1)
-        cv = self.core @ stack_t(self.v_blocks, self.tess, cols)
+        cv = mm(self.core, stack_t(self.v_blocks, self.tess, cols))
         out = blkdiag(self.u_blocks, self.tess, cv)
         return add_near_field(out, self.tess, self.b_blocks, cols).reshape(X.shape)
 
@@ -154,7 +170,7 @@ class UniformBLR(BlockBases):
         """V C* U* X + B* X on a block of columns or on one vector."""
         X = np.asarray(X, dtype=float)
         cols = X.reshape(len(X), -1)
-        cu = self.core.T @ stack_t(self.u_blocks, self.tess, cols)
+        cu = mm(self.core.T, stack_t(self.u_blocks, self.tess, cols))
         # B* has block (j, i) = B_ij*; per block row j the sum still runs over i ascending
         b_adj = {(j, i): blk.T for (i, j), blk in self.b_blocks.items()}
         out = blkdiag(self.v_blocks, self.tess, cu)
@@ -257,14 +273,14 @@ def structured_identity_discrepancy(
     v_probe = np.zeros((offs[-1], resid.shape[1]))
     for j, v in enumerate(bases.v_blocks):
         v_probe[offs[j]:offs[j + 1], cols[j]] = v.T
-    low = core @ v_probe
+    low = mm(core, v_probe)
     b_blocks = {}
     for j in range(tess.b):
         for i in tess.neighbor_lists[j]:
             # a copy (fancy index), reduced in place: a second temporary per
             # block fragmented the heap, 29 MB more peak RSS at N = 4096
             blk = resid[tess.blocks[i], cols[j]]
-            blk -= bases.u_blocks[i] @ low[offs[i]:offs[i + 1], cols[j]]
+            blk -= mm(bases.u_blocks[i], low[offs[i]:offs[i + 1], cols[j]])
             b_blocks[(i, j)] = blk
     return b_blocks
 
@@ -306,7 +322,7 @@ def _near_field_from_pairs(bundle: SketchBundle, bases: BlockBases) -> dict:
     out = {}
     for i, u in enumerate(bases.u_blocks):
         for j in tess.neighbor_lists[i]:
-            out[(i, j)] = rows[i][j] + u @ (u.T @ cols[j][i].T)
+            out[(i, j)] = rows[i][j] + mm(u, mm(u.T, cols[j][i].T))
     return out
 
 
@@ -408,9 +424,9 @@ def pinv_core(
     v_omega = np.empty_like(lhs)
     for j, v in enumerate(bases.v_blocks):
         omega_j = widened(bundle.test_rows(j), j)
-        v_omega[offs[j]:offs[j + 1]] = v.T @ omega_j
+        v_omega[offs[j]:offs[j + 1]] = mm(v.T, omega_j)
         for i in readers.get(j, ()):
-            lhs[offs[i]:offs[i + 1]] -= (bases.u_blocks[i].T @ b_blocks[(i, j)]) @ omega_j
+            lhs[offs[i]:offs[i + 1]] -= mm(mm(bases.u_blocks[i].T, b_blocks[(i, j)]), omega_j)
     _, core, cond = null_basis(v_omega, 0, rows=lhs)
     if cond > _COND_LIMIT:
         warnings.warn(f"V* Omega has condition {cond:.2e} (LAPACK 1-norm estimate of cond(R))")
@@ -646,18 +662,17 @@ def ground_truth_rep(spec, op) -> UniformBLR:
         rows = tess.blocks[i]
         for j in range(b):
             block = A[np.ix_(rows, tess.blocks[j])]
-            core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
-                spec.u_blocks[i].T @ block @ spec.v_blocks[j]
+            core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = mm(
+                mm(spec.u_blocks[i].T, block), spec.v_blocks[j]
             )
     b_blocks = {}
     for i in range(b):
         rows = tess.blocks[i]
         for j in tess.neighbor_lists[i]:
             block = A[np.ix_(rows, tess.blocks[j])]
-            low = (
-                spec.u_blocks[i]
-                @ core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
-                @ spec.v_blocks[j].T
+            low = mm(
+                mm(spec.u_blocks[i], core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]),
+                spec.v_blocks[j].T,
             )
             b_blocks[(i, j)] = block - low
     return UniformBLR(

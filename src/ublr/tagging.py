@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RandomStream, gaussian, null_basis
+from .linalg import RandomStream, col_basis, gaussian, mm, null_basis
 from .operators import ConfigError
 from .tessellation import Tessellation
 
@@ -83,8 +83,8 @@ def make_tagging_matrix(
         entries = gaussian(b, ell, stream)
     elif distribution == "haar":
         g = gaussian(b, ell, stream)
-        q, r = np.linalg.qr(g)
-        signs = np.sign(np.diag(r))
+        q = col_basis(g, ell)
+        signs = np.sign((q * g).sum(axis=0))  # diag(R) = diag(Q* G)
         signs[signs == 0] = 1.0
         entries = q * signs
     elif distribution == "equidistributed":
@@ -134,7 +134,7 @@ def tag_null_vector(T: TaggingMatrix, tess: Tessellation, i: int) -> NullVector:
 
 def projected_tags(T: TaggingMatrix, tess: Tessellation, nv: NullVector) -> ProjectedTags:
     """All b projected tags <t^(j), z^(i)>; the neighbor entries vanish."""
-    return ProjectedTags(block=nv.block, values=T.entries @ nv.vector)
+    return ProjectedTags(block=nv.block, values=mm(T.entries, nv.vector))
 
 
 def aspect_ratio(pt: ProjectedTags, tess: Tessellation) -> float:
@@ -198,7 +198,7 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     except ValueError as exc:
         raise DegenerateTagsError(f"block {i}: {exc}") from exc
     # null_basis has already bounded the residuals by _NULL_RTOL max(1, ||T(N_i, :)||_F)
-    base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(sub @ Z[:, -1])))
+    base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(mm(sub, Z[:, -1]))))
     far = tess.far_fields[i]
     if len(far) == 0:
         return base, base, W, np.nan, np.nan
@@ -206,9 +206,9 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     if not optimize or nullity < 2:
         return base, base, W, base_ratio, base_ratio
     X = Z[:, :3]  # cap the search at three null directions
-    z = X @ _best_direction(T.entries[far, :] @ X)
+    z = mm(X, _best_direction(mm(T.entries[far, :], X)))
     z /= np.linalg.norm(z)
-    chosen = NullVector(block=i, vector=z, residual=float(np.linalg.norm(sub @ z)))
+    chosen = NullVector(block=i, vector=z, residual=float(np.linalg.norm(mm(sub, z))))
     chosen_ratio = aspect_ratio(projected_tags(T, tess, chosen), tess)
     if base_ratio <= chosen_ratio:
         return base, base, W, base_ratio, base_ratio
@@ -231,7 +231,7 @@ def _best_direction(P: np.ndarray) -> np.ndarray:
     dims = P.shape[1] - 1
     n = round(_FIRST_GRID ** (1 / dims))
     angles = _angle_grid([np.linspace(0.0, np.pi, n)] * dims)
-    ratios = _ratio_per_column(P @ _unit_coefficients(angles))
+    ratios = _ratio_per_column(mm(P, _unit_coefficients(angles)))
     pad = np.pad(ratios.reshape([n] * dims), 1, mode="edge")
     shifts = [pad[tuple(slice(o, o + n) for o in at)] for at in np.ndindex(*[3] * dims)]
     minima = np.flatnonzero(ratios == np.min(shifts, axis=0).ravel())
@@ -242,7 +242,7 @@ def _best_direction(P: np.ndarray) -> np.ndarray:
         spacing *= 4.0 / (n - 1)
         offsets = _angle_grid([spacing * np.arange(-(n // 2), n // 2 + 1)] * dims)
         grid = points[:, :, None] + offsets[:, None, :]  # (dims, starts, n^dims)
-        zoom = _ratio_per_column(P @ _unit_coefficients(grid.reshape(dims, -1)))
+        zoom = _ratio_per_column(mm(P, _unit_coefficients(grid.reshape(dims, -1))))
         zoom = zoom.reshape(len(starts), -1)
         best = np.argmin(zoom, axis=1)
         points, ratios = grid[:, rows, best], zoom[rows, best]

@@ -28,7 +28,7 @@ from ublr import (
     write_ublr,
 )
 from ublr.bases import _basis_or_identity, assemble_tagging_test_matrix, stack_t
-from ublr.linalg import project_out
+from ublr.linalg import mm, project_out
 
 from conftest import snorm, uniform_synthetic
 
@@ -144,8 +144,10 @@ class TestTaggingBases:
                     for i, rows in enumerate(tess.blocks)]
         y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, g_blocks, gc))
         for i, rows in enumerate(tess.blocks):
-            groups = y[rows].reshape(len(rows), -1, gc)
-            sample = np.tensordot(groups, plan.null_vectors[i].vector, axes=(1, 0))
+            # row l holds group l of every row of block i
+            groups = y[rows].reshape(len(rows), -1, gc).transpose(1, 0, 2)
+            groups = groups.reshape(plan.matrix.n_cols, -1)
+            sample = mm(plan.null_vectors[i].vector, groups).reshape(len(rows), gc)
             assert np.array_equal(bases.u_blocks[i], _basis_or_identity(sample, 3))
 
     def test_wide_group_cols_for_type_b(self, synthetic_small):

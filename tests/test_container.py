@@ -17,6 +17,7 @@ from ublr import (
     synthetic_ublr,
     write_ublr,
 )
+from ublr.reconstruction import UniformBLR
 
 from conftest import uniform_synthetic
 
@@ -36,6 +37,30 @@ def test_roundtrip_preserves_action(compressed, tmp_path):
     X = gaussian(rep.n, 5, RandomStream(3))
     assert np.array_equal(rep.apply(X), back.apply(X))
     assert np.array_equal(rep.apply_adjoint(X), back.apply_adjoint(X))
+
+
+def test_apply_does_not_depend_on_the_factors_layout(compressed, tmp_path):
+    # mm picks its BLAS routine and flags from each operand's layout, and on
+    # one or two columns F- and C-ordered factors give different rounding;
+    # a rep built from F-ordered factors still applies bitwise as its round
+    # trip, whose factors read_ublr returns C-ordered
+    _, rep = compressed
+    fortran = UniformBLR(
+        tess=rep.tess, rank=rep.rank,
+        u_blocks=[np.asfortranarray(u) for u in rep.u_blocks],
+        v_blocks=[np.asfortranarray(v) for v in rep.v_blocks],
+        core=np.asfortranarray(rep.core),
+        b_blocks={pair: np.asfortranarray(blk) for pair, blk in rep.b_blocks.items()},
+    )
+    path = tmp_path / "fortran.ublr"
+    write_ublr(path, fortran)
+    back = read_ublr(path)
+    for cols in (1, 2, 5):
+        X = gaussian(rep.n, cols, RandomStream(3))
+        assert np.array_equal(fortran.apply(X), back.apply(X))
+        assert np.array_equal(fortran.apply_adjoint(X), back.apply_adjoint(X))
+    x = gaussian(rep.n, 1, RandomStream(4))[:, 0]
+    assert np.array_equal(fortran.apply(x), back.apply(x))
 
 
 def test_write_is_byte_deterministic(compressed, tmp_path):

@@ -1,8 +1,13 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemm
 
+import ublr
+import ublr.linalg
 from ublr import (
     DenseOperator,
     RandomStream,
@@ -12,9 +17,165 @@ from ublr import (
     null_basis,
     pseudo_inverse,
 )
-from ublr.linalg import _QR_BLOCK
+from ublr.linalg import _QR_BLOCK, mm
 
 from conftest import snorm
+
+
+def _mm_operands():
+    """(a, b) pairs of every layout mm takes, keyed by name."""
+    g = np.random.default_rng(7).standard_normal
+    a, b = g((7, 5)), g((5, 6))
+    return {
+        "C": (a, b),
+        "F": (np.asfortranarray(a), np.asfortranarray(b)),
+        "C_F": (a, np.asfortranarray(b)),
+        "strided": (g((14, 10))[::2, ::2], g((5, 12))[:, ::2]),
+        "transposed_views": (g((5, 7)).T, g((6, 5)).T),
+        "one_column": (a, b[:, :1]),
+        "one_column_of_F": (np.asfortranarray(a), np.asfortranarray(b)[:, 3:4]),
+        "one_row": (a[2:3], b),
+        "one_by_one": (a[:1, :1], b[:1, :1]),
+        "vector": (a, b[:, 0]),
+        "strided_vector": (a.T, a[:, 1]),
+        "vector_on_the_left": (a[:, 0], g((7, 3))),
+        "empty_inner": (np.zeros((3, 0)), np.zeros((0, 4))),
+        "no_rows": (np.zeros((0, 5)), b),
+        "no_columns": (a, np.zeros((5, 0))),
+        "empty_vector_product": (np.zeros((0, 5)), b[:, 0]),
+        "square_large": (g((300, 300)), g((300, 40))),
+        "adjoint_large": (g((300, 300)).T, g((300, 40))),
+    }
+
+
+class TestMm:
+    @pytest.mark.parametrize("case", list(_mm_operands()))
+    def test_matches_matmul_to_rounding(self, case):
+        a, b = _mm_operands()[case]
+        got, want = mm(a, b), a @ b
+        assert got.shape == want.shape
+        # each side is within inner * eps * |a| |b| of the exact product
+        bound = 2 * max(a.shape[-1], 1) * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("case", list(_mm_operands()))
+    def test_output_is_c_contiguous(self, case):
+        assert mm(*_mm_operands()[case]).flags.c_contiguous
+
+    def test_contiguous_operands_reach_blas_uncopied(self, monkeypatch):
+        # every operand goes in as its own buffer, Fortran-ordered, so the
+        # wrapper makes no copy: an n x n C-ordered matrix and its adjoint view
+        seen = []
+
+        def recording(alpha, a, b, **flags):
+            seen.append((a, b))
+            return dgemm(alpha, a, b, **flags)
+
+        monkeypatch.setattr(ublr.linalg, "dgemm", recording)
+        g = np.random.default_rng(1).standard_normal
+        A, X = g((64, 64)), g((64, 8))
+        for a, b in ((A, X), (A.T, X), (np.asfortranarray(A), np.asfortranarray(X))):
+            seen.clear()
+            assert np.allclose(mm(a, b), a @ b, rtol=1e-13, atol=1e-13)
+            (first, second), = seen
+            assert first.flags.f_contiguous and second.flags.f_contiguous
+            assert np.shares_memory(first, b) and np.shares_memory(second, a)
+
+    def test_one_column_and_one_row_use_gemv(self, monkeypatch):
+        def no_gemm(*args, **kwargs):
+            raise AssertionError("dgemm called for a matrix-vector product")
+
+        g = np.random.default_rng(2).standard_normal
+        A = g((50, 40))
+        monkeypatch.setattr(ublr.linalg, "dgemm", no_gemm)
+        mm(A, g((40, 1)))
+        mm(A, g(40))
+        mm(g((1, 50)), A)
+        mm(g(50), A)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((3, 4)), np.ones((5, 2))),
+        (np.ones((3, 4)), np.ones(5)),
+        (np.ones(3), np.ones(3)),
+        (np.ones((2, 2, 2)), np.ones((2, 2))),
+    ])
+    def test_rejects_misaligned_and_unsupported_shapes(self, a, b):
+        with pytest.raises(ValueError):
+            mm(a, b)
+
+
+# numpy entry points that run a dense product or factorization on numpy's
+# own BLAS; np.linalg.norm and np.linalg.LinAlgError stay allowed
+_NUMPY_PRODUCTS = {"dot", "matmul", "tensordot", "einsum", "inner", "vdot"}
+_NUMPY_LINALG_ALLOWED = {"norm", "LinAlgError"}
+# classes whose @ is a scipy.sparse product, not a dense one
+_SPARSE_PRODUCT_OWNERS = {"SchurComplementOperator"}
+
+
+def _numpy_blas_uses(source: str) -> list:
+    """(line, what) for every dense product or numpy factorization in a
+    module's source, outside the classes of _SPARSE_PRODUCT_OWNERS."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else owner
+            if owner not in _SPARSE_PRODUCT_OWNERS:
+                found.extend(_flag(child))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _flag(node) -> list:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return [(node.lineno, "@")]
+    if isinstance(node, ast.Attribute):
+        *owner, name = ast.unparse(node).split(".")
+        product = owner[:1] in (["np"], ["numpy"]) and name in _NUMPY_PRODUCTS
+        linalg = owner in (["np", "linalg"], ["numpy", "linalg"])
+        if name == "dot" or product or (linalg and name not in _NUMPY_LINALG_ALLOWED):
+            return [(node.lineno, ast.unparse(node))]
+    if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+        names = {alias.name for alias in node.names}
+        bad = names & _NUMPY_PRODUCTS if node.module == "numpy" else names - _NUMPY_LINALG_ALLOWED
+        return [(node.lineno, f"from {node.module} import {name}") for name in sorted(bad)]
+    if isinstance(node, ast.Import):
+        return [(node.lineno, f"import {alias.name}") for alias in node.names
+                if alias.name == "numpy.linalg"]
+    return []
+
+
+class TestOneBlasPool:
+    """Every dense product in ublr goes through linalg.mm and every
+    factorization through scipy's LAPACK, so numpy's OpenBLAS pool never
+    works beside scipy's (see the linalg module docstring)."""
+
+    PACKAGE = Path(ublr.__file__).parent
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_no_numpy_blas_in_the_package(self, module):
+        assert _numpy_blas_uses((self.PACKAGE / module).read_text()) == []
+
+    def test_scan_catches_each_form(self):
+        source = (
+            "import numpy as np\n"
+            "import numpy.linalg\n"
+            "from numpy.linalg import qr\n"
+            "from numpy import einsum\n"
+            "y = a @ b\n"
+            "y @= b\n"
+            "y = np.dot(a, b) + a.dot(b) + np.tensordot(a, b, 1)\n"
+            "q, r = np.linalg.qr(a)\n"
+            "x = numpy.linalg.solve(a, b)\n"
+            "n = np.linalg.norm(a)\n"
+            "class SchurComplementOperator:\n"
+            "    def apply(self, X):\n"
+            "        return self.a_ff @ X\n"
+        )
+        lines = sorted(line for line, _ in _numpy_blas_uses(source))
+        assert lines == [2, 3, 4, 5, 6, 7, 7, 7, 8, 9]
 
 
 class TestColBasis:

@@ -38,7 +38,7 @@ from ublr import (
     tagging_pinv_discrepancy,
 )
 from ublr.bases import BlockBases, SketchBundle, assemble_tagging_test_matrix, blkdiag, stack_t
-from ublr.linalg import col_basis, project_out
+from ublr.linalg import col_basis, mm, project_out
 from ublr.reconstruction import add_near_field, b2_denominators_ok
 from ublr.tagging import DegenerateTagsError
 
@@ -518,9 +518,10 @@ class TestPinvCore:
 
     @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
     def test_tagging_rows_are_the_sketch_formula(self, extra):
-        # step I's rows are bitwise project_out(U_i, Y_i contracted with W_i)
-        # in neighbour p's group, times G_j^+, and U_i* Y_i; the adjoint side
-        # likewise with Z = A* Omega, V_i and the same G_j^+
+        # step I's rows are bitwise project_out(U_i, .) of Y_i's groups
+        # contracted with W_i, neighbour p's times G_j^+ for every p, and
+        # U_i* Y_i; the adjoint side likewise with Z = A* Omega, V_i and the
+        # same G_j^+
         op, tess, plan, bases, bundle = self.b2_case(extra)
         gc = bundle.group_cols
         omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
@@ -533,12 +534,12 @@ class TestPinvCore:
             if got_uy is not None:
                 assert np.array_equal(got_uy, stack_t(basis, tess, sketch))
             for i, rows in enumerate(tess.blocks):
-                groups = sketch[rows, :].reshape(len(rows), -1, gc)
-                comb = np.einsum("mlg,lp->mpg", groups, plan.right_inverses[i], optimize=True)
-                comb = project_out(basis[i], comb.reshape(len(rows), -1))
-                want = [comb[:, p * gc:(p + 1) * gc] @ pseudo_inverse(bundle.g_blocks[j])
+                m = len(rows)
+                groups = sketch[rows, :].reshape(m, -1, gc).transpose(1, 0, 2).reshape(-1, m * gc)
+                comb = mm(plan.right_inverses[i].T, groups).reshape(-1, m, gc)
+                want = [mm(comb[p], pseudo_inverse(bundle.g_blocks[j]))
                         for p, j in enumerate(tess.neighbor_lists[i])]
-                assert np.array_equal(got[i], np.hstack(want))
+                assert np.array_equal(got[i], project_out(basis[i], np.hstack(want)))
 
     @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
     def test_tagging_core_same_with_dense_omega(self, extra):
