@@ -85,11 +85,11 @@ def read_ublr(path) -> UniformBLR:
         off += 8 * count
         return vals.tolist()
 
-    def take_f64(rows, cols):
+    def take_f64(rows, cols):  # a read-only view of raw
         nonlocal off
         vals = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=off)
         off += 8 * rows * cols
-        return vals.reshape(rows, cols).copy()
+        return vals.reshape(rows, cols)
 
     n, b, k, d, json_len, n_pairs = take_u64(6, "header")
     if off + json_len > len(raw):
@@ -143,10 +143,11 @@ def read_ublr(path) -> UniformBLR:
     if expected != len(raw):
         fail("length", f"header and tables give {expected} bytes, file has {len(raw)}")
 
+    # copied, so the representation does not pin raw; UniformBLR copies B once
     off = body
-    u_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
-    v_blocks = [take_f64(sizes[i], ranks[i]) for i in range(b)]
-    core = take_f64(total, total)
+    u_blocks = [take_f64(sizes[i], ranks[i]).copy() for i in range(b)]
+    v_blocks = [take_f64(sizes[i], ranks[i]).copy() for i in range(b)]
+    core = take_f64(total, total).copy()
     off += 16 * n_pairs
     b_blocks = {(i, j): take_f64(sizes[i], sizes[j]) for i, j in pairs}
     return UniformBLR(

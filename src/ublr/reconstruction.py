@@ -23,10 +23,10 @@ reconstruction families fills in C and B:
   blkdiag(G_k) (T(N_i, :) kron I_gc). Every right inverse is Q_1 R_1^-*
   from linalg.null_basis's QR of the full-row-rank matrix.
 
-Every product with the factors goes through three kernels: ``stack_t``
-(blkdiag(W)* X) and ``blkdiag`` (blkdiag(W) Y) from ``bases``, and
-``add_near_field`` (out += B X) here; ``pinv_core`` alone needs only
-U* B X, which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
+Every product with the bases goes through ``stack_t`` (blkdiag(W)* X) and
+``blkdiag`` (blkdiag(W) Y) from ``bases``; UniformBLR makes B X and B* X
+one product per block row of B. ``pinv_core`` alone needs only U* B X,
+which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
 Products with identities are not formed: ``direct_core`` writes each V_i
 into block-diagonal V, and type A's step III places each V_j* in its
 color's probe columns and applies U_i only to the slices read as B_ij.
@@ -88,31 +88,21 @@ METHODS = {
 _IDS = {(m.family, m.basis): mid for mid, m in METHODS.items()}
 
 
-def add_near_field(out: np.ndarray, tess: Tessellation, b_blocks: dict, X: np.ndarray):
-    """out += B X, summed in sorted pair order so the result is bitwise
-    reproducible; returns out. Each block's rows of X are gathered once,
-    and each block row of out is read and written once."""
-    xs = [X[rows] for rows in tess.blocks]
-    row_pairs = {}
-    for i, j in sorted(b_blocks):
-        row_pairs.setdefault(i, []).append(j)
-    for i, cols in row_pairs.items():
-        acc = out[tess.blocks[i]]
-        for j in cols:
-            acc += mm(b_blocks[(i, j)], xs[j])
-        out[tess.blocks[i]] = acc
-    return out
-
-
 @dataclass
 class UniformBLR(BlockBases):
     """Compressed representation (U, C, V, B) over a tessellation.
 
     The bases are the BlockBases fields; core is the stacked K x K matrix
     with K = sum k_i; b_blocks maps near-field pairs (i, j) to dense
-    m_i x m_j blocks. Far-field pairs are never stored. Raises ValueError
-    naming the factor when a block lies on a far-field pair or has the
-    wrong shape, so that write_ublr never writes what read_ublr rejects.
+    m_i x m_j blocks. Far-field pairs are never stored. The near field is
+    held once, as b_rows: block row i is one C-ordered m_i x sum_{j in N_i}
+    m_j array, neighbour j's m_j columns in neighbour-list order, zero for
+    a near pair with no block. b_blocks is rebuilt as views into the rows,
+    so the caller's dict is left as it was. B X and B* X are one product
+    per row, added in ascending row order, so bitwise reproducible. Raises
+    ValueError naming the factor when a block lies on a far-field pair or
+    has the wrong shape, so that write_ublr never writes what read_ublr
+    rejects.
     """
 
     tess: Tessellation
@@ -125,30 +115,34 @@ class UniformBLR(BlockBases):
         self.u_blocks = [np.ascontiguousarray(u, dtype=float) for u in self.u_blocks]
         self.v_blocks = [np.ascontiguousarray(v, dtype=float) for v in self.v_blocks]
         self.core = np.ascontiguousarray(self.core, dtype=float)
-        self.b_blocks = {pair: np.ascontiguousarray(blk, dtype=float)
-                         for pair, blk in self.b_blocks.items()}
-        near = {
-            (i, j)
-            for i in range(self.tess.b)
-            for j in self.tess.neighbor_lists[i]
-        }
-        stray = set(self.b_blocks) - near
+        # one pass over the near pairs lays out the rows; a pair of given
+        # that the pass does not meet lies in the far field
+        given, self.b_blocks, self.b_rows = self.b_blocks, {}, []
+        sizes = self.tess.block_sizes.tolist()
+        for i, nbrs in enumerate(self.tess.neighbor_lists):
+            bounds = np.cumsum([0] + [sizes[j] for j in nbrs]).tolist()
+            self.b_rows.append(np.zeros((sizes[i], bounds[-1])))
+            for j, lo, hi in zip(nbrs, bounds[:-1], bounds[1:]):
+                if (i, j) in given:
+                    self.b_blocks[(i, j)] = self.b_rows[i][:, lo:hi]
+        stray = given.keys() - self.b_blocks.keys()
         if stray:
             raise ValueError(f"discrepancy blocks on far-field pairs: {sorted(stray)[:4]}")
         if len(self.u_blocks) != self.tess.b or len(self.v_blocks) != self.tess.b:
             raise ValueError(f"{len(self.u_blocks)} U and {len(self.v_blocks)} V blocks "
                              f"for {self.tess.b} blocks")
-        sizes, ranks = self.tess.block_sizes.tolist(), self.effective_ranks.tolist()
+        ranks = self.effective_ranks.tolist()
         factors = [(f"{name}_{i}", blk, (sizes[i], ranks[i]))
                    for name, blocks in (("U", self.u_blocks), ("V", self.v_blocks))
                    for i, blk in enumerate(blocks)]
         factors.append(("core", self.core, (sum(ranks), sum(ranks))))
-        factors += [(f"B_{i},{j}", blk, (sizes[i], sizes[j]))
-                    for (i, j), blk in sorted(self.b_blocks.items())]
+        factors += [(f"B_{i},{j}", given[(i, j)], (sizes[i], sizes[j])) for i, j in self.b_blocks]
         for name, blk, shape in factors:
-            if blk.shape != shape:
-                raise ValueError(f"{name} is {' x '.join(map(str, blk.shape))}, "
+            if np.shape(blk) != shape:
+                raise ValueError(f"{name} is {' x '.join(map(str, np.shape(blk)))}, "
                                  f"expected {shape[0]} x {shape[1]}")
+        for pair, view in self.b_blocks.items():
+            view[...] = given[pair]
 
     @property
     def n(self) -> int:
@@ -164,17 +158,20 @@ class UniformBLR(BlockBases):
         cols = X.reshape(len(X), -1)
         cv = mm(self.core, stack_t(self.v_blocks, self.tess, cols))
         out = blkdiag(self.u_blocks, self.tess, cv)
-        return add_near_field(out, self.tess, self.b_blocks, cols).reshape(X.shape)
+        for i, row in enumerate(self.b_rows):
+            out[self.tess.blocks[i]] += mm(row, cols[self.tess.neighbor_indices(i)])
+        return out.reshape(X.shape)
 
     def apply_adjoint(self, X: np.ndarray) -> np.ndarray:
         """V C* U* X + B* X on a block of columns or on one vector."""
         X = np.asarray(X, dtype=float)
         cols = X.reshape(len(X), -1)
         cu = mm(self.core.T, stack_t(self.u_blocks, self.tess, cols))
-        # B* has block (j, i) = B_ij*; per block row j the sum still runs over i ascending
-        b_adj = {(j, i): blk.T for (i, j), blk in self.b_blocks.items()}
         out = blkdiag(self.v_blocks, self.tess, cu)
-        return add_near_field(out, self.tess, b_adj, cols).reshape(X.shape)
+        for i, row in enumerate(self.b_rows):
+            # a neighbour list has no repeats, so no target row is added twice
+            out[self.tess.neighbor_indices(i)] += mm(row.T, cols[self.tess.blocks[i]])
+        return out.reshape(X.shape)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix; test/debug convenience at desk scale."""

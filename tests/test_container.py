@@ -63,6 +63,19 @@ def test_apply_does_not_depend_on_the_factors_layout(compressed, tmp_path):
     assert np.array_equal(fortran.apply(x), back.apply(x))
 
 
+def test_read_holds_no_view_of_the_file_buffer(compressed, tmp_path):
+    # B is read as views of the buffer and copied once, into the block rows;
+    # U, V and the core are copied, so nothing read pins the buffer
+    _, rep = compressed
+    path = tmp_path / "rep.ublr"
+    write_ublr(path, rep)
+    back = read_ublr(path)
+    for array in [*back.u_blocks, *back.v_blocks, back.core, *back.b_rows]:
+        assert array.flags.owndata and array.flags.writeable
+    for (i, _), blk in back.b_blocks.items():
+        assert np.shares_memory(blk, back.b_rows[i])
+
+
 def test_write_is_byte_deterministic(compressed, tmp_path):
     _, rep = compressed
     p1, p2 = tmp_path / "a.ublr", tmp_path / "b.ublr"

@@ -39,7 +39,7 @@ from ublr import (
 )
 from ublr.bases import BlockBases, SketchBundle, assemble_tagging_test_matrix, blkdiag, stack_t
 from ublr.linalg import col_basis, mm, project_out
-from ublr.reconstruction import add_near_field, b2_denominators_ok
+from ublr.reconstruction import b2_denominators_ok
 from ublr.tagging import DegenerateTagsError
 
 from conftest import snorm, uniform_synthetic
@@ -487,7 +487,9 @@ class TestPinvCore:
             y = np.hstack((y[:, :40], op.apply(om_extra)))
         core, added = pinv_core(op, bundle, bases, b_blocks, p, RandomStream(5))
         assert added == (130 if case == "augmented" else 0)
-        b_om = add_near_field(np.zeros_like(omega), tess, b_blocks, omega)
+        b_om = np.zeros_like(omega)  # B Omega, summed over the near pairs
+        for (i, j), blk in b_blocks.items():
+            b_om[tess.blocks[i]] += blk @ omega[tess.blocks[j]]
         v_om = stack_t(bases.v_blocks, tess, omega)
         _, want, _ = null_basis(v_om, 0, rows=stack_t(bases.u_blocks, tess, y - b_om))
         tol = 100 * np.finfo(float).eps * np.linalg.cond(v_om)
@@ -763,11 +765,60 @@ class TestUniformBLRApply:
         rep, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(1), compute_error=False)
         bad = dict(rep.b_blocks)
         bad[(0, 5)] = np.zeros((16, 16))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^discrepancy blocks on far-field pairs: \[\(0, 5\)\]$"):
             UniformBLR(
                 tess=tess, rank=3, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
                 core=rep.core, b_blocks=bad,
             )
+
+    @staticmethod
+    def ragged_rep_without_a_pair():
+        """A1 rep on a ragged grid, rebuilt with one off-diagonal near pair
+        left out of b_blocks; returns (rep, the dict it was given, pair)."""
+        tess = build_tessellation(random_points(160, 2, RandomStream(4)), 16)
+        assert tess.block_sizes.min() < tess.block_sizes.max()
+        op = DenseOperator(gaussian(160, 160, RandomStream(5)))
+        full, _ = compress(op, tess, 8, "A1", p=2, stream=RandomStream(1), compute_error=False)
+        pair = next(pair for pair in sorted(full.b_blocks) if pair[0] != pair[1])
+        given = {key: blk.copy() for key, blk in full.b_blocks.items() if key != pair}
+        rep = UniformBLR(tess=tess, rank=8, u_blocks=full.u_blocks, v_blocks=full.v_blocks,
+                         core=full.core, b_blocks=given)
+        return rep, given, pair
+
+    def test_apply_matches_dense_with_a_pair_left_out(self):
+        rep, _, _ = self.ragged_rep_without_a_pair()
+        dense = rep.to_dense()
+        scale = max(1.0, snorm(dense))
+        assert np.linalg.norm(dense - dense_rep(rep)) <= 1e-12 * scale
+        x = gaussian(rep.n, 1, RandomStream(6))[:, 0]
+        for X in [x] + [gaussian(rep.n, c, RandomStream(7)) for c in (1, 8, 64)]:
+            assert np.linalg.norm(rep.apply(X) - dense @ X) <= 1e-12 * scale * np.linalg.norm(X)
+            assert np.linalg.norm(rep.apply_adjoint(X) - dense.T @ X) <= (
+                1e-12 * scale * np.linalg.norm(X))
+
+    def test_b_blocks_are_views_into_c_ordered_rows(self):
+        rep, _, (i, j) = self.ragged_rep_without_a_pair()
+        sizes = rep.tess.block_sizes
+        for k, row in enumerate(rep.b_rows):
+            assert row.flags.c_contiguous
+            assert row.shape == (sizes[k], sizes[rep.tess.neighbor_lists[k]].sum())
+        for (k, _), blk in rep.b_blocks.items():
+            assert np.shares_memory(blk, rep.b_rows[k])
+        # the pair left out is not stored, and its columns of row i are zero
+        nbrs = rep.tess.neighbor_lists[i]
+        lo = int(sizes[nbrs[:nbrs.index(j)]].sum())
+        assert (i, j) not in rep.b_blocks
+        assert not rep.b_rows[i][:, lo:lo + sizes[j]].any()
+
+    def test_callers_dict_is_unchanged(self):
+        rep, given, pair = self.ragged_rep_without_a_pair()
+        before = {key: (blk, blk.copy()) for key, blk in given.items()}
+        UniformBLR(tess=rep.tess, rank=8, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
+                   core=rep.core, b_blocks=given)
+        assert given.keys() == before.keys() and pair not in given
+        for key, (blk, values) in before.items():
+            assert given[key] is blk and np.array_equal(blk, values)
+            assert not np.shares_memory(blk, rep.b_rows[key[0]])
 
     @pytest.mark.parametrize("factor", ["U", "V", "core", "B", "blocks"])
     def test_misshapen_factor_rejected(self, factor):
