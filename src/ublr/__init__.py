@@ -3,6 +3,7 @@ operators from black-box products with A and A*."""
 
 from .bases import (
     BlockBases,
+    NearField,
     SketchBundle,
     block_nullification_bases,
     block_nullification_width,
@@ -22,7 +23,6 @@ from .operators import (
     ConfigError,
     CountingOperator,
     DenseOperator,
-    DifferenceOperator,
     LinearOperatorHandle,
     NonFiniteOracleError,
     OracleShapeError,
@@ -40,7 +40,6 @@ from .reconstruction import (
     compress_type_b,
     direct_core,
     gaussian_pinv_discrepancy,
-    ground_truth_rep,
     pinv_core,
     relative_error,
     structured_identity_discrepancy,
@@ -48,7 +47,6 @@ from .reconstruction import (
 )
 from .tagging import (
     DegenerateTagsError,
-    NullVector,
     ProjectedTags,
     TaggingMatrix,
     aspect_ratio,

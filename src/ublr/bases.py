@@ -27,6 +27,7 @@ reconstruction can reuse the samples.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,12 @@ class SketchBundle:
 
     Type-B bundles hold, per block i with neighbour test rows
     B_i = Omega(N_i, :), the projected right-inverse rows
-    (I - U_i U_i*) Y_i B_i^+ (y_rinv[i], m_i x sum_{j in N_i} m_j, neighbour
-    j's m_j columns in neighbour order), the same rows from the adjoint
-    sketch and V_i (z_rinv[i]), and U* Y (uy, K x s, block i's U_i* Y_i in
-    its rank rows). These rows are near-field sized; both sides use the
-    same B_i^+. Block nullification builds them with right_inverses=True,
-    from one QR of each stack, and the bundle also keeps that stack's
-    condition estimate. Tagging builds them when called with group_cols:
+    (I - U_i U_i*) Y_i B_i^+ as row i of the NearField y_rinv, the same rows
+    from the adjoint sketch and V_i as row i of z_rinv, and U* Y (uy, K x s,
+    block i's U_i* Y_i in its rank rows). Both sides use the same B_i^+.
+    Block nullification builds them with right_inverses=True, from one QR
+    of each stack, and the bundle also keeps that stack's condition
+    estimate. Tagging builds them when called with group_cols:
     B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
 
     Only block nullification keeps omega, for B1's step II. Tagging keeps
@@ -58,11 +58,10 @@ class SketchBundle:
     Naive bundles keep no array at all; their sketches go into the bases in
     step I.
 
-    After step I, type A reads no field. Type B's step III reads y_rinv,
-    z_rinv and, for B1, stack_conds; its step II reads s and test_rows
-    (omega for B1, plan and g_blocks for B2) and takes uy out of the
-    bundle. compress releases the right-inverse rows after step III, and
-    the bundle after step II.
+    After step I, type A reads no field. Type B's step III takes y_rinv
+    and z_rinv out of the bundle and reads, for B1, stack_conds; its step
+    II reads s and test_rows (omega for B1, plan and g_blocks for B2) and
+    takes uy out of the bundle. compress releases the bundle after step II.
     """
 
     omega: np.ndarray | None  # (n, s); block nullification only
@@ -71,8 +70,8 @@ class SketchBundle:
     plan: TaggingPlan | None = None  # tagging: T, the null vectors and each W_i = T(N_i, :)^+
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
     group_cols: int | None = None  # columns per tagging group
-    y_rinv: list | None = None  # (I - U_i U_i*) Y_i B_i^+ per block (type B)
-    z_rinv: list | None = None  # (I - V_i V_i*) Z_i B_i^+ per block, B_i of Z's test matrix
+    y_rinv: NearField | None = None  # row i: (I - U_i U_i*) Y_i B_i^+ (type B)
+    z_rinv: NearField | None = None  # row i: (I - V_i V_i*) Z_i B_i^+
     uy: np.ndarray | None = None  # U* Y, K x s, in rank-offset row order (type B)
     stack_conds: np.ndarray | None = None  # (b,): cond estimate of each Omega(N_i, :) (bn)
 
@@ -105,6 +104,36 @@ class BlockBases:
     def rank_offsets(self) -> np.ndarray:
         """Start offset of each block's rows inside the stacked core."""
         return np.concatenate(([0], np.cumsum(self.effective_ranks)))
+
+
+class NearField(Mapping):
+    """The near field over tess, zeroed: block row i is the C-ordered
+    m_i x sum_{j in N_i} m_j array rows[i], neighbour j's columns in
+    neighbour-list order. All rows are views into one buffer, which goes
+    back to the OS whole where block-sized arrays leave holes in the heap.
+    It maps each near pair (i, j), in sorted order, to the view of j's
+    columns in row i; a far pair raises KeyError."""
+
+    def __init__(self, tess: Tessellation):
+        self.tess, self.rows, self._blocks = tess, [], {}
+        sizes = tess.block_sizes.tolist()
+        buffer = np.zeros(sum(m * tess.neighbor_row_count(i) for i, m in enumerate(sizes)))
+        start = 0
+        for i, nbrs in enumerate(tess.neighbor_lists):  # ascending, so the keys are sorted
+            bounds = np.cumsum([0] + [sizes[j] for j in nbrs]).tolist()
+            self.rows.append(buffer[start:start + sizes[i] * bounds[-1]].reshape(sizes[i], -1))
+            start += self.rows[i].size
+            for j, lo, hi in zip(nbrs, bounds[:-1], bounds[1:]):
+                self._blocks[(i, j)] = self.rows[i][:, lo:hi]
+
+    def __getitem__(self, pair):
+        return self._blocks[pair]
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self):
+        return len(self._blocks)
 
 
 def _width_offsets(blocks: list) -> np.ndarray:
@@ -171,24 +200,25 @@ def block_nullification_bases(
     y = op.apply(omega)
     z = op.apply_adjoint(omega)
 
-    u_blocks, v_blocks, y_rinv, z_rinv, conds = [], [], [], [], []
+    u_blocks, v_blocks, conds = [], [], []
+    y_rinv, z_rinv = (NearField(tess), NearField(tess)) if right_inverses else (None, None)
     for i, rows in enumerate(tess.blocks):
         factor = null_basis(omega[tess.neighbor_indices(i), :], r,
                             rows=np.vstack((y[rows, :], z[rows, :])) if right_inverses else None)
         proj, rinv, cond = factor if right_inverses else (factor, None, None)
         u_blocks.append(_basis_or_identity(mm(y[rows, :], proj), k))
         v_blocks.append(_basis_or_identity(mm(z[rows, :], proj), k))
-        if right_inverses:  # [Y; Z] B^+ becomes [(I - U U*) Y; (I - V V*) Z] B^+ in place
-            y_rinv.append(rinv[:len(rows)])
-            z_rinv.append(rinv[len(rows):])
-            project_out(u_blocks[-1], y_rinv[-1])
-            project_out(v_blocks[-1], z_rinv[-1])
+        if right_inverses:  # [Y; Z] B^+ is copied, so neither side's rows pin the other's
+            y_rinv.rows[i][...] = rinv[:len(rows)]
+            z_rinv.rows[i][...] = rinv[len(rows):]
+            project_out(u_blocks[-1], y_rinv.rows[i])
+            project_out(v_blocks[-1], z_rinv.rows[i])
             conds.append(cond)
+            del factor, rinv  # else both live through the next QR: 2 MB peak RSS at N = 2048
 
     bases = BlockBases(u_blocks, v_blocks, k)
-    bundle = SketchBundle(omega=omega, s=s, tess=tess)
+    bundle = SketchBundle(omega=omega, s=s, tess=tess, y_rinv=y_rinv, z_rinv=z_rinv)
     if right_inverses:
-        bundle.y_rinv, bundle.z_rinv = y_rinv, z_rinv
         bundle.uy = stack_t(u_blocks, tess, y)
         bundle.stack_conds = np.array(conds)
     return bases, bundle
@@ -248,10 +278,8 @@ def tagging_bases(
         one contraction of block i's sketch groups with W_i isolates every
         neighbour."""
         sketch = apply(assemble_tagging_test_matrix(tess, T, g_blocks, gc))
-        bases, rinv = [], None
-        if g_pinv is not None:
-            rinv = _views([(len(rows), tess.neighbor_row_count(i))
-                           for i, rows in enumerate(tess.blocks)])
+        bases = []
+        rinv = None if g_pinv is None else NearField(tess)
         for i, rows in enumerate(tess.blocks):
             m = len(rows)
             # row l holds group l of every row of block i, so contracting
@@ -264,8 +292,8 @@ def tagging_bases(
                 continue
             comb = mm(plan.right_inverses[i].T, groups).reshape(-1, m, gc)
             np.concatenate([mm(comb[q], g_pinv[j]) for q, j in enumerate(tess.neighbor_lists[i])],
-                           axis=1, out=rinv[i])
-            project_out(bases[-1], rinv[i])
+                           axis=1, out=rinv.rows[i])
+            project_out(bases[-1], rinv.rows[i])
         return bases, rinv, stack_t(bases, tess, sketch) if with_uy else None
 
     v_blocks, z_rinv, _ = one_side(op.apply_adjoint)
@@ -277,16 +305,6 @@ def tagging_bases(
         g_blocks=g_blocks, group_cols=gc, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
     )
     return bases, bundle
-
-
-def _views(shapes: list) -> list:
-    """2-D arrays of the given shapes, as views into one new buffer: one
-    large allocation goes back to the OS when its last view goes, where
-    many block-sized ones leave holes in the heap."""
-    sizes = [rows * cols for rows, cols in shapes]
-    buffer = np.empty(sum(sizes))
-    offs = np.cumsum([0] + sizes)
-    return [buffer[lo:hi].reshape(shape) for lo, hi, shape in zip(offs[:-1], offs[1:], shapes)]
 
 
 def naive_bases(

@@ -10,7 +10,7 @@ float64, dense blocks row-major):
     U blocks in block order, then V blocks
     core (K x K)
     B index table: (i, j) pairs, 1-based, sorted
-    B blocks in table order
+    B blocks in table order (a near pair left out of the table reads as 0)
 
 Writing the same representation twice yields identical bytes.
 """
@@ -21,6 +21,7 @@ import json
 
 import numpy as np
 
+from .bases import NearField
 from .reconstruction import UniformBLR
 from .tessellation import Tessellation, color_boxes
 
@@ -40,7 +41,7 @@ def write_ublr(path, rep: UniformBLR) -> None:
     tess_json = json.dumps(
         tess.to_json_dict(), sort_keys=True, separators=(",", ":")
     ).encode()
-    pairs = sorted(rep.b_blocks)
+    pairs = list(rep.b_blocks)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_u64(rep.n, tess.b, rep.rank, tess.dim, len(tess_json), len(pairs)))
@@ -65,8 +66,9 @@ def read_ublr(path) -> UniformBLR:
     point ids 1..n, a neighbour id is not an integer in 1..b, a neighbour
     list is not strictly increasing or lacks its own block, the neighbour
     lists are not symmetric, the stored colors are not color_boxes of the
-    tessellation read, the B index table is not strictly increasing, or the
-    file is not exactly as long as its header, ranks and B index table say.
+    tessellation read, the B index table is not strictly increasing or
+    holds a far-field pair, or the file is not exactly as long as its
+    header, ranks and B index table say.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -139,17 +141,22 @@ def read_ublr(path) -> UniformBLR:
         fail("B index table", f"block ids outside 1..{b}")
     if any(p >= q for p, q in zip(pairs, pairs[1:])):
         fail("B index table", "pairs are not strictly increasing")
+    b_blocks = NearField(tess)
+    far = [(i + 1, j + 1) for i, j in pairs if (i, j) not in b_blocks]
+    if far:
+        fail("B index table", f"far-field pairs {far[:4]}")
     expected = off + 8 * sum(sizes[i] * sizes[j] for i, j in pairs)
     if expected != len(raw):
         fail("length", f"header and tables give {expected} bytes, file has {len(raw)}")
 
-    # copied, so the representation does not pin raw; UniformBLR copies B once
+    # copied, so the representation does not pin raw
     off = body
     u_blocks = [take_f64(sizes[i], ranks[i]).copy() for i in range(b)]
     v_blocks = [take_f64(sizes[i], ranks[i]).copy() for i in range(b)]
     core = take_f64(total, total).copy()
     off += 16 * n_pairs
-    b_blocks = {(i, j): take_f64(sizes[i], sizes[j]) for i, j in pairs}
+    for i, j in pairs:
+        b_blocks[(i, j)][...] = take_f64(sizes[i], sizes[j])
     return UniformBLR(
         tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
         core=core, b_blocks=b_blocks,

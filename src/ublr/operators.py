@@ -145,18 +145,6 @@ class CountingOperator(LinearOperatorHandle):
         return Y
 
 
-def check_linearity(op, stream: RandomStream, cols: int = 3) -> float:
-    """Relative linearity defect of apply on random probes."""
-    n = op.shape[1]
-    X = gaussian(n, cols, stream.child(0))
-    Y = gaussian(n, cols, stream.child(1))
-    alpha, beta = 0.7, -1.3
-    lhs = op.apply(alpha * X + beta * Y)
-    rhs = alpha * op.apply(X) + beta * op.apply(Y)
-    scale = max(np.linalg.norm(lhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / scale)
-
-
 def check_adjoint(op, stream: RandomStream, cols: int = 3) -> float:
     """Relative adjoint-consistency defect <Ax, y> vs <x, A*y>."""
     n_rows, n_cols = op.shape

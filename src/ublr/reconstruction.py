@@ -15,7 +15,7 @@ reconstruction families fills in C and B:
   (no new matvecs), then C from a least-squares solve against the same test
   matrix, augmented with extra Gaussian columns when the bundle is too
   narrow. Step I already forms those right-inverse rows, and U_i* Y_i for
-  step II, so no n x s sketch outlives it: step III only slices the rows.
+  step II, so no n x s sketch outlives it: step III only combines the rows.
   B1 and B2 differ only in how step I forms the right inverse
   Omega(N_i, :)^+: block nullification takes it from the QR of the
   Gaussian stack that also gives the null basis; tagging uses
@@ -30,9 +30,10 @@ which it forms one block row at a time as sum_j (U_i* B_ij) X_j.
 Products with identities are not formed: ``direct_core`` writes each V_i
 into block-diagonal V, and type A's step III places each V_j* in its
 color's probe columns and applies U_i only to the slices read as B_ij.
-Both type-B step-III variants build B_ij = row_ij + U_i U_i* col_ij from
-the same slices of the bundle's rows; B1 also warns on ill-conditioned
-neighbour stacks.
+Every step writes B into a ``bases.NearField``, which UniformBLR keeps.
+Both type-B step-III variants add U_i U_i* col_ij into the bundle's
+forward rows row_ij in place, which become B; B1 also warns on
+ill-conditioned neighbour stacks.
 
 ``compress`` calls every step through its module-level name at call time,
 so a profiler can rebind those names in this module to time each step.
@@ -49,6 +50,7 @@ import numpy as np
 
 from .bases import (
     BlockBases,
+    NearField,
     SketchBundle,
     blkdiag,
     block_nullification_bases,
@@ -93,21 +95,17 @@ class UniformBLR(BlockBases):
     """Compressed representation (U, C, V, B) over a tessellation.
 
     The bases are the BlockBases fields; core is the stacked K x K matrix
-    with K = sum k_i; b_blocks maps near-field pairs (i, j) to dense
-    m_i x m_j blocks. Far-field pairs are never stored. The near field is
-    held once, as b_rows: block row i is one C-ordered m_i x sum_{j in N_i}
-    m_j array, neighbour j's m_j columns in neighbour-list order, zero for
-    a near pair with no block. b_blocks is rebuilt as views into the rows,
-    so the caller's dict is left as it was. B X and B* X are one product
-    per row, added in ascending row order, so bitwise reproducible. Raises
-    ValueError naming the factor when a block lies on a far-field pair or
-    has the wrong shape, so that write_ublr never writes what read_ublr
-    rejects.
+    with K = sum k_i; b_blocks is the near field B, a NearField over tess,
+    kept as given: B X and B* X are one product per block row, added in
+    ascending row order, so bitwise reproducible. Far-field pairs have no
+    block. Raises ValueError naming the factor when U, V or the core has
+    the wrong shape, or when b_blocks is over another tessellation, so that
+    write_ublr never writes what read_ublr rejects.
     """
 
     tess: Tessellation
     core: np.ndarray
-    b_blocks: dict
+    b_blocks: NearField
 
     def __post_init__(self):
         # held C-ordered: mm picks its BLAS flags from each operand's layout,
@@ -115,34 +113,20 @@ class UniformBLR(BlockBases):
         self.u_blocks = [np.ascontiguousarray(u, dtype=float) for u in self.u_blocks]
         self.v_blocks = [np.ascontiguousarray(v, dtype=float) for v in self.v_blocks]
         self.core = np.ascontiguousarray(self.core, dtype=float)
-        # one pass over the near pairs lays out the rows; a pair of given
-        # that the pass does not meet lies in the far field
-        given, self.b_blocks, self.b_rows = self.b_blocks, {}, []
-        sizes = self.tess.block_sizes.tolist()
-        for i, nbrs in enumerate(self.tess.neighbor_lists):
-            bounds = np.cumsum([0] + [sizes[j] for j in nbrs]).tolist()
-            self.b_rows.append(np.zeros((sizes[i], bounds[-1])))
-            for j, lo, hi in zip(nbrs, bounds[:-1], bounds[1:]):
-                if (i, j) in given:
-                    self.b_blocks[(i, j)] = self.b_rows[i][:, lo:hi]
-        stray = given.keys() - self.b_blocks.keys()
-        if stray:
-            raise ValueError(f"discrepancy blocks on far-field pairs: {sorted(stray)[:4]}")
+        if self.b_blocks.tess is not self.tess:
+            raise ValueError("b_blocks is a NearField over another tessellation")
         if len(self.u_blocks) != self.tess.b or len(self.v_blocks) != self.tess.b:
             raise ValueError(f"{len(self.u_blocks)} U and {len(self.v_blocks)} V blocks "
                              f"for {self.tess.b} blocks")
-        ranks = self.effective_ranks.tolist()
+        sizes, ranks = self.tess.block_sizes.tolist(), self.effective_ranks.tolist()
         factors = [(f"{name}_{i}", blk, (sizes[i], ranks[i]))
                    for name, blocks in (("U", self.u_blocks), ("V", self.v_blocks))
                    for i, blk in enumerate(blocks)]
         factors.append(("core", self.core, (sum(ranks), sum(ranks))))
-        factors += [(f"B_{i},{j}", given[(i, j)], (sizes[i], sizes[j])) for i, j in self.b_blocks]
         for name, blk, shape in factors:
             if np.shape(blk) != shape:
                 raise ValueError(f"{name} is {' x '.join(map(str, np.shape(blk)))}, "
                                  f"expected {shape[0]} x {shape[1]}")
-        for pair, view in self.b_blocks.items():
-            view[...] = given[pair]
 
     @property
     def n(self) -> int:
@@ -158,7 +142,7 @@ class UniformBLR(BlockBases):
         cols = X.reshape(len(X), -1)
         cv = mm(self.core, stack_t(self.v_blocks, self.tess, cols))
         out = blkdiag(self.u_blocks, self.tess, cv)
-        for i, row in enumerate(self.b_rows):
+        for i, row in enumerate(self.b_blocks.rows):
             out[self.tess.blocks[i]] += mm(row, cols[self.tess.neighbor_indices(i)])
         return out.reshape(X.shape)
 
@@ -168,7 +152,7 @@ class UniformBLR(BlockBases):
         cols = X.reshape(len(X), -1)
         cu = mm(self.core.T, stack_t(self.u_blocks, self.tess, cols))
         out = blkdiag(self.v_blocks, self.tess, cu)
-        for i, row in enumerate(self.b_rows):
+        for i, row in enumerate(self.b_blocks.rows):
             # a neighbour list has no repeats, so no target row is added twice
             out[self.tess.neighbor_indices(i)] += mm(row.T, cols[self.tess.blocks[i]])
         return out.reshape(X.shape)
@@ -183,7 +167,7 @@ class UniformBLR(BlockBases):
             sum(u.size for u in self.u_blocks)
             + sum(v.size for v in self.v_blocks)
             + self.core.size
-            + sum(blk.size for blk in self.b_blocks.values())
+            + sum(row.size for row in self.b_blocks.rows)
         )
 
 
@@ -233,8 +217,8 @@ def structured_identity_discrepancy(
     bases: BlockBases,
     core: np.ndarray,
     coloring: BoxColoring,
-) -> dict:
-    """Near-field blocks of A - U C V* from every color's identity probe in
+) -> NearField:
+    """The near field of A - U C V* from every color's identity probe in
     one oracle call.
 
     Color c owns the probe columns [start_c, start_c + w_c), w_c the largest
@@ -243,8 +227,9 @@ def structured_identity_discrepancy(
     through the oracle at once, and the probe is freed as soon as the call
     returns. The distance-2 property guarantees each
     block-row receives at most one probed neighbor per color, so B_ij is
-    resid[I_i, cols_j] - U_i (C V* probe)[rows_i, cols_j], the low-rank
-    part subtracted only in the slices that are read. V* probe is formed by
+    resid[I_i, cols_j] - U_i (C V* probe)[rows_i, cols_j], written into
+    its NearField view and reduced there, the low-rank part subtracted only
+    in the slices that are read. V* probe is formed by
     placing each V_j* in its color's columns. The coloring is checked
     before the oracle call.
     """
@@ -271,14 +256,10 @@ def structured_identity_discrepancy(
     for j, v in enumerate(bases.v_blocks):
         v_probe[offs[j]:offs[j + 1], cols[j]] = v.T
     low = mm(core, v_probe)
-    b_blocks = {}
-    for j in range(tess.b):
-        for i in tess.neighbor_lists[j]:
-            # a copy (fancy index), reduced in place: a second temporary per
-            # block fragmented the heap, 29 MB more peak RSS at N = 4096
-            blk = resid[tess.blocks[i], cols[j]]
-            blk -= mm(bases.u_blocks[i], low[offs[i]:offs[i + 1], cols[j]])
-            b_blocks[(i, j)] = blk
+    b_blocks = NearField(tess)
+    for (i, j), blk in b_blocks.items():
+        blk[...] = resid[tess.blocks[i], cols[j]]
+        blk -= mm(bases.u_blocks[i], low[offs[i]:offs[i + 1], cols[j]])
     return b_blocks
 
 
@@ -297,33 +278,26 @@ _TYPE_B_BUNDLE = ("build it with block_nullification_bases(..., right_inverses=T
                   "or tagging_bases(..., group_cols=m + p)")
 
 
-def _near_field_from_pairs(bundle: SketchBundle, bases: BlockBases) -> dict:
+def _near_field_from_pairs(bundle: SketchBundle, bases: BlockBases) -> NearField:
     """B_ij = row_ij + U_i U_i* col_ij over every near pair, with
     row_ij = (I - U_i U_i*) A_ij and col_ij = A_ij (I - V_j V_j*).
 
-    Block i's right-inverse rows hold, in neighbour order, m_j columns per
-    neighbour j: row_ij in y_rinv[i] and col_ji* in z_rinv[i]. Raises
-    ValueError when step I left no such rows.
+    Takes both right-inverse rows out of the bundle: row_ij is y_rinv's
+    view (i, j), and col_ji* is z_rinv's view (j, i). The second term is
+    added into y_rinv in place, which is returned as B. Raises ValueError
+    when step I left no such rows.
     """
     if bundle.y_rinv is None:
         raise ValueError(f"bundle has no right-inverse rows; {_TYPE_B_BUNDLE}")
-    tess = bundle.tess
-
-    def by_neighbour(rinv, i):  # neighbour j -> its columns of block i's rows
-        nbrs = tess.neighbor_lists[i]
-        bounds = np.cumsum([0] + [len(tess.blocks[j]) for j in nbrs])
-        return {j: rinv[i][:, lo:hi] for j, lo, hi in zip(nbrs, bounds[:-1], bounds[1:])}
-
-    rows = [by_neighbour(bundle.y_rinv, i) for i in range(tess.b)]
-    cols = [by_neighbour(bundle.z_rinv, j) for j in range(tess.b)]
-    out = {}
-    for i, u in enumerate(bases.u_blocks):
-        for j in tess.neighbor_lists[i]:
-            out[(i, j)] = rows[i][j] + mm(u, mm(u.T, cols[j][i].T))
-    return out
+    near, cols = bundle.y_rinv, bundle.z_rinv
+    bundle.y_rinv = bundle.z_rinv = None
+    for (i, j), blk in near.items():
+        u = bases.u_blocks[i]
+        blk += mm(u, mm(u.T, cols[(j, i)].T))
+    return near
 
 
-def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
+def gaussian_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> NearField:
     """B blocks recovered from the block-nullification sketches.
 
     (I - U_i U_i*) A(I_i, nbrs) equals the projected sketch rows times the
@@ -358,7 +332,7 @@ def b2_denominators_ok(plan: TaggingPlan) -> bool:
     return all(np.linalg.norm(w, axis=0).max() * floor <= 1.0 for w in plan.right_inverses)
 
 
-def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> dict:
+def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> NearField:
     """B blocks recovered from the (wide) tagging sketches.
 
     Block i's test rows factor as Omega(N_i, :) = blkdiag(G_k) (T(N_i, :)
@@ -377,7 +351,7 @@ def pinv_core(
     op: LinearOperatorHandle,
     bundle: SketchBundle,
     bases: BlockBases,
-    b_blocks: dict,
+    b_blocks: NearField,
     p: int,
     stream: RandomStream,
 ):
@@ -414,15 +388,12 @@ def pinv_core(
             return block_rows
         return np.hstack((block_rows, om_extra[tess.blocks[j]]))
 
-    readers = {}  # block j -> the row blocks i with a B_ij, ascending
-    for i, j in sorted(b_blocks):
-        readers.setdefault(j, []).append(i)
     offs = bases.rank_offsets()
     v_omega = np.empty_like(lhs)
     for j, v in enumerate(bases.v_blocks):
         omega_j = widened(bundle.test_rows(j), j)
         v_omega[offs[j]:offs[j + 1]] = mm(v.T, omega_j)
-        for i in readers.get(j, ()):
+        for i in tess.neighbor_lists[j]:
             lhs[offs[i]:offs[i + 1]] -= mm(mm(bases.u_blocks[i].T, b_blocks[(i, j)]), omega_j)
     _, core, cond = null_basis(v_omega, 0, rows=lhs)
     if cond > _COND_LIMIT:
@@ -514,10 +485,10 @@ def compress(
     z, and factors each neighbour stack of omega once for both sides;
     tagging and naive hold one side's test matrix and sketch at a time,
     and type-B tagging also the adjoint side's right-inverse rows. No
-    sketch outlives step I. Type A drops the bundle after step I. Type B
-    drops the right-inverse rows after step III. Step II reduces U* Y in
-    place and reads block rows of omega: B1 keeps omega, B2 rebuilds the
-    rows from the plan and g_blocks.
+    sketch outlives step I. Type A drops the bundle after step I. Type B's
+    step III turns the forward right-inverse rows into B in place and drops
+    the adjoint ones. Step II reduces U* Y in place and reads block rows of
+    omega: B1 keeps omega, B2 rebuilds the rows from the plan and g_blocks.
 
     A compute_error estimate of ||A|| that reads zero leaves
     report.relative_error None, with a UserWarning, and the representation
@@ -582,7 +553,6 @@ def compress(
                 b_blocks = gaussian_pinv_discrepancy(bundle, bases)
             else:
                 b_blocks = tagging_pinv_discrepancy(bundle, bases)
-        bundle.y_rinv = bundle.z_rinv = None
         with cop.phase("II"):
             core, _ = pinv_core(cop, bundle, bases, b_blocks, p, stream.child(2))
         del bundle
@@ -645,34 +615,3 @@ def compress_type_b(op, tess, k, p=10, method="bn", stream=None, **kwargs):
     """compress with the type-B id of step-I method "bn" or "tag"."""
     return compress(op, tess, k, _IDS.get(("B", method), f"B/{method}"), p, stream, **kwargs)
 
-
-def ground_truth_rep(spec, op) -> UniformBLR:
-    """Exact (U, C, V, B) decomposition of a synthetic exact-rank operator."""
-    tess = spec.tess
-    k = spec.rank
-    A = op.matrix
-    b = tess.b
-    offs = np.arange(b + 1) * k
-    K = b * k
-    core = np.empty((K, K))
-    for i in range(b):
-        rows = tess.blocks[i]
-        for j in range(b):
-            block = A[np.ix_(rows, tess.blocks[j])]
-            core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = mm(
-                mm(spec.u_blocks[i].T, block), spec.v_blocks[j]
-            )
-    b_blocks = {}
-    for i in range(b):
-        rows = tess.blocks[i]
-        for j in tess.neighbor_lists[i]:
-            block = A[np.ix_(rows, tess.blocks[j])]
-            low = mm(
-                mm(spec.u_blocks[i], core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]),
-                spec.v_blocks[j].T,
-            )
-            b_blocks[(i, j)] = block - low
-    return UniformBLR(
-        tess=tess, rank=k, u_blocks=spec.u_blocks, v_blocks=spec.v_blocks,
-        core=core, b_blocks=b_blocks,
-    )

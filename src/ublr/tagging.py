@@ -44,7 +44,6 @@ class TaggingMatrix:
 class NullVector:
     block: int
     vector: np.ndarray  # unit vector, length ell
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     except ValueError as exc:
         raise DegenerateTagsError(f"block {i}: {exc}") from exc
     # null_basis has already bounded the residuals by _NULL_RTOL max(1, ||T(N_i, :)||_F)
-    base = NullVector(block=i, vector=Z[:, -1], residual=float(np.linalg.norm(mm(sub, Z[:, -1]))))
+    base = NullVector(block=i, vector=Z[:, -1])
     far = tess.far_fields[i]
     if len(far) == 0:
         return base, base, W, np.nan, np.nan
@@ -208,7 +207,7 @@ def _factor_block(T: TaggingMatrix, tess: Tessellation, i: int, optimize: bool =
     X = Z[:, :3]  # cap the search at three null directions
     z = mm(X, _best_direction(mm(T.entries[far, :], X)))
     z /= np.linalg.norm(z)
-    chosen = NullVector(block=i, vector=z, residual=float(np.linalg.norm(mm(sub, z))))
+    chosen = NullVector(block=i, vector=z)
     chosen_ratio = aspect_ratio(projected_tags(T, tess, chosen), tess)
     if base_ratio <= chosen_ratio:
         return base, base, W, base_ratio, base_ratio

@@ -8,6 +8,7 @@ import ublr.reconstruction
 from ublr import (
     CountingOperator,
     DenseOperator,
+    NearField,
     RandomStream,
     UniformBLR,
     block_nullification_bases,
@@ -50,6 +51,37 @@ def subspace_angle(U, V):
 @pytest.fixture(scope="module")
 def synthetic_small():
     return uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
+
+
+class TestNearField:
+    def test_keys_are_the_sorted_near_pairs(self):
+        tess = build_tessellation(random_points(160, 2, RandomStream(4)), 16)
+        near = NearField(tess)
+        want = sorted((i, j) for i, nbrs in enumerate(tess.neighbor_lists) for j in nbrs)
+        assert list(near) == want and len(near) == len(want)
+        far = (0, tess.far_fields[0][0])
+        assert far not in near
+        with pytest.raises(KeyError):
+            near[far]
+
+    def test_rows_are_zeroed_views_into_one_buffer(self):
+        tess = build_tessellation(random_points(160, 2, RandomStream(4)), 16)
+        near = NearField(tess)
+        sizes = tess.block_sizes
+        buffer = near.rows[0].base
+        assert buffer.nbytes == 8 * sum(m * tess.neighbor_row_count(i)
+                                        for i, m in enumerate(sizes))
+        for i, row in enumerate(near.rows):
+            assert row.base is buffer and row.flags.c_contiguous and not row.any()
+            assert row.shape == (sizes[i], tess.neighbor_row_count(i))
+        # block (i, j) is j's columns of row i, in neighbour-list order
+        for i, nbrs in enumerate(tess.neighbor_lists):
+            lo = 0
+            for j in nbrs:
+                near[(i, j)][...] = j + 1
+                assert np.array_equal(near.rows[i][:, lo:lo + sizes[j]], near[(i, j)])
+                lo += sizes[j]
+            assert near.rows[i].all()
 
 
 class TestBlockNullification:
@@ -302,8 +334,8 @@ class TestBlockNullificationRightInverses:
             rows, nbrs = tess.blocks[i], tess.neighbor_indices(i)
             pinv = np.linalg.pinv(bundle.omega[nbrs, :])
             sides = (
-                (bundle.y_rinv[i], bases.u_blocks[i], y),
-                (bundle.z_rinv[i], bases.v_blocks[i], z),
+                (bundle.y_rinv.rows[i], bases.u_blocks[i], y),
+                (bundle.z_rinv.rows[i], bases.v_blocks[i], z),
             )
             for got, basis, sketch in sides:
                 want = project_out(basis, sketch[rows, :]) @ pinv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ublr import (
+    NearField,
     PointCloud,
     RandomStream,
     build_tessellation,
@@ -42,15 +43,15 @@ def test_roundtrip_preserves_action(compressed, tmp_path):
 def test_apply_does_not_depend_on_the_factors_layout(compressed, tmp_path):
     # mm picks its BLAS routine and flags from each operand's layout, and on
     # one or two columns F- and C-ordered factors give different rounding;
-    # a rep built from F-ordered factors still applies bitwise as its round
-    # trip, whose factors read_ublr returns C-ordered
+    # a rep built from F-ordered U, V and core still applies bitwise as its
+    # round trip, whose factors read_ublr returns C-ordered
     _, rep = compressed
     fortran = UniformBLR(
         tess=rep.tess, rank=rep.rank,
         u_blocks=[np.asfortranarray(u) for u in rep.u_blocks],
         v_blocks=[np.asfortranarray(v) for v in rep.v_blocks],
         core=np.asfortranarray(rep.core),
-        b_blocks={pair: np.asfortranarray(blk) for pair, blk in rep.b_blocks.items()},
+        b_blocks=rep.b_blocks,
     )
     path = tmp_path / "fortran.ublr"
     write_ublr(path, fortran)
@@ -64,16 +65,17 @@ def test_apply_does_not_depend_on_the_factors_layout(compressed, tmp_path):
 
 
 def test_read_holds_no_view_of_the_file_buffer(compressed, tmp_path):
-    # B is read as views of the buffer and copied once, into the block rows;
-    # U, V and the core are copied, so nothing read pins the buffer
+    # B is read as views of the buffer and copied once, into a NearField's
+    # rows; U, V and the core are copied, so nothing read pins the buffer
     _, rep = compressed
     path = tmp_path / "rep.ublr"
     write_ublr(path, rep)
     back = read_ublr(path)
-    for array in [*back.u_blocks, *back.v_blocks, back.core, *back.b_rows]:
+    assert isinstance(back.b_blocks, NearField) and back.b_blocks.tess is back.tess
+    buffer = back.b_blocks.rows[0].base
+    for array in [*back.u_blocks, *back.v_blocks, back.core, buffer]:
         assert array.flags.owndata and array.flags.writeable
-    for (i, _), blk in back.b_blocks.items():
-        assert np.shares_memory(blk, back.b_rows[i])
+    assert all(row.base is buffer for row in back.b_blocks.rows)
 
 
 def test_write_is_byte_deterministic(compressed, tmp_path):
@@ -165,6 +167,16 @@ def _pair_out_of_range(raw):
     return raw[:table] + np.asarray([9], dtype="<u8").tobytes() + raw[table + 8:]
 
 
+def _far_pair(raw):
+    # the second table entry (1, 2) becomes (1, 3): ids in range, the table
+    # still strictly increasing and its blocks the same size, but blocks 1
+    # and 3 are not neighbours
+    n_pairs = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[5])
+    table = len(raw) - n_pairs * (16 + 16 * 16 * 8)
+    assert np.frombuffer(raw, dtype="<u8", count=4, offset=table).tolist() == [1, 1, 1, 2]
+    return raw[:table + 24] + np.asarray([3], dtype="<u8").tobytes() + raw[table + 32:]
+
+
 def _edit_tessellation(raw, edit):
     # rewrites the tessellation JSON as write_ublr does, keeping its length
     json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
@@ -219,6 +231,7 @@ def _colors_swapped(tess):
         (_json_past_end, "tessellation: JSON length .* runs past the end of the file"),
         (_json_unreadable, "tessellation: unreadable JSON"),
         (_pair_out_of_range, "B index table: block ids outside 1..8"),
+        (_far_pair, r"B index table: far-field pairs \[\(1, 3\)\]"),
         (lambda raw: raw[:-8], "length"),
         (lambda raw: raw + b"\x00" * 8, "length"),
         (_repeat_pair, "B index table: pairs are not strictly increasing"),
@@ -238,7 +251,7 @@ def _colors_swapped(tess):
          "tessellation: stored colors differ from the distance-2 coloring"),
     ],
     ids=["header-b", "header-truncated", "json-past-end", "json-unreadable",
-         "pair-out-of-range", "truncated", "trailing-bytes", "repeated-pair",
+         "pair-out-of-range", "far-pair", "truncated", "trailing-bytes", "repeated-pair",
          "blocks-not-a-partition", "neighbour-out-of-range", "neighbour-not-an-id",
          "neighbours-unsorted", "neighbours-lack-self", "neighbours-asymmetric",
          "colors-differ"],

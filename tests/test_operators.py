@@ -19,9 +19,21 @@ from ublr import (
 )
 from ublr import operators
 from ublr.operators import _KERNEL_TILE as T
-from ublr.operators import check_adjoint, check_linearity
+from ublr.operators import check_adjoint
 
 from conftest import snorm, uniform_synthetic
+
+
+def check_linearity(op, stream, cols=3):
+    """Relative linearity defect of apply on random probes."""
+    n = op.shape[1]
+    X = gaussian(n, cols, stream.child(0))
+    Y = gaussian(n, cols, stream.child(1))
+    alpha, beta = 0.7, -1.3
+    lhs = op.apply(alpha * X + beta * Y)
+    rhs = alpha * op.apply(X) + beta * op.apply(Y)
+    scale = max(np.linalg.norm(lhs), 1.0)
+    return float(np.linalg.norm(lhs - rhs) / scale)
 
 
 class TestCountingWrapper:

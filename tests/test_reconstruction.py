@@ -23,7 +23,6 @@ from ublr import (
     gaussian,
     gaussian_pinv_discrepancy,
     grid_points,
-    ground_truth_rep,
     laplace2d_operator,
     make_tagging_matrix,
     naive_bases,
@@ -37,7 +36,14 @@ from ublr import (
     tagging_bases,
     tagging_pinv_discrepancy,
 )
-from ublr.bases import BlockBases, SketchBundle, assemble_tagging_test_matrix, blkdiag, stack_t
+from ublr.bases import (
+    BlockBases,
+    NearField,
+    SketchBundle,
+    assemble_tagging_test_matrix,
+    blkdiag,
+    stack_t,
+)
 from ublr.linalg import col_basis, mm, project_out
 from ublr.reconstruction import b2_denominators_ok
 from ublr.tagging import DegenerateTagsError
@@ -53,6 +59,26 @@ def synthetic_case():
 def box_grid(d, b):
     """Tessellation of b boxes, 4^d grid points each."""
     return build_tessellation(grid_points(4 * round(b ** (1 / d)), d), b)
+
+
+def ground_truth_rep(spec, op):
+    """Exact (U, C, V, B) decomposition of a synthetic exact-rank operator."""
+    tess, k, A = spec.tess, spec.rank, op.matrix
+    offs = np.arange(tess.b + 1) * k
+    core = np.empty((tess.b * k, tess.b * k))
+    for i, rows in enumerate(tess.blocks):
+        for j, cols in enumerate(tess.blocks):
+            core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
+                spec.u_blocks[i].T @ A[np.ix_(rows, cols)] @ spec.v_blocks[j]
+            )
+    b_blocks = NearField(tess)
+    for (i, j), blk in b_blocks.items():
+        low = spec.u_blocks[i] @ core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] @ spec.v_blocks[j].T
+        blk[...] = A[np.ix_(tess.blocks[i], tess.blocks[j])] - low
+    return UniformBLR(
+        tess=tess, rank=k, u_blocks=spec.u_blocks, v_blocks=spec.v_blocks,
+        core=core, b_blocks=b_blocks,
+    )
 
 
 def dense_discrepancy_oracle(op, tess, bases, core):
@@ -437,7 +463,7 @@ class TestPinvCore:
             omega=omega, s=s, tess=tess,
             uy=stack_t(u_blocks, tess, y),
         )
-        core, added = pinv_core(op, bundle, bases, {}, 10, stream.child(4))
+        core, added = pinv_core(op, bundle, bases, NearField(tess), 10, stream.child(4))
         assert added == 0
         assert snorm(core - c0) <= 1e-10 * max(1.0, snorm(c0))
 
@@ -451,8 +477,7 @@ class TestPinvCore:
         bundle.uy = bundle.uy[:, :20]
         bundle.s = 20
         cop = CountingOperator(op)
-        b_blocks = {}
-        _, added = pinv_core(cop, bundle, bases, b_blocks, 10, RandomStream(5))
+        _, added = pinv_core(cop, bundle, bases, NearField(tess), 10, RandomStream(5))
         assert added == 24 + 10 - 20
         assert cop.matvecs == {"other": {"A": added, "Astar": 0}}
 
@@ -541,7 +566,7 @@ class TestPinvCore:
                 comb = mm(plan.right_inverses[i].T, groups).reshape(-1, m, gc)
                 want = [mm(comb[p], pseudo_inverse(bundle.g_blocks[j]))
                         for p, j in enumerate(tess.neighbor_lists[i])]
-                assert np.array_equal(got[i], project_out(basis[i], np.hstack(want)))
+                assert np.array_equal(got.rows[i], project_out(basis[i], np.hstack(want)))
 
     @pytest.mark.parametrize("extra", [False, True], ids=["no_extra", "extra"])
     def test_tagging_core_same_with_dense_omega(self, extra):
@@ -647,10 +672,11 @@ class TestCompressMemory:
                 op, tess, 20, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10
             )
         assert not {"y", "z"} & set(vars(bundle))
-        assert len(bundle.y_rinv) == len(bundle.z_rinv) == tess.b
+        assert isinstance(bundle.y_rinv, NearField) and isinstance(bundle.z_rinv, NearField)
         arrays = [
             a for name, value in vars(bundle).items() if name != "omega"
-            for a in (value if isinstance(value, list) else [value])
+            for a in (value.rows if isinstance(value, NearField)
+                      else value if isinstance(value, list) else [value])
             if isinstance(a, np.ndarray)
         ]
         assert all(a.shape[0] < tess.n_points for a in arrays)
@@ -758,35 +784,27 @@ class TestUniformBLRApply:
         near = {
             (i, j) for i in range(tess.b) for j in tess.neighbor_lists[i]
         }
-        assert set(rep.b_blocks) <= near
-
-    def test_stray_far_block_rejected(self, synthetic_case):
-        op, tess, _ = synthetic_case
-        rep, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(1), compute_error=False)
-        bad = dict(rep.b_blocks)
-        bad[(0, 5)] = np.zeros((16, 16))
-        with pytest.raises(ValueError, match=r"^discrepancy blocks on far-field pairs: \[\(0, 5\)\]$"):
-            UniformBLR(
-                tess=tess, rank=3, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
-                core=rep.core, b_blocks=bad,
-            )
+        assert set(rep.b_blocks) == near
 
     @staticmethod
-    def ragged_rep_without_a_pair():
-        """A1 rep on a ragged grid, rebuilt with one off-diagonal near pair
-        left out of b_blocks; returns (rep, the dict it was given, pair)."""
+    def ragged_rep_with_a_zero_block():
+        """A1 rep on a ragged grid, rebuilt with one off-diagonal near block
+        zeroed; returns (rep, the zeroed pair)."""
         tess = build_tessellation(random_points(160, 2, RandomStream(4)), 16)
         assert tess.block_sizes.min() < tess.block_sizes.max()
         op = DenseOperator(gaussian(160, 160, RandomStream(5)))
         full, _ = compress(op, tess, 8, "A1", p=2, stream=RandomStream(1), compute_error=False)
-        pair = next(pair for pair in sorted(full.b_blocks) if pair[0] != pair[1])
-        given = {key: blk.copy() for key, blk in full.b_blocks.items() if key != pair}
+        pair = next(pair for pair in full.b_blocks if pair[0] != pair[1])
+        b_blocks = NearField(tess)
+        for key, blk in full.b_blocks.items():
+            if key != pair:
+                b_blocks[key][...] = blk
         rep = UniformBLR(tess=tess, rank=8, u_blocks=full.u_blocks, v_blocks=full.v_blocks,
-                         core=full.core, b_blocks=given)
-        return rep, given, pair
+                         core=full.core, b_blocks=b_blocks)
+        return rep, pair
 
-    def test_apply_matches_dense_with_a_pair_left_out(self):
-        rep, _, _ = self.ragged_rep_without_a_pair()
+    def test_apply_matches_dense_with_a_zero_block(self):
+        rep, _ = self.ragged_rep_with_a_zero_block()
         dense = rep.to_dense()
         scale = max(1.0, snorm(dense))
         assert np.linalg.norm(dense - dense_rep(rep)) <= 1e-12 * scale
@@ -797,37 +815,36 @@ class TestUniformBLRApply:
                 1e-12 * scale * np.linalg.norm(X))
 
     def test_b_blocks_are_views_into_c_ordered_rows(self):
-        rep, _, (i, j) = self.ragged_rep_without_a_pair()
+        rep, (i, j) = self.ragged_rep_with_a_zero_block()
         sizes = rep.tess.block_sizes
-        for k, row in enumerate(rep.b_rows):
+        rows = rep.b_blocks.rows
+        for k, row in enumerate(rows):
             assert row.flags.c_contiguous
             assert row.shape == (sizes[k], sizes[rep.tess.neighbor_lists[k]].sum())
         for (k, _), blk in rep.b_blocks.items():
-            assert np.shares_memory(blk, rep.b_rows[k])
-        # the pair left out is not stored, and its columns of row i are zero
+            assert np.shares_memory(blk, rows[k])
+        # the zeroed pair's columns of row i are zero
         nbrs = rep.tess.neighbor_lists[i]
         lo = int(sizes[nbrs[:nbrs.index(j)]].sum())
-        assert (i, j) not in rep.b_blocks
-        assert not rep.b_rows[i][:, lo:lo + sizes[j]].any()
+        assert not rep.b_blocks[(i, j)].any()
+        assert not rows[i][:, lo:lo + sizes[j]].any()
 
-    def test_callers_dict_is_unchanged(self):
-        rep, given, pair = self.ragged_rep_without_a_pair()
-        before = {key: (blk, blk.copy()) for key, blk in given.items()}
-        UniformBLR(tess=rep.tess, rank=8, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
-                   core=rep.core, b_blocks=given)
-        assert given.keys() == before.keys() and pair not in given
-        for key, (blk, values) in before.items():
-            assert given[key] is blk and np.array_equal(blk, values)
-            assert not np.shares_memory(blk, rep.b_rows[key[0]])
+    def test_near_field_over_another_tessellation_rejected(self):
+        points = random_points(400, 2, RandomStream(1))
+        tess = build_tessellation(points, 16)
+        rep, _ = compress(laplace2d_operator(points), tess, 5, "A1", compute_error=False)
+        with pytest.raises(ValueError, match="^b_blocks is a NearField over another tessellation$"):
+            UniformBLR(tess=tess, rank=5, u_blocks=rep.u_blocks, v_blocks=rep.v_blocks,
+                       core=rep.core, b_blocks=NearField(build_tessellation(points, 16)))
 
-    @pytest.mark.parametrize("factor", ["U", "V", "core", "B", "blocks"])
+    @pytest.mark.parametrize("factor", ["U", "V", "core", "blocks"])
     def test_misshapen_factor_rejected(self, factor):
         # write_ublr would write each of these into a file read_ublr rejects
         points = random_points(400, 2, RandomStream(1))
         tess = build_tessellation(points, 16)
         rep, _ = compress(laplace2d_operator(points), tess, 5, "A1", compute_error=False)
         fields = {"u_blocks": list(rep.u_blocks), "v_blocks": list(rep.v_blocks),
-                  "core": rep.core, "b_blocks": dict(rep.b_blocks)}
+                  "core": rep.core, "b_blocks": rep.b_blocks}
         m, K = tess.block_sizes.tolist(), rep.total_rank
         if factor == "U":
             fields["u_blocks"][2] = rep.u_blocks[2][1:]
@@ -838,12 +855,9 @@ class TestUniformBLRApply:
         elif factor == "blocks":
             fields["v_blocks"] = fields["v_blocks"][:-1]
             message = f"{tess.b} U and {tess.b - 1} V blocks for {tess.b} blocks"
-        elif factor == "core":
+        else:
             fields["core"] = rep.core[1:]
             message = f"core is {K - 1} x {K}, expected {K} x {K}"
-        else:
-            fields["b_blocks"][(0, 1)] = rep.b_blocks[(0, 1)][:, 1:]
-            message = f"B_0,1 is {m[0]} x {m[1] - 1}, expected {m[0]} x {m[1]}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             UniformBLR(tess=tess, rank=5, **fields)
 
@@ -961,6 +975,21 @@ class TestFullPipelines:
             )
             assert snorm(rep.to_dense() - op.matrix) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
+    def test_near_field_is_one_buffer(self, synthetic_case, method_id):
+        # every step writes B into one NearField, which the rep keeps: its
+        # rows are views into one buffer of exactly the near field's size,
+        # so B1's rows pin no adjoint half and no step-I array
+        op, tess, _ = synthetic_case
+        rep, _ = compress(op, tess, 3, method_id, stream=RandomStream(4), compute_error=False)
+        rows = rep.b_blocks.rows
+        buffer = rows[0].base
+        assert buffer.flags.owndata and all(row.base is buffer for row in rows)
+        assert buffer.nbytes == 8 * sum(
+            len(tess.blocks[i]) * tess.neighbor_row_count(i) for i in range(tess.b)
+        )
+        assert len(rep.b_blocks) == sum(len(nbrs) for nbrs in tess.neighbor_lists)
+
     def test_storage_accounting(self, synthetic_case):
         op, tess, _ = synthetic_case
         rep, report = compress_type_a(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
@@ -1008,16 +1037,15 @@ class TestFullPipelines:
                 core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
                     u_blocks[i].T @ block @ v_blocks[j]
                 )
-        b_blocks = {}
-        for i in range(tess.b):
-            for j in tess.neighbor_lists[i]:
-                block = A[np.ix_(tess.blocks[i], tess.blocks[j])]
-                low = (
-                    u_blocks[i]
-                    @ core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
-                    @ v_blocks[j].T
-                )
-                b_blocks[(i, j)] = block - low
+        b_blocks = NearField(tess)
+        for (i, j), blk in b_blocks.items():
+            block = A[np.ix_(tess.blocks[i], tess.blocks[j])]
+            low = (
+                u_blocks[i]
+                @ core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+                @ v_blocks[j].T
+            )
+            blk[...] = block - low
         dense_rep = UniformBLR(
             tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
             core=core, b_blocks=b_blocks,
