@@ -69,7 +69,6 @@ class SketchBundle:
     tess: Tessellation
     plan: TaggingPlan | None = None  # tagging: T, the null vectors and each W_i = T(N_i, :)^+
     g_blocks: list | None = None  # per-block Gaussian test blocks (tagging)
-    group_cols: int | None = None  # columns per tagging group
     y_rinv: NearField | None = None  # row i: (I - U_i U_i*) Y_i B_i^+ (type B)
     z_rinv: NearField | None = None  # row i: (I - V_i V_i*) Z_i B_i^+
     uy: np.ndarray | None = None  # U* Y, K x s, in rank-offset row order (type B)
@@ -302,7 +301,7 @@ def tagging_bases(
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(
         omega=None, s=T.n_cols * gc, tess=tess, plan=plan,
-        g_blocks=g_blocks, group_cols=gc, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
+        g_blocks=g_blocks, y_rinv=y_rinv, z_rinv=z_rinv, uy=uy,
     )
     return bases, bundle
 

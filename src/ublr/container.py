@@ -5,7 +5,7 @@ float64, dense blocks row-major):
 
     magic "UBLR1"
     n, b, k, d, tess_json_len, n_b_blocks
-    tess_json (UTF-8: dim, b, blocks, neighbors, colors; ids 1-based)
+    tess_json (Tessellation.to_json: UTF-8 JSON, ids 1-based)
     effective ranks, one per block
     U blocks in block order, then V blocks
     core (K x K)
@@ -17,13 +17,11 @@ Writing the same representation twice yields identical bytes.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .bases import NearField
 from .reconstruction import UniformBLR
-from .tessellation import Tessellation, color_boxes
+from .tessellation import Tessellation
 
 MAGIC = b"UBLR1"
 
@@ -38,9 +36,7 @@ def _f64(array) -> bytes:
 
 def write_ublr(path, rep: UniformBLR) -> None:
     tess = rep.tess
-    tess_json = json.dumps(
-        tess.to_json_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
+    tess_json = tess.to_json()
     pairs = list(rep.b_blocks)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -61,14 +57,12 @@ def write_ublr(path, rep: UniformBLR) -> None:
 def read_ublr(path) -> UniformBLR:
     """Read a container written by write_ublr.
 
-    Raises ValueError naming the path and the field when the header
-    disagrees with the tessellation JSON, the blocks do not partition the
-    point ids 1..n, a neighbour id is not an integer in 1..b, a neighbour
-    list is not strictly increasing or lacks its own block, the neighbour
-    lists are not symmetric, the stored colors are not color_boxes of the
-    tessellation read, the B index table is not strictly increasing or
-    holds a far-field pair, or the file is not exactly as long as its
-    header, ranks and B index table say.
+    Raises ValueError naming the path and the field when the tessellation
+    JSON fails the checks of Tessellation.from_json or the header's n, b
+    or d disagree with it, an effective rank exceeds min(k, m_i), the B
+    index table is not strictly increasing or holds a far-field pair, or
+    the file is not exactly as long as its header, ranks and B index table
+    say.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -97,41 +91,18 @@ def read_ublr(path) -> UniformBLR:
     if off + json_len > len(raw):
         fail("tessellation", f"JSON length {json_len} runs past the end of the file")
     try:
-        tess_dict = json.loads(raw[off:off + json_len].decode())
-        blocks = tess_dict["blocks"]
-        stored_fields = (
-            ("b", b, tess_dict["b"]),
-            ("b", b, len(blocks)),
-            ("d", d, tess_dict["dim"]),
-            ("n", n, sum(len(blk) for blk in blocks)),
-        )
-        point_ids = sorted(i for blk in blocks for i in blk)
-        neighbors = tess_dict["neighbors"]
-        neighbor_ids = [j for nbrs in neighbors for j in nbrs]
-        stored_colors = tess_dict["colors"]
-    except (ValueError, KeyError, TypeError) as exc:
-        fail("tessellation", f"unreadable JSON ({exc!r})")
+        tess = Tessellation.from_json(raw[off:off + json_len])
+    except ValueError as exc:
+        fail("tessellation", exc)
     off += json_len
-    for field, header, stored in stored_fields:
+    for field, header, stored in (("b", b, tess.b), ("d", d, tess.dim), ("n", n, tess.n_points)):
         if header != stored:
             fail(field, f"header says {header}, tessellation JSON says {stored}")
-    if point_ids != list(range(1, n + 1)):
-        fail("tessellation", f"blocks do not partition the point ids 1..{n}")
-    if len(neighbors) != b or any(type(j) is not int or not 1 <= j <= b for j in neighbor_ids):
-        fail("tessellation", f"neighbour lists are not {b} lists of block ids in 1..{b}")
-    for i, nbrs in enumerate(neighbors, start=1):
-        if any(p >= q for p, q in zip(nbrs, nbrs[1:])):
-            fail("tessellation", f"neighbour list of block {i} is not strictly increasing")
-        if i not in nbrs:
-            fail("tessellation", f"neighbour list of block {i} lacks block {i}")
-        for j in nbrs:
-            if i not in neighbors[j - 1]:
-                fail("tessellation", f"block {i} lists block {j}, but not the reverse")
-    tess = _tess_from_json(tess_dict, n)
-    if stored_colors != (color_boxes(tess).colors + 1).tolist():
-        fail("tessellation", "stored colors differ from the distance-2 coloring")
     ranks = take_u64(b, "effective ranks")
-    sizes = [len(blk) for blk in blocks]
+    sizes = tess.block_sizes.tolist()
+    for i, (m, r) in enumerate(zip(sizes, ranks), start=1):
+        if r > min(k, m):
+            fail("effective ranks", f"block {i} has rank {r}, above min(k, m_{i}) = {min(k, m)}")
     total = sum(ranks)
     body = off  # U, V and the core come next; skip them to the B index table
     off += 8 * (2 * sum(m * r for m, r in zip(sizes, ranks)) + total * total)
@@ -160,13 +131,4 @@ def read_ublr(path) -> UniformBLR:
     return UniformBLR(
         tess=tess, rank=k, u_blocks=u_blocks, v_blocks=v_blocks,
         core=core, b_blocks=b_blocks,
-    )
-
-
-def _tess_from_json(data: dict, n: int) -> Tessellation:
-    blocks = [np.asarray(blk, dtype=int) - 1 for blk in data["blocks"]]
-    neighbor_lists = [[j - 1 for j in nbrs] for nbrs in data["neighbors"]]
-    return Tessellation(
-        dim=int(data["dim"]), n_points=int(n), blocks=blocks,
-        neighbor_lists=neighbor_lists,
     )

@@ -145,17 +145,6 @@ class CountingOperator(LinearOperatorHandle):
         return Y
 
 
-def check_adjoint(op, stream: RandomStream, cols: int = 3) -> float:
-    """Relative adjoint-consistency defect <Ax, y> vs <x, A*y>."""
-    n_rows, n_cols = op.shape
-    X = gaussian(n_cols, cols, stream.child(0))
-    Y = gaussian(n_rows, cols, stream.child(1))
-    lhs = np.sum(op.apply(X) * Y)
-    rhs = np.sum(X * op.apply_adjoint(Y))
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return float(abs(lhs - rhs) / scale)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic exact-rank uniform BLR operator (ground truth for tests)
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ that was built; the grid itself is not kept.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,16 +104,60 @@ class Tessellation:
         in neighbor-list order."""
         return np.concatenate([self.blocks[j] for j in self.neighbor_lists[i]])
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready form with the color_boxes coloring; block, box and
-        color ids are 1-based on the wire."""
-        return {
+    def to_json(self) -> bytes:
+        """Wire form: compact, key-sorted UTF-8 JSON of dim, b, blocks,
+        neighbors and the color_boxes colors, all ids 1-based."""
+        return json.dumps({
             "dim": self.dim,
             "b": self.b,
             "blocks": [(np.asarray(blk) + 1).tolist() for blk in self.blocks],
             "neighbors": [[j + 1 for j in nbrs] for nbrs in self.neighbor_lists],
             "colors": (color_boxes(self).colors + 1).tolist(),
-        }
+        }, sort_keys=True, separators=(",", ":")).encode()
+
+    @classmethod
+    def from_json(cls, text) -> Tessellation:
+        """The tessellation whose to_json is text (bytes or str). Raises
+        ValueError, naming the check, unless dim is 1, 2 or 3, b is the block
+        count, the blocks are non-empty and partition the ids 1..n, the
+        neighbour lists are symmetric, strictly increasing lists of ids in
+        1..b that hold their own block, and the colors are color_boxes of
+        the result."""
+        try:
+            data = json.loads(text)
+            dim, b, blocks = data["dim"], data["b"], data["blocks"]
+            point_ids = sorted(i for blk in blocks for i in blk)
+            neighbors = data["neighbors"]
+            neighbor_ids = [j for nbrs in neighbors for j in nbrs]
+            stored_colors = data["colors"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"unreadable JSON ({exc!r})") from None
+        if type(dim) is not int or dim not in _VALID_DIMS:
+            raise ValueError(f"dim {dim!r} is not 1, 2 or 3")
+        if b != len(blocks):
+            raise ValueError(f"b is {b}, but there are {len(blocks)} blocks")
+        n = len(point_ids)
+        if point_ids != list(range(1, n + 1)):
+            raise ValueError(f"blocks do not partition the point ids 1..{n}")
+        if not blocks or not all(blocks):
+            raise ValueError("blocks are missing or one is empty")
+        if len(neighbors) != b or any(type(j) is not int or not 1 <= j <= b for j in neighbor_ids):
+            raise ValueError(f"neighbour lists are not {b} lists of block ids in 1..{b}")
+        for i, nbrs in enumerate(neighbors, start=1):
+            if any(p >= q for p, q in zip(nbrs, nbrs[1:])):
+                raise ValueError(f"neighbour list of block {i} is not strictly increasing")
+            if i not in nbrs:
+                raise ValueError(f"neighbour list of block {i} lacks block {i}")
+            for j in nbrs:
+                if i not in neighbors[j - 1]:
+                    raise ValueError(f"block {i} lists block {j}, but not the reverse")
+        tess = cls(
+            dim=dim, n_points=n, blocks=[np.asarray(blk, dtype=int) - 1 for blk in blocks],
+            neighbor_lists=[[j - 1 for j in nbrs] for nbrs in neighbors],
+        )
+        if stored_colors != (color_boxes(tess).colors + 1).tolist():
+            raise ValueError("stored colors differ from the distance-2 coloring")
+        return tess
 
 
 @dataclass(frozen=True)

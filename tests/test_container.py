@@ -177,6 +177,15 @@ def _far_pair(raw):
     return raw[:table + 24] + np.asarray([3], dtype="<u8").tobytes() + raw[table + 32:]
 
 
+def _move_rank(raw):
+    # blocks 1 and 2 both have 16 points and rank k = 3; 3/3 becomes 2/4,
+    # which keeps the file length
+    json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
+    start = 5 + 48 + json_len
+    assert np.frombuffer(raw, dtype="<u8", count=2, offset=start).tolist() == [3, 3]
+    return raw[:start] + np.asarray([2, 4], dtype="<u8").tobytes() + raw[start + 16:]
+
+
 def _edit_tessellation(raw, edit):
     # rewrites the tessellation JSON as write_ublr does, keeping its length
     json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
@@ -235,6 +244,7 @@ def _colors_swapped(tess):
         (lambda raw: raw[:-8], "length"),
         (lambda raw: raw + b"\x00" * 8, "length"),
         (_repeat_pair, "B index table: pairs are not strictly increasing"),
+        (_move_rank, r"effective ranks: block 2 has rank 4, above min\(k, m_2\) = 3"),
         (lambda raw: _edit_tessellation(raw, _move_point),
          "tessellation: blocks do not partition the point ids 1..128"),
         (lambda raw: _edit_tessellation(raw, _neighbour_out_of_range),
@@ -252,6 +262,7 @@ def _colors_swapped(tess):
     ],
     ids=["header-b", "header-truncated", "json-past-end", "json-unreadable",
          "pair-out-of-range", "far-pair", "truncated", "trailing-bytes", "repeated-pair",
+         "rank-moved",
          "blocks-not-a-partition", "neighbour-out-of-range", "neighbour-not-an-id",
          "neighbours-unsorted", "neighbours-lack-self", "neighbours-asymmetric",
          "colors-differ"],

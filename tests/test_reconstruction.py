@@ -496,7 +496,9 @@ class TestPinvCore:
                 op, tess, k, p, plan, RandomStream(1), group_cols=tess.max_block_size + p
             )
             b_blocks = tagging_pinv_discrepancy(bundle, bases)
-            omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, bundle.group_cols)
+            omega = assemble_tagging_test_matrix(
+                tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
+            )
         else:
             bases, bundle = block_nullification_bases(
                 op, tess, k, p, RandomStream(1), right_inverses=True
@@ -539,7 +541,9 @@ class TestPinvCore:
     def test_tagging_test_rows_are_the_assembled_rows(self, extra):
         _, tess, plan, _, bundle = self.b2_case(extra)
         assert bundle.omega is None
-        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, bundle.group_cols)
+        omega = assemble_tagging_test_matrix(
+            tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
+        )
         for j, rows in enumerate(tess.blocks):
             assert np.array_equal(bundle.test_rows(j), omega[rows])
 
@@ -550,7 +554,7 @@ class TestPinvCore:
         # U_i* Y_i; the adjoint side likewise with Z = A* Omega, V_i and the
         # same G_j^+
         op, tess, plan, bases, bundle = self.b2_case(extra)
-        gc = bundle.group_cols
+        gc = bundle.g_blocks[0].shape[1]
         omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
         sides = [
             (bundle.y_rinv, bundle.uy, bases.u_blocks, op.apply),
@@ -577,7 +581,7 @@ class TestPinvCore:
         core, added = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
         assert (added > 0) == extra and bundle.uy is None
         bundle.omega = assemble_tagging_test_matrix(
-            tess, plan.matrix, bundle.g_blocks, bundle.group_cols
+            tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
         )
         bundle.uy = uy
         dense_core, _ = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ublr import (
     PointCloud,
     RandomStream,
+    Tessellation,
     build_tessellation,
     color_boxes,
     grid_points,
@@ -102,11 +105,26 @@ class TestBuildTessellation:
 
     def test_json_serialization_one_based(self):
         tess = build_tessellation(grid_points(4, 1), 4)
-        data = tess.to_json_dict()
+        data = json.loads(tess.to_json())
         assert data["dim"] == 1 and data["b"] == 4
         assert data["blocks"][0][0] == 1  # 1-based indices
         assert min(min(n) for n in data["neighbors"]) == 1
         assert len(data["colors"]) == 4
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"b":0,"blocks":[],"colors":[],"dim":1,"neighbors":[]}', "blocks are missing"),
+         ('{"b":2,"blocks":[[1,2],[]],"colors":[1,2],"dim":1,"neighbors":[[1,2],[1,2]]}',
+          "one is empty"),
+         ('{"b":1,"blocks":[[1]],"colors":[1],"dim":4,"neighbors":[[1]]}', "dim 4 is not"),
+         ('{"b":1,"blocks":[[1]],"colors":[1],"dim":2.0,"neighbors":[[1]]}', "dim 2.0 is not")],
+        ids=["no-blocks", "empty-block", "dim-4", "dim-float"],
+    )
+    def test_from_json_rejects(self, text, message):
+        # what build_tessellation never makes: no block, an empty block, or
+        # a dim other than the integers 1, 2 and 3
+        with pytest.raises(ValueError, match=message):
+            Tessellation.from_json(text)
 
 
 class TestSuggestBlockCount:
@@ -240,3 +258,19 @@ def test_neighbor_lists_match_brute_force(case):
     cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
     want = [np.flatnonzero(np.abs(cells - cell).max(axis=1) <= 1).tolist() for cell in cells]
     assert tess.neighbor_lists == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_points())
+def test_json_round_trip(case):
+    # full and ragged grids in d = 1, 2 and 3 read back as built, and write
+    # the same bytes again
+    pts, per_axis = case
+    tess = build_tessellation(pts, per_axis**pts.dim)
+    text = tess.to_json()
+    back = Tessellation.from_json(text)
+    assert (back.dim, back.n_points) == (tess.dim, tess.n_points)
+    assert len(back.blocks) == tess.b
+    assert all(np.array_equal(p, q) for p, q in zip(back.blocks, tess.blocks))
+    assert back.neighbor_lists == tess.neighbor_lists
+    assert back.to_json() == text
