@@ -68,7 +68,7 @@ from .linalg import (
 )
 from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
 from .tagging import TaggingPlan, plan_tagging
-from .tessellation import BoxColoring, Tessellation, color_boxes
+from .tessellation import BoxColoring, Tessellation, color_boxes, coloring_collision
 
 
 class Method(NamedTuple):
@@ -234,13 +234,8 @@ def structured_identity_discrepancy(
     before the oracle call.
     """
     colors = np.asarray(coloring.colors)
-    for i in range(tess.b):
-        nbr_colors = colors[tess.neighbor_lists[i]]
-        if len(set(nbr_colors.tolist())) != len(nbr_colors):
-            raise ValueError(
-                f"invalid coloring: two same-color probes collide in the "
-                f"neighborhood of block {i}"
-            )
+    if (i := coloring_collision(tess.neighbor_lists, colors)) is not None:
+        raise ValueError(f"invalid coloring: two same-color probes collide around block {i}")
 
     sizes = tess.block_sizes
     widths = [int(sizes[colors == c].max()) for c in range(coloring.num_colors)]

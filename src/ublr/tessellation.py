@@ -3,9 +3,9 @@
 Builds the regular grid of boxes behind the strong admissibility pattern:
 per-box index sets and neighbor lists (Chebyshev distance 1 on the grid,
 self included), from which far fields follow, and the distance-2 coloring
-used by the structured identity probes. A Tessellation holds only its
-blocks and neighbor lists, so one read back from a container is the one
-that was built; the grid itself is not kept.
+used by the structured identity probes (cell coordinates modulo 3). A
+Tessellation holds only its blocks, neighbor lists and colors, so one read
+back from a container is the one that was built; the grid is not kept.
 """
 
 from __future__ import annotations
@@ -69,14 +69,16 @@ class Tessellation:
     blocks[i] holds the (ascending) global indices in box i; neighbor_lists[i]
     lists, ascending, every box within Chebyshev distance 1 on the grid,
     including i itself. Empty grid cells have been dropped, so block ids are
-    contiguous. Far fields and the coloring (color_boxes) are derived from
-    the neighbor lists. Immutable after construction; safe to share.
+    contiguous. colors is a distance-2 coloring by ids 0..C-1 (see
+    color_boxes); far fields derive from the neighbor lists. Immutable
+    after construction; safe to share.
     """
 
     dim: int
     n_points: int
     blocks: list
     neighbor_lists: list
+    colors: np.ndarray
 
     @property
     def b(self) -> int:
@@ -106,13 +108,13 @@ class Tessellation:
 
     def to_json(self) -> bytes:
         """Wire form: compact, key-sorted UTF-8 JSON of dim, b, blocks,
-        neighbors and the color_boxes colors, all ids 1-based."""
+        neighbors and colors, all ids 1-based."""
         return json.dumps({
             "dim": self.dim,
             "b": self.b,
             "blocks": [(np.asarray(blk) + 1).tolist() for blk in self.blocks],
             "neighbors": [[j + 1 for j in nbrs] for nbrs in self.neighbor_lists],
-            "colors": (color_boxes(self).colors + 1).tolist(),
+            "colors": (self.colors + 1).tolist(),
         }, sort_keys=True, separators=(",", ":")).encode()
 
     @classmethod
@@ -121,15 +123,15 @@ class Tessellation:
         ValueError, naming the check, unless dim is 1, 2 or 3, b is the block
         count, the blocks are non-empty and partition the ids 1..n, the
         neighbour lists are symmetric, strictly increasing lists of ids in
-        1..b that hold their own block, and the colors are color_boxes of
-        the result."""
+        1..b that hold their own block, and the colors, kept as stored, are
+        a distance-2 coloring by b integer ids that use each of 1..C."""
         try:
             data = json.loads(text)
             dim, b, blocks = data["dim"], data["b"], data["blocks"]
             point_ids = sorted(i for blk in blocks for i in blk)
             neighbors = data["neighbors"]
             neighbor_ids = [j for nbrs in neighbors for j in nbrs]
-            stored_colors = data["colors"]
+            colors = list(data["colors"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"unreadable JSON ({exc!r})") from None
         if type(dim) is not int or dim not in _VALID_DIMS:
@@ -151,12 +153,16 @@ class Tessellation:
             for j in nbrs:
                 if i not in neighbors[j - 1]:
                     raise ValueError(f"block {i} lists block {j}, but not the reverse")
+        if (len(colors) != b or any(type(c) is not int for c in colors)
+                or set(colors) != set(range(1, max(colors) + 1))):
+            raise ValueError(f"colors are not {b} integer ids that use each of 1..C")
         tess = cls(
             dim=dim, n_points=n, blocks=[np.asarray(blk, dtype=int) - 1 for blk in blocks],
             neighbor_lists=[[j - 1 for j in nbrs] for nbrs in neighbors],
+            colors=np.asarray(colors) - 1,
         )
-        if stored_colors != (color_boxes(tess).colors + 1).tolist():
-            raise ValueError("stored colors differ from the distance-2 coloring")
+        if (i := coloring_collision(tess.neighbor_lists, tess.colors)) is not None:
+            raise ValueError(f"two boxes of one color in the neighbourhood of block {i + 1}")
         return tess
 
 
@@ -190,7 +196,9 @@ def build_tessellation(points: PointCloud, target_block_count: int) -> Tessellat
     target_block_count must be a d-th power; empty cells are dropped and
     block ids reindexed. Each box's neighbors are looked up among its 3^d
     grid cells through an index from cell to block id, so the build is
-    O(b 3^d) and empty cells yield no neighbor.
+    O(b 3^d) and empty cells yield no neighbor. A box's color is its cell
+    coordinates modulo 3 as a base-3 code, the codes in use numbered in
+    ascending order: at most 3^d colors, distance-2 on ragged grids too.
     """
     d = points.dim
     per_axis = _per_axis_count(target_block_count, d)
@@ -222,26 +230,22 @@ def build_tessellation(points: PointCloud, target_block_count: int) -> Tessellat
     found = np.sort(np.column_stack(found), axis=1)
     neighbor_lists = [row[row >= 0].tolist() for row in found]
     return Tessellation(
-        dim=d, n_points=points.n, blocks=blocks, neighbor_lists=neighbor_lists
+        dim=d, n_points=points.n, blocks=blocks, neighbor_lists=neighbor_lists,
+        colors=np.unique(np.ravel_multi_index((cells % 3).T, (3,) * d), return_inverse=True)[1],
     )
 
 
 def color_boxes(tess: Tessellation) -> BoxColoring:
-    """Greedy distance-2 box coloring in block-id order.
+    """The tessellation's distance-2 box coloring: cell coordinates modulo
+    3 as built by build_tessellation, or as stored in a container."""
+    return BoxColoring(colors=tess.colors, num_colors=int(tess.colors.max()) + 1)
 
-    Box i takes the smallest color that no box sharing a neighbor with it
-    holds yet; those boxes are the neighbors of i's neighbors. On a full
-    grid this is the per-axis coordinate modulo 3 coloring, 3^d colors once
-    each axis has >= 3 boxes.
-    """
-    colors = [-1] * tess.b
-    for i, nbrs in enumerate(tess.neighbor_lists):
-        taken = {colors[j] for l in nbrs for j in tess.neighbor_lists[l]}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[i] = c
-    return BoxColoring(colors=np.array(colors), num_colors=max(colors) + 1)
+
+def coloring_collision(neighbor_lists: list, colors: np.ndarray) -> int | None:
+    """The first block whose neighborhood holds two boxes of one color, or
+    None: boxes sharing a neighbor lie in one (symmetric) neighbor list."""
+    return next((i for i, nbrs in enumerate(neighbor_lists)
+                 if len(set(colors[nbrs].tolist())) < len(nbrs)), None)
 
 
 def _per_axis_count(target: int, d: int) -> int:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ublr import (
+    PointCloud,
     RandomStream,
     build_tessellation,
     grid_points,
     make_synthetic_spec,
+    random_points,
     synthetic_ublr,
 )
 
@@ -29,6 +31,20 @@ def uniform_synthetic(d, b, m, k, seed=0):
     assert tess.b == b and tess.block_sizes.min() == tess.block_sizes.max() == m
     spec = make_synthetic_spec(tess, k, RandomStream(seed).child(17))
     return synthetic_ublr(spec), tess, spec
+
+
+def ball_points(n, d, seed):
+    """The points of random_points(n, d, RandomStream(seed)) within 0.5 of
+    the centre: a disc (d = 2) or a ball (d = 3), so the corner cells of a
+    grid over it are empty and the grid is ragged."""
+    raw = random_points(n, d, RandomStream(seed)).coords
+    return PointCloud(raw[np.linalg.norm(raw - 0.5, axis=1) <= 0.5], d)
+
+
+def probe_columns(tess, coloring):
+    """sum_c max m_c: the columns of type A's step-III identity probe."""
+    sizes = tess.block_sizes
+    return sum(int(sizes[coloring.colors == c].max()) for c in range(coloring.num_colors))
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 
 from ublr import (
     NearField,
-    PointCloud,
     RandomStream,
     build_tessellation,
     color_boxes,
@@ -20,7 +19,8 @@ from ublr import (
 )
 from ublr.reconstruction import UniformBLR
 
-from conftest import uniform_synthetic
+from conftest import ball_points, uniform_synthetic
+from test_tessellation import greedy_distance2_reference
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +87,9 @@ def test_write_is_byte_deterministic(compressed, tmp_path):
 
 
 def _disc_points():
-    # 2000 uniform points, those within 0.5 of the centre kept: on the 7x7
-    # grid four corner cells are empty, leaving 45 boxes
-    raw = random_points(2000, 2, RandomStream(1)).coords
-    return PointCloud(raw[np.linalg.norm(raw - 0.5, axis=1) <= 0.5], 2)
+    # 1577 of 2000 uniform points: on the 7x7 grid four corner cells are
+    # empty, leaving 45 boxes
+    return ball_points(2000, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +111,28 @@ def test_read_returns_written_tessellation(tmp_path, points, target, b):
     assert back.neighbor_lists == tess.neighbor_lists
     assert np.array_equal(color_boxes(back).colors, color_boxes(tess).colors)
     write_ublr(again, read_ublr(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_stored_colors_of_another_coloring_kept(tmp_path):
+    # containers written before the mod-3 coloring store the greedy one,
+    # which takes 10 colors on the ragged disc where mod 3 takes 9: any
+    # distance-2 coloring is read as stored and written back the same
+    tess = build_tessellation(_disc_points(), 49)
+    greedy = greedy_distance2_reference(tess)
+    assert (greedy.max() + 1, color_boxes(tess).num_colors) == (10, 9)
+    op = synthetic_ublr(make_synthetic_spec(tess, 3, RandomStream(2)))
+    rep, _ = compress(op, tess, 3, "A1", stream=RandomStream(1), compute_error=False)
+    path, again = tmp_path / "rep.ublr", tmp_path / "again.ublr"
+    write_ublr(path, rep)
+
+    def greedy_colors(data):
+        data["colors"] = (greedy + 1).tolist()
+
+    path.write_bytes(_edit_tessellation(path.read_bytes(), greedy_colors))
+    back = read_ublr(path)
+    assert np.array_equal(color_boxes(back.tess).colors, greedy)
+    write_ublr(again, back)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -187,14 +208,15 @@ def _move_rank(raw):
 
 
 def _edit_tessellation(raw, edit):
-    # rewrites the tessellation JSON as write_ublr does, keeping its length
-    json_len = int(np.frombuffer(raw, dtype="<u8", count=6, offset=5)[4])
-    start = 5 + 48
+    # rewrites the tessellation JSON as write_ublr does, and its length in
+    # the header
+    header = np.frombuffer(raw, dtype="<u8", count=6, offset=5).copy()
+    start, json_len = 5 + 48, int(header[4])
     tess = json.loads(raw[start:start + json_len])
     edit(tess)
     text = json.dumps(tess, sort_keys=True, separators=(",", ":")).encode()
-    assert len(text) == json_len
-    return raw[:start] + text + raw[start + json_len:]
+    header[4] = len(text)
+    return raw[:5] + header.tobytes() + text + raw[start + json_len:]
 
 
 def _move_point(tess):
@@ -227,9 +249,17 @@ def _neighbours_asymmetric(tess):
     tess["neighbors"][0] = [1, 3]  # block 3 does not list block 1
 
 
-def _colors_swapped(tess):
-    colors = tess["colors"]
-    colors[0], colors[1] = colors[1], colors[0]
+# its colors are 1, 2, 3, 1, 2, 3, 1, 2
+def _colors_collide(tess):
+    tess["colors"][1] = 1  # blocks 1 and 2, both of block 1's neighbourhood
+
+
+def _colors_skip_an_id(tess):
+    tess["colors"] = [4 if c == 3 else c for c in tess["colors"]]
+
+
+def _colors_not_integers(tess):
+    tess["colors"][0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -257,15 +287,19 @@ def _colors_swapped(tess):
          "tessellation: neighbour list of block 2 lacks block 2"),
         (lambda raw: _edit_tessellation(raw, _neighbours_asymmetric),
          "tessellation: block 1 lists block 3, but not the reverse"),
-        (lambda raw: _edit_tessellation(raw, _colors_swapped),
-         "tessellation: stored colors differ from the distance-2 coloring"),
+        (lambda raw: _edit_tessellation(raw, _colors_collide),
+         "tessellation: two boxes of one color in the neighbourhood of block 1"),
+        (lambda raw: _edit_tessellation(raw, _colors_skip_an_id),
+         r"tessellation: colors are not 8 integer ids that use each of 1\.\.C"),
+        (lambda raw: _edit_tessellation(raw, _colors_not_integers),
+         r"tessellation: colors are not 8 integer ids that use each of 1\.\.C"),
     ],
     ids=["header-b", "header-truncated", "json-past-end", "json-unreadable",
          "pair-out-of-range", "far-pair", "truncated", "trailing-bytes", "repeated-pair",
          "rank-moved",
          "blocks-not-a-partition", "neighbour-out-of-range", "neighbour-not-an-id",
          "neighbours-unsorted", "neighbours-lack-self", "neighbours-asymmetric",
-         "colors-differ"],
+         "colors-collide", "colors-skip-an-id", "colors-not-integers"],
 )
 def test_inconsistent_container_named_error(compressed, tmp_path, corrupt, field):
     _, rep = compressed

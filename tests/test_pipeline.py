@@ -17,13 +17,18 @@ from ublr import (
     NonFiniteOracleError,
     OracleShapeError,
     RandomStream,
+    block_nullification_width,
+    build_tessellation,
+    color_boxes,
     compress,
     compress_type_a,
     compress_type_b,
+    gaussian,
+    read_ublr,
     write_ublr,
 )
 
-from conftest import uniform_synthetic
+from conftest import ball_points, probe_columns, uniform_synthetic
 
 # Step functions compress must look up as globals of ublr.reconstruction at
 # call time: the benchmark's tracer rebinds exactly these names.
@@ -266,3 +271,53 @@ def test_each_block_tagging_rows_factored_once_per_draw(method_id, kwargs, case,
     ell = report.config["ell"]
     assert report.aspect_ratios["draws"] == 1
     assert sum(shape[1] == ell for shape in shapes) == tess.b
+
+
+def closed_form_ledger(tess, k, p):
+    """Per-phase columns of each id, as acceptance criterion 2 states them,
+    type A's step III from color_boxes."""
+    r, ell, m = k + p, 3**tess.dim + 1, tess.max_block_size
+    big_k = sum(min(k, s) for s in tess.block_sizes)
+    s_bn = block_nullification_width(tess, r)
+    sum_mc = probe_columns(tess, color_boxes(tess))
+    return {
+        "A1": {"I": 2 * s_bn, "II": big_k, "III": sum_mc},
+        "A2": {"I": 2 * ell * r, "II": big_k, "III": sum_mc},
+        "A3": {"I": 2 * tess.b * r, "II": big_k, "III": sum_mc},
+        "B1": {"I": 2 * s_bn, "II": max(0, big_k + p - s_bn), "III": 0},
+        "B2": {"I": 2 * ell * (m + p), "II": max(0, big_k + p - ell * (m + p)), "III": 0},
+    }
+
+
+# ragged grids: the disc's 7x7 grid keeps 45 boxes, the ball's 8x8x8 grid
+# 322, on which the greedy coloring went over the paper's probe bound
+RAGGED_GRIDS = {
+    "disc": (lambda: ball_points(2000, 2, 1), 7**2, 45),
+    "ball": (lambda: ball_points(4 * 8**3, 3, 0), 8**3, 322),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RAGGED_GRIDS))
+def ragged(request):
+    points, target, b = RAGGED_GRIDS[request.param]
+    tess = build_tessellation(points(), target)
+    assert tess.b == b
+    return DenseOperator(gaussian(tess.n_points, tess.n_points, RandomStream(2))), tess
+
+
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+def test_ragged_grid_ledger_and_container(method_id, ragged, tmp_path):
+    # every id on a ragged grid: the per-phase columns are the closed forms,
+    # step III within 3^d m, and write -> read -> write gives the same bytes
+    op, tess = ragged
+    k, p = 3, 4
+    rep, report = compress(op, tess, k, method_id, p=p, stream=RandomStream(3),
+                           compute_error=False)
+    want = closed_form_ledger(tess, k, p)[method_id]
+    assert {phase: report.phase_total(phase) for phase in want} == want
+    assert report.matvecs_total == sum(want.values())
+    assert probe_columns(tess, color_boxes(tess)) <= 3**tess.dim * tess.max_block_size
+    first, again = tmp_path / "first.ublr", tmp_path / "again.ublr"
+    write_ublr(first, rep)
+    write_ublr(again, read_ublr(first))
+    assert again.read_bytes() == first.read_bytes()

@@ -208,7 +208,7 @@ def per_color_discrepancy(op, tess, bases, core, coloring):
 
 def l_shaped_points(n, seed):
     """Random points of the unit square outside its upper-right quarter, so
-    a 5 x 5 box grid drops cells and is colored greedily."""
+    a 5 x 5 box grid drops cells."""
     x = RandomStream(seed).uniform(2 * n, 2)
     return PointCloud(x[~((x[:, 0] > 0.55) & (x[:, 1] > 0.55))][:n], 2)
 

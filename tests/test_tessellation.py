@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ublr import (
+    BoxColoring,
     PointCloud,
     RandomStream,
     Tessellation,
@@ -15,6 +16,8 @@ from ublr import (
     random_points,
     suggest_block_count,
 )
+
+from conftest import ball_points, probe_columns
 
 
 def check_tessellation_invariants(tess):
@@ -180,18 +183,37 @@ class TestColorBoxes:
         assert coloring.num_colors == 3**d
         check_coloring(tess, coloring)
 
-    def test_greedy_fallback_on_ragged_grid(self):
+    def test_ragged_grid_colored_by_cell_mod_3(self):
+        # occupied cells 0-4 and 11-15 of 16: each box takes its cell mod 3,
+        # not the next color after the gap, as a greedy pass would
         coords = np.concatenate(
             (np.linspace(0, 0.3, 20), np.linspace(0.7, 1.0, 20))
         ).reshape(-1, 1)
         tess = build_tessellation(PointCloud(coords, 1), 16)
-        assert tess.b < 16
-        check_coloring(tess, color_boxes(tess))
+        assert tess.b == 10
+        coloring = color_boxes(tess)
+        assert coloring.colors.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+        check_coloring(tess, coloring)
+
+    def test_probe_bound_on_a_ragged_ball(self):
+        # 1042 points of a ball on an 8 x 8 x 8 grid, 322 boxes of at most
+        # 8 points: the greedy coloring in block-id order took 36 colors and
+        # 223 probe columns, over the paper's 3^3 m = 216; mod 3 takes 27
+        tess = build_tessellation(ball_points(4 * 8**3, 3, 0), 8**3)
+        assert (tess.b, tess.max_block_size) == (322, 8)
+        greedy = greedy_distance2_reference(tess)
+        assert probe_columns(tess, BoxColoring(greedy, int(greedy.max()) + 1)) == 223
+        coloring = color_boxes(tess)
+        check_coloring(tess, coloring)
+        assert coloring.num_colors == 27
+        assert probe_columns(tess, coloring) == 182
 
 
 def greedy_distance2_reference(tess):
     # O(b^2) greedy in block-id order: box i takes the smallest color of no
-    # earlier box whose neighbor list meets its own
+    # earlier box whose neighbor list meets its own. Containers written
+    # before the mod-3 coloring store these colors; on full grids they are
+    # the mod-3 ones
     neighbor_sets = [set(nbrs) for nbrs in tess.neighbor_lists]
     colors = np.full(tess.b, -1, dtype=int)
     for i in range(tess.b):
@@ -208,8 +230,8 @@ def greedy_distance2_reference(tess):
 
 
 def mod3_reference(cells, d):
-    # full grids: per-axis cell coordinate modulo 3, colors numbered in
-    # ascending order of the base-3 code
+    # per-axis cell coordinate modulo 3 of the occupied cells, colors
+    # numbered in ascending order of the base-3 code
     raw = np.zeros(len(cells), dtype=int)
     for axis in range(d):
         raw = raw * 3 + (cells[:, axis] % 3)
@@ -235,17 +257,21 @@ def clustered_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(clustered_points())
 def test_coloring_matches_references(case):
+    # full and ragged grids take the mod-3 coloring of their occupied cells,
+    # so type A's step-III probe meets the paper's sum_c max m_c <= 3^d m;
+    # full grids keep the greedy colors that containers stored before
     pts, per_axis = case
     d = pts.dim
     tess = build_tessellation(pts, per_axis**d)
     check_tessellation_invariants(tess)
     coloring = color_boxes(tess)
     check_coloring(tess, coloring)
-    assert np.array_equal(coloring.colors, greedy_distance2_reference(tess))
+    first = pts.coords[[blk[0] for blk in tess.blocks]]
+    cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
+    assert np.array_equal(coloring.colors, mod3_reference(cells, d))
+    assert probe_columns(tess, coloring) <= 3**d * tess.max_block_size
     if tess.b == per_axis**d:
-        first = pts.coords[[blk[0] for blk in tess.blocks]]
-        cells = np.minimum((first * per_axis).astype(int), per_axis - 1)
-        assert np.array_equal(coloring.colors, mod3_reference(cells, d))
+        assert np.array_equal(coloring.colors, greedy_distance2_reference(tess))
 
 
 @settings(max_examples=200, deadline=None)
