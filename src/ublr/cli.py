@@ -53,10 +53,6 @@ ASPECT_COLUMNS = [
 ]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("UBLR_SEED", "0"))
-
-
 def _int_list(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -109,7 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--methods", type=_str_list, default=["A1", "A2", "A3"])
     sweep.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     sweep.add_argument("--out", required=True, help="CSV output path")
-    sweep.set_defaults(func=cmd_sweep, **KEYWORD_DEFAULTS)
+    # compress's own operator options, at their defaults, so both hand the
+    # builder the same args
+    sweep.set_defaults(func=cmd_sweep, synthetic_rank=None, nx=None, ny=None, kappa=None,
+                       **KEYWORD_DEFAULTS)
 
     ar = sub.add_parser("aspect-ratios", help="projected-tag aspect-ratio study, CSV output")
     ar.add_argument("--b-list", type=_int_list, required=True,
@@ -125,58 +124,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    return _default_seed() if args.seed is None else args.seed
+    return int(os.environ.get("UBLR_SEED", "0")) if args.seed is None else args.seed
 
 
 def _build_operator(args, k: int, n: int | None, seed: int):
-    """Returns (operator, tessellation). Validates operator parameters."""
-    try:
-        return _build_operator_unchecked(args, k, n, seed)
-    except ValueError as exc:  # bad geometry/shape parameters are config errors
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_operator_unchecked(args, k: int, n: int | None, seed: int):
+    """Returns (operator, tessellation), built in one order: the points, their
+    tessellation, then the operator. Bad geometry or shape parameters are
+    ConfigErrors."""
     master = RandomStream(seed)
-    if args.op == "synthetic":
-        if n is None:
-            raise ConfigError("--n is required for --op synthetic")
-        if args.d not in (1, 2, 3):
-            raise ConfigError("--d must be 1, 2, or 3")
-        b = args.b if args.b else suggest_block_count(n, k, args.d)
-        points = _make_points(args.points, n, args.d, master.child(101))
-        tess = build_tessellation(points, b)
-        rank = getattr(args, "synthetic_rank", None) or k
-        if rank > tess.block_sizes.min():
-            raise ConfigError(
-                f"--synthetic-rank {rank} exceeds the smallest block "
-                f"({tess.block_sizes.min()}); lower --b or raise --n"
-            )
-        spec = make_synthetic_spec(tess, rank, master.child(102))
-        return synthetic_ublr(spec), tess
-    if args.op == "laplace2d":
-        if n is None:
-            raise ConfigError("--n is required for --op laplace2d")
-        b = args.b if args.b else suggest_block_count(n, k, 2)
-        points = _make_points(args.points, n, 2, master.child(101))
-        tess = build_tessellation(points, b)
-        return laplace2d_operator(points), tess
-    # slab-schur
-    nx = getattr(args, "nx", None)
-    ny = getattr(args, "ny", None)
-    if nx is None and n is not None:
-        side = int(round(np.sqrt(n)))
-        if side * side != n:
-            raise ConfigError("--n must be a perfect square for slab-schur (or pass --nx/--ny)")
-        nx = ny = side
-    if nx is None:
-        raise ConfigError("--nx (or --n) is required for --op slab-schur")
-    ny = ny or nx
-    kappa = args.kappa if getattr(args, "kappa", None) is not None else 2.0 * np.pi / args.ppw
-    op, points = thin_slab_schur_operator(nx, ny, args.nz, kappa)
-    b = args.b if getattr(args, "b", None) else suggest_block_count(points.n, k, 2)
-    tess = build_tessellation(points, b)
-    return op, tess
+    try:
+        if args.op == "slab-schur":  # the slab builder makes its frontal points
+            nx, ny = args.nx, args.ny
+            if nx is None and n is not None:
+                nx = ny = int(round(np.sqrt(n)))
+                if nx * nx != n:
+                    raise ConfigError(
+                        "--n must be a perfect square for slab-schur (or pass --nx/--ny)"
+                    )
+            if nx is None:
+                raise ConfigError("--nx (or --n) is required for --op slab-schur")
+            kappa = 2.0 * np.pi / args.ppw if args.kappa is None else args.kappa
+            op, points = thin_slab_schur_operator(nx, ny or nx, args.nz, kappa)
+        else:
+            if n is None:
+                raise ConfigError(f"--n is required for --op {args.op}")
+            d = args.d if args.op == "synthetic" else 2
+            if d not in (1, 2, 3):
+                raise ConfigError("--d must be 1, 2, or 3")
+            points = _make_points(args.points, n, d, master.child(101))
+        if not args.b and k == 0:
+            raise ConfigError("--k 0 needs --b: the default block count needs k >= 1")
+        tess = build_tessellation(points, args.b or suggest_block_count(points.n, k, points.dim))
+        if args.op == "synthetic":
+            rank = args.synthetic_rank or k
+            if rank > tess.block_sizes.min():
+                raise ConfigError(
+                    f"--synthetic-rank {rank} exceeds the smallest block "
+                    f"({tess.block_sizes.min()}); lower --b or raise --n"
+                )
+            op = synthetic_ublr(make_synthetic_spec(tess, rank, master.child(102)))
+        elif args.op == "laplace2d":
+            op = laplace2d_operator(points)
+        return op, tess
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _make_points(kind: str, n: int, d: int, stream: RandomStream):
@@ -248,11 +239,6 @@ def _sweep_row(args, method, k, n, seed):
     return row
 
 
-def _sweep_worker(payload):
-    args, method, k, n, seed = payload
-    return _sweep_row(args, method, k, n, seed)
-
-
 def cmd_sweep(args) -> int:
     base_seed = _resolve_seed(args)
     combos = []
@@ -267,12 +253,15 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, combos))
+            rows = list(pool.map(_sweep_row, *zip(*combos)))
     else:
-        rows = [_sweep_row(args, m, k, n, s) for (_, m, k, n, s) in combos]
+        rows = [_sweep_row(*combo) for combo in combos]
+    return _write_csv(args.out, SWEEP_COLUMNS, rows)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+
+def _write_csv(path, columns, rows) -> int:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
     return 0
@@ -287,6 +276,7 @@ def cmd_aspect_ratios(args) -> int:
         tess = build_tessellation(grid_points(per_axis, args.d), b)
         for distribution in args.distributions:
             for extra in args.extra_cols_list:
+                study = {"b": b, "d": args.d, "distribution": distribution, "extra_cols": extra}
                 group = []
                 for seed in args.seeds:
                     T = make_tagging_matrix(b, args.d, extra, distribution, RandomStream(seed))
@@ -297,29 +287,21 @@ def cmd_aspect_ratios(args) -> int:
                         rho_base, rho_opt = plan.rho_base[i], optimized[i]
                         nullity = T.n_cols - len(tess.neighbor_lists[i])
                         rows.append({
-                            "row_type": "block", "b": b, "d": args.d,
-                            "distribution": distribution, "extra_cols": extra,
-                            "seed": seed, "block_id": i + 1, "nullity": nullity,
-                            "rho_base": rho_base, "rho_optimized": rho_opt,
-                            "stat": "",
+                            "row_type": "block", **study, "seed": seed, "block_id": i + 1,
+                            "nullity": nullity, "rho_base": rho_base,
+                            "rho_optimized": rho_opt, "stat": "",
                         })
                         group.append((rho_base, rho_opt))
                 if group:
                     arr = np.array(group)
                     for stat, q in (("q1", 0.25), ("median", 0.5), ("q3", 0.75)):
                         rows.append({
-                            "row_type": "summary", "b": b, "d": args.d,
-                            "distribution": distribution, "extra_cols": extra,
-                            "seed": "", "block_id": "", "nullity": "",
-                            "rho_base": np.quantile(arr[:, 0], q),
+                            "row_type": "summary", **study, "seed": "", "block_id": "",
+                            "nullity": "", "rho_base": np.quantile(arr[:, 0], q),
                             "rho_optimized": np.quantile(arr[:, 1], q),
                             "stat": stat,
                         })
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ASPECT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return 0
+    return _write_csv(args.out, ASPECT_COLUMNS, rows)
 
 
 def main(argv=None) -> int:

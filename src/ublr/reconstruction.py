@@ -493,7 +493,8 @@ def compress(
 
     Raises ConfigError before the first oracle call for an unknown id, a
     keyword given other than at its default to an id that does not take
-    it, k < 0, p < 0, error_iterations < 1, and (from the tagging plan)
+    it, k < 0, p < 0, error_iterations < 1, an operator that is not
+    n x n for the tessellation's n points, and (from the tagging plan)
     too few blocks, a negative extra_cols or an unknown distribution.
     """
     method = METHODS.get(method_id)
@@ -508,6 +509,9 @@ def compress(
     for name, value, low in (("k", k, 0), ("p", p, 0), ("error_iterations", error_iterations, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if tuple(op.shape) != (tess.n_points, tess.n_points):
+        raise ConfigError(f"the operator is {op.shape[0]} x {op.shape[1]}, but the "
+                          f"tessellation has {tess.n_points} points")
     if family == "B" and k == 0:
         warnings.warn(f"{method_id} at k = 0 keeps each sketch's far-field part in every "
                       f"near block; a type-A id keeps only the near field there")

@@ -153,6 +153,12 @@ class TestCompress:
         assert report["method"] == method
         assert report["relative_error"] <= 1e-7
 
+    def test_k_0_without_b_exit_2(self, capsys):
+        # compress runs at k = 0, but the default block count needs k >= 1
+        code = run_cli(["compress", "--op", "laplace2d", "--n", "256", "--k", "0"])
+        assert code == 2
+        assert "--k 0 needs --b" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UBLR_SEED", "77")
         report_path = tmp_path / "report.json"
@@ -436,3 +442,46 @@ class TestParallelSweep:
             return rows
 
         assert strip_times(seq) == strip_times(par)
+
+    def test_jobs_on_an_empty_grid_header_only(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        code = run_cli([
+            "sweep", "--op", "laplace2d", "--n-list", "", "--methods", "A2",
+            "--jobs", "2", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text().strip().splitlines() == [",".join(ublr.cli.SWEEP_COLUMNS)]
+
+    def test_jobs_records_a_failing_row(self, tmp_path):
+        out = tmp_path / "fail.csv"
+        code = run_cli([
+            "sweep", "--op", "synthetic", "--n-list", "64", "--k-list", "2,200",
+            "--methods", "A1", "--d", "1", "--b", "4", "--seed", "2",
+            "--jobs", "2", "--out", str(out),
+        ])
+        assert code == 0
+        rows = rows_without_times(out)
+        assert rows[0]["error"] == "" and rows[0]["rel_error"] != ""
+        assert rows[1]["error"].startswith("ConfigError: --synthetic-rank 200 exceeds")
+
+    def test_jobs_matches_sequential_on_a_mixed_sweep(self, tmp_path):
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        base = [
+            "sweep", "--op", "synthetic", "--n-list", "320", "--k-list", "2",
+            "--methods", "A1,A2", "--d", "1", "--b", "8", "--seed", "6",
+            "--extra-cols", "1",
+        ]
+        assert run_cli(base + ["--out", str(seq)]) == 0
+        assert run_cli(base + ["--out", str(par), "--jobs", "2"]) == 0
+        rows = rows_without_times(par)
+        assert [(r["method"], r["extra_cols"]) for r in rows] == [("A1", ""), ("A2", "1")]
+        assert rows == rows_without_times(seq)
+
+
+def rows_without_times(path):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for col in ("time_I_s", "time_II_s", "time_III_s"):
+            del row[col]
+    return rows

@@ -29,6 +29,7 @@ from ublr import (
 )
 
 from conftest import ball_points, probe_columns, uniform_synthetic
+from test_operators import check_adjoint
 
 # Step functions compress must look up as globals of ublr.reconstruction at
 # call time: the benchmark's tracer rebinds exactly these names.
@@ -101,8 +102,8 @@ class UncallableOracle:
     """Oracle whose products fail the test: configuration errors must be
     raised before the first oracle call."""
 
-    def __init__(self, n):
-        self.shape = (n, n)
+    def __init__(self, n, n_cols=None):
+        self.shape = (n, n if n_cols is None else n_cols)
 
     def apply(self, X):
         pytest.fail("compress called the oracle before rejecting its configuration")
@@ -138,6 +139,18 @@ def test_config_errors_raised_before_the_oracle(method_id, k, kwargs, message, c
     with pytest.raises(ConfigError, match=re.escape(message)):
         compress(UncallableOracle(tess.n_points), tess, k, method_id, **kwargs)
     assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("method_id", METHOD_IDS)
+@pytest.mark.parametrize("more_rows, more_cols", [(20, 20), (0, 20)])
+def test_wrong_sized_operator_raised_before_the_oracle(method_id, more_rows, more_cols, case):
+    # a square operator of the wrong size, and a wide one with n rows
+    _, tess, _ = case
+    n = tess.n_points
+    shape = (n + more_rows, n + more_cols)
+    with pytest.raises(ConfigError, match=f"the operator is {shape[0]} x {shape[1]}, "
+                                          f"but the tessellation has {n} points"):
+        compress(UncallableOracle(*shape), tess, 3, method_id)
 
 
 @pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
@@ -308,7 +321,8 @@ def ragged(request):
 @pytest.mark.parametrize("method_id", METHOD_IDS)
 def test_ragged_grid_ledger_and_container(method_id, ragged, tmp_path):
     # every id on a ragged grid: the per-phase columns are the closed forms,
-    # step III within 3^d m, and write -> read -> write gives the same bytes
+    # step III within 3^d m, the representation's adjoint is consistent, and
+    # write -> read -> write gives the same bytes
     op, tess = ragged
     k, p = 3, 4
     rep, report = compress(op, tess, k, method_id, p=p, stream=RandomStream(3),
@@ -317,6 +331,7 @@ def test_ragged_grid_ledger_and_container(method_id, ragged, tmp_path):
     assert {phase: report.phase_total(phase) for phase in want} == want
     assert report.matvecs_total == sum(want.values())
     assert probe_columns(tess, color_boxes(tess)) <= 3**tess.dim * tess.max_block_size
+    assert check_adjoint(rep, RandomStream(4)) <= 1e-10
     first, again = tmp_path / "first.ublr", tmp_path / "again.ublr"
     write_ublr(first, rep)
     write_ublr(again, read_ublr(first))
