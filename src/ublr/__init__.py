@@ -26,10 +26,7 @@ from .operators import (
     LinearOperatorHandle,
     NonFiniteOracleError,
     OracleShapeError,
-    SyntheticUBLRSpec,
     laplace2d_operator,
-    make_synthetic_spec,
-    synthetic_ublr,
     thin_slab_schur_operator,
 )
 from .reconstruction import (
@@ -40,9 +37,11 @@ from .reconstruction import (
     compress_type_b,
     direct_core,
     gaussian_pinv_discrepancy,
+    make_synthetic_spec,
     pinv_core,
     relative_error,
     structured_identity_discrepancy,
+    synthetic_ublr,
     tagging_pinv_discrepancy,
 )
 from .tagging import (

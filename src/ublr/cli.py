@@ -27,12 +27,16 @@ from .operators import (
     NonFiniteOracleError,
     OracleShapeError,
     laplace2d_operator,
-    make_synthetic_spec,
-    synthetic_ublr,
     thin_slab_schur_operator,
 )
 from .container import write_ublr
-from .reconstruction import KEYWORD_DEFAULTS, METHODS, compress
+from .reconstruction import (
+    KEYWORD_DEFAULTS,
+    METHODS,
+    compress,
+    make_synthetic_spec,
+    synthetic_ublr,
+)
 from .tagging import DISTRIBUTIONS, DegenerateTagsError, evaluate_plan, make_tagging_matrix
 from .tessellation import (
     build_tessellation,
@@ -135,7 +139,10 @@ def _build_operator(args, k: int, n: int | None, seed: int):
     try:
         if args.op == "slab-schur":  # the slab builder makes its frontal points
             nx, ny = args.nx, args.ny
-            if nx is None and n is not None:
+            if n is not None and (nx, ny) != (None, None):
+                flag = "--nx" if ny is None else "--ny" if nx is None else "--nx/--ny"
+                raise ConfigError(f"--n and {flag} both set the slab's face; give one or the other")
+            if n is not None:
                 nx = ny = int(round(np.sqrt(n)))
                 if nx * nx != n:
                     raise ConfigError(

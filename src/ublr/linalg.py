@@ -218,13 +218,15 @@ def null_basis(B: np.ndarray, k: int, rows: np.ndarray | None = None):
                 )
     if rows is None:
         return Z
-    r1 = qr[:m, :m]
-    yq = _apply_q(qr, t, np.array(rows, dtype=float).T, "T")
-    x, info = dtrtrs(r1, yq[:m])
-    _lapack_ok("dtrtrs", info)
-    rcond, info = dtrcon(r1)
+    # dtrcon takes its order from the array, so it gets one copy of R;
+    # dtrtrs reads R in qr (order m from its columns) and solves in yq
+    rcond, info = dtrcon(np.asfortranarray(qr[:m, :m]))
     _lapack_ok("dtrcon", info)
-    return Z, x.T, (1.0 / rcond if rcond > 0 else np.inf)
+    yq = _apply_q(qr, t, np.array(rows, dtype=float).T, "T")
+    x, info = dtrtrs(qr, yq, overwrite_b=1)
+    _lapack_ok("dtrtrs", info)
+    # a compact copy: a view would keep all n rows of yq alive
+    return Z, np.ascontiguousarray(x[:m].T), (1.0 / rcond if rcond > 0 else np.inf)
 
 
 def project_out(u: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 The compression algorithms only ever touch an operator through apply and
 apply_adjoint on blocks of columns. This module provides the handle
 protocol, a counting wrapper that bills matvec columns to compression
-phases and times them, and the desk-scale test operators: an exact-rank synthetic uniform
-BLR generator, the 2D Laplace log kernel, and the thin-slab Schur
-complement of a shifted Laplacian.
+phases and times them, and two desk-scale test operators: the 2D Laplace
+log kernel and the thin-slab Schur complement of a shifted Laplacian. The
+exact-rank synthetic ground truth is a UniformBLR, so make_synthetic_spec
+and synthetic_ublr live beside it in reconstruction.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import RandomStream, col_basis, gaussian, mm
-from .tessellation import PointCloud, Tessellation
+from .linalg import mm
+from .tessellation import PointCloud
 
 
 class LinearOperatorHandle:
@@ -143,79 +142,6 @@ class CountingOperator(LinearOperatorHandle):
         if np.size(Y) and not (np.isfinite(np.min(Y)) and np.isfinite(np.max(Y))):
             raise NonFiniteOracleError(f"{where} is not finite")
         return Y
-
-
-# ---------------------------------------------------------------------------
-# Synthetic exact-rank uniform BLR operator (ground truth for tests)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SyntheticUBLRSpec:
-    """Exact-rank building blocks: A(I_i, I_j) = U_i C_ij V_j* on the far
-    field and a dense Gaussian block on the near field."""
-
-    tess: Tessellation
-    rank: int
-    u_blocks: list
-    v_blocks: list
-    core_blocks: dict  # (i, j) -> (k, k), far-field pairs only
-    near_blocks: dict  # (i, j) -> (m_i, m_j), near-field pairs only
-    seed: int
-
-
-def make_synthetic_spec(tess: Tessellation, rank: int, stream: RandomStream) -> SyntheticUBLRSpec:
-    """Draw per-block factors for an exact-rank synthetic operator.
-
-    Near-field blocks are scaled so their Frobenius norm roughly matches the
-    far-field blocks', which keeps the discrepancy path nontrivial.
-    """
-    sizes = tess.block_sizes
-    if rank > sizes.min():
-        raise ValueError(f"rank {rank} exceeds smallest block size {sizes.min()}")
-    u_blocks, v_blocks = [], []
-    for i in range(tess.b):
-        m = sizes[i]
-        if rank == 0:
-            u_blocks.append(np.zeros((m, 0)))
-            v_blocks.append(np.zeros((m, 0)))
-        else:
-            u_blocks.append(col_basis(gaussian(m, rank, stream.child(0, i)), rank))
-            v_blocks.append(col_basis(gaussian(m, rank, stream.child(1, i)), rank))
-
-    core_blocks, near_blocks = {}, {}
-    for i in range(tess.b):
-        for j in tess.far_fields[i]:
-            core_blocks[(i, j)] = gaussian(rank, rank, stream.child(2, i * tess.b + j))
-        for j in tess.neighbor_lists[i]:
-            scale = max(rank, 1) / np.sqrt(sizes[i] * sizes[j])
-            near_blocks[(i, j)] = scale * gaussian(
-                sizes[i], sizes[j], stream.child(3, i * tess.b + j)
-            )
-    return SyntheticUBLRSpec(
-        tess=tess,
-        rank=rank,
-        u_blocks=u_blocks,
-        v_blocks=v_blocks,
-        core_blocks=core_blocks,
-        near_blocks=near_blocks,
-        seed=stream.seed,
-    )
-
-
-def synthetic_ublr(spec: SyntheticUBLRSpec) -> DenseOperator:
-    """Assemble the dense operator whose far-field blocks have exact rank k."""
-    tess = spec.tess
-    n = tess.n_points
-    A = np.zeros((n, n))
-    for i in range(tess.b):
-        rows = tess.blocks[i]
-        for j in tess.far_fields[i]:
-            block = mm(mm(spec.u_blocks[i], spec.core_blocks[(i, j)]), spec.v_blocks[j].T)
-            A[np.ix_(rows, tess.blocks[j])] = block
-        for j in tess.neighbor_lists[i]:
-            A[np.ix_(rows, tess.blocks[j])] = spec.near_blocks[(i, j)]
-    return DenseOperator(A)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ ill-conditioned neighbour stacks.
 
 ``compress`` calls every step through its module-level name at call time,
 so a profiler can rebind those names in this module to time each step.
+
+The exact-rank synthetic ground truth is a UniformBLR too:
+``make_synthetic_spec`` draws it, ``write_ublr`` can store it, and
+``synthetic_ublr`` wraps its dense matrix as a test oracle.
 """
 
 from __future__ import annotations
@@ -60,13 +64,20 @@ from .bases import (
 )
 from .linalg import (
     RandomStream,
+    col_basis,
     estimate_spectral_norm,
     gaussian,
     mm,
     null_basis,
     pseudo_inverse,  # no step calls it; kept a global for perfbench/tracer.py to rebind
 )
-from .operators import ConfigError, CountingOperator, DifferenceOperator, LinearOperatorHandle
+from .operators import (
+    ConfigError,
+    CountingOperator,
+    DenseOperator,
+    DifferenceOperator,
+    LinearOperatorHandle,
+)
 from .tagging import TaggingPlan, plan_tagging
 from .tessellation import BoxColoring, Tessellation, color_boxes, coloring_collision
 
@@ -158,8 +169,17 @@ class UniformBLR(BlockBases):
         return out.reshape(X.shape)
 
     def to_dense(self) -> np.ndarray:
-        """Assemble the full matrix; test/debug convenience at desk scale."""
-        return self.apply(np.eye(self.n))
+        """The n x n matrix, one block row at a time: (U_i C_i:) V* with
+        B's row i added in its neighbours' columns. No identity is formed;
+        beside the result it holds one n x m_i row."""
+        offs = self.rank_offsets()
+        out = np.empty(self.shape)
+        for i, rows in enumerate(self.tess.blocks):
+            uc = mm(self.u_blocks[i], self.core[offs[i]:offs[i + 1]])
+            row = blkdiag(self.v_blocks, self.tess, uc.T).T
+            row[:, self.tess.neighbor_indices(i)] += self.b_blocks.rows[i]
+            out[rows] = row
+        return out
 
     @property
     def storage_entries(self) -> int:
@@ -169,6 +189,38 @@ class UniformBLR(BlockBases):
             + self.core.size
             + sum(row.size for row in self.b_blocks.rows)
         )
+
+
+def make_synthetic_spec(tess: Tessellation, rank: int, stream: RandomStream) -> UniformBLR:
+    """The exact-rank synthetic ground truth, a UniformBLR at rank k:
+    orthonormal U_i, V_i from QRs of Gaussians (streams (0, i), (1, i)),
+    a Gaussian C_ij on every far pair (stream (2, i b + j)) and zero on
+    near pairs, and a Gaussian B_ij on every near pair (stream (3, i b + j))
+    scaled by max(k, 1) / sqrt(m_i m_j), so its Frobenius norm roughly
+    matches the far-field blocks' and the discrepancy path stays nontrivial.
+    Raises ValueError when k exceeds the smallest block.
+    """
+    sizes = tess.block_sizes
+    if rank > sizes.min():
+        raise ValueError(f"rank {rank} exceeds smallest block size {sizes.min()}")
+    u_blocks = [col_basis(gaussian(m, rank, stream.child(0, i)), rank) for i, m in enumerate(sizes)]
+    v_blocks = [col_basis(gaussian(m, rank, stream.child(1, i)), rank) for i, m in enumerate(sizes)]
+    core = np.zeros((tess.b * rank, tess.b * rank))
+    for i, far in enumerate(tess.far_fields):
+        for j in far:
+            core[i * rank:(i + 1) * rank, j * rank:(j + 1) * rank] = gaussian(
+                rank, rank, stream.child(2, i * tess.b + j))
+    b_blocks = NearField(tess)
+    for (i, j), blk in b_blocks.items():
+        blk[...] = max(rank, 1) / np.sqrt(sizes[i] * sizes[j]) * gaussian(
+            sizes[i], sizes[j], stream.child(3, i * tess.b + j))
+    return UniformBLR(u_blocks, v_blocks, rank, tess=tess, core=core, b_blocks=b_blocks)
+
+
+def synthetic_ublr(rep: UniformBLR) -> DenseOperator:
+    """The dense operator of a representation, here the synthetic ground
+    truth: far-field blocks of exact rank k."""
+    return DenseOperator(rep.to_dense())
 
 
 def relative_error(

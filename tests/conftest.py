@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ublr import (
     PointCloud,
@@ -10,6 +13,10 @@ from ublr import (
     random_points,
     synthetic_ublr,
 )
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def snorm(M):

@@ -401,6 +401,22 @@ class TestSlabSchurCli:
         assert report["config"]["N"] == 256
         assert report["relative_error"] <= 1e-2
 
+    @pytest.mark.parametrize("face, named", [
+        (["--ny", "20"], "--ny"),
+        (["--nx", "16"], "--nx"),
+        (["--nx", "16", "--ny", "20"], "--nx/--ny"),
+    ])
+    def test_n_with_nx_or_ny_exit_2(self, face, named, capsys):
+        # --n 256 once silently replaced --ny 20 with a 16 x 16 face
+        code = run_cli([
+            "compress", "--op", "slab-schur", "--n", "256", *face,
+            "--nz", "4", "--k", "8", "--b", "16",
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--n and {named} both set" in err
+
     def test_missing_nx_exit_2(self, capsys):
         code = run_cli(["compress", "--op", "slab-schur", "--k", "8"])
         assert code == 2

@@ -40,6 +40,22 @@ def test_roundtrip_preserves_action(compressed, tmp_path):
     assert np.array_equal(rep.apply_adjoint(X), back.apply_adjoint(X))
 
 
+@pytest.mark.parametrize("rank", [0, 3])
+def test_synthetic_truth_roundtrip_bit_identical(tmp_path, rank):
+    # the ground truth is a UniformBLR, so the container holds it exactly
+    truth = make_synthetic_spec(build_tessellation(_disc_points(), 49), rank, RandomStream(2))
+    path, again = tmp_path / "truth.ublr", tmp_path / "again.ublr"
+    write_ublr(path, truth)
+    back = read_ublr(path)
+    for cols in (1, 5):
+        X = gaussian(truth.n, cols, RandomStream(3))
+        assert np.array_equal(truth.apply(X), back.apply(X))
+        assert np.array_equal(truth.apply_adjoint(X), back.apply_adjoint(X))
+    assert np.array_equal(truth.to_dense(), synthetic_ublr(back).matrix)
+    write_ublr(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_apply_does_not_depend_on_the_factors_layout(compressed, tmp_path):
     # mm picks its BLAS routine and flags from each operand's layout, and on
     # one or two columns F- and C-ordered factors give different rounding;

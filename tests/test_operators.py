@@ -13,14 +13,16 @@ from ublr import (
     build_tessellation,
     gaussian,
     laplace2d_operator,
+    make_synthetic_spec,
     random_points,
     suggest_block_count,
+    synthetic_ublr,
     thin_slab_schur_operator,
 )
 from ublr import operators
 from ublr.operators import _KERNEL_TILE as T
 
-from conftest import snorm, uniform_synthetic
+from conftest import ball_points, snorm, uniform_synthetic
 
 
 def check_linearity(op, stream, cols=3):
@@ -129,6 +131,40 @@ class TestSyntheticUBLR:
         op, _, _ = uniform_synthetic(d=2, b=16, m=16, k=2)
         assert check_linearity(op, stream) <= 1e-12
         assert check_adjoint(op, stream) <= 1e-10
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_blocks_on_a_ragged_disc(self, rank):
+        # near blocks are B's, bit for bit, with a zero core block; far
+        # blocks are U_i C_ij V_j*, the draws of each block's own stream
+        tess = build_tessellation(ball_points(2000, 2, 1), 7**2)
+        spec = make_synthetic_spec(tess, rank, RandomStream(2))
+        A = synthetic_ublr(spec).matrix
+        offs = spec.rank_offsets()
+        for i, rows in enumerate(tess.blocks):
+            for j, cols in enumerate(tess.blocks):
+                block = A[np.ix_(rows, cols)]
+                core = spec.core[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+                if j in tess.neighbor_lists[i]:
+                    assert np.array_equal(block, spec.b_blocks[(i, j)])
+                    assert not core.any()
+                else:
+                    assert np.array_equal(core, gaussian(
+                        rank, rank, RandomStream(2).child(2, i * tess.b + j)))
+                    low = spec.u_blocks[i] @ core @ spec.v_blocks[j].T
+                    assert np.abs(block - low).max() <= 1e-14 * max(1.0, np.abs(low).max())
+
+    def test_build_holds_one_dense_matrix(self):
+        # to_dense fills block rows: beside the n x n result it holds the
+        # representation and an n x m_i row, not an n x n identity
+        op, tess, spec = uniform_synthetic(d=2, b=64, m=16, k=4)
+        n = tess.n_points
+        tracemalloc.start()
+        try:
+            synthetic_ublr(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n * n <= 4 * spec.total_rank * n * 8
 
 
 class TestLaplace2D:
