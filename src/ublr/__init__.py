@@ -41,7 +41,6 @@ from .reconstruction import (
     pinv_core,
     relative_error,
     structured_identity_discrepancy,
-    synthetic_ublr,
     tagging_pinv_discrepancy,
 )
 from .tagging import (

@@ -35,7 +35,6 @@ from .reconstruction import (
     METHODS,
     compress,
     make_synthetic_spec,
-    synthetic_ublr,
 )
 from .tagging import DISTRIBUTIONS, DegenerateTagsError, evaluate_plan, make_tagging_matrix
 from .tessellation import (
@@ -163,13 +162,13 @@ def _build_operator(args, k: int, n: int | None, seed: int):
             raise ConfigError("--k 0 needs --b: the default block count needs k >= 1")
         tess = build_tessellation(points, args.b or suggest_block_count(points.n, k, points.dim))
         if args.op == "synthetic":
-            rank = args.synthetic_rank or k
+            rank = k if args.synthetic_rank is None else args.synthetic_rank
             if rank > tess.block_sizes.min():
                 raise ConfigError(
                     f"--synthetic-rank {rank} exceeds the smallest block "
                     f"({tess.block_sizes.min()}); lower --b or raise --n"
                 )
-            op = synthetic_ublr(make_synthetic_spec(tess, rank, master.child(102)))
+            op = make_synthetic_spec(tess, rank, master.child(102))  # the truth is the oracle
         elif args.op == "laplace2d":
             op = laplace2d_operator(points)
         return op, tess

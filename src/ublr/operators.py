@@ -6,7 +6,7 @@ protocol, a counting wrapper that bills matvec columns to compression
 phases and times them, and two desk-scale test operators: the 2D Laplace
 log kernel and the thin-slab Schur complement of a shifted Laplacian. The
 exact-rank synthetic ground truth is a UniformBLR, so make_synthetic_spec
-and synthetic_ublr live beside it in reconstruction.
+lives beside it in reconstruction; the truth is its own oracle.
 """
 
 from __future__ import annotations

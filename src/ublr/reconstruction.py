@@ -39,8 +39,8 @@ ill-conditioned neighbour stacks.
 so a profiler can rebind those names in this module to time each step.
 
 The exact-rank synthetic ground truth is a UniformBLR too:
-``make_synthetic_spec`` draws it, ``write_ublr`` can store it, and
-``synthetic_ublr`` wraps its dense matrix as a test oracle.
+``make_synthetic_spec`` draws it, ``write_ublr`` can store it, and its
+apply and apply_adjoint make it its own oracle.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .linalg import (
 from .operators import (
     ConfigError,
     CountingOperator,
-    DenseOperator,
     DifferenceOperator,
     LinearOperatorHandle,
 )
@@ -198,9 +197,11 @@ def make_synthetic_spec(tess: Tessellation, rank: int, stream: RandomStream) -> 
     near pairs, and a Gaussian B_ij on every near pair (stream (3, i b + j))
     scaled by max(k, 1) / sqrt(m_i m_j), so its Frobenius norm roughly
     matches the far-field blocks' and the discrepancy path stays nontrivial.
-    Raises ValueError when k exceeds the smallest block.
+    Raises ValueError when k is negative or exceeds the smallest block.
     """
     sizes = tess.block_sizes
+    if rank < 0:
+        raise ValueError(f"rank {rank} is negative")
     if rank > sizes.min():
         raise ValueError(f"rank {rank} exceeds smallest block size {sizes.min()}")
     u_blocks = [col_basis(gaussian(m, rank, stream.child(0, i)), rank) for i, m in enumerate(sizes)]
@@ -215,12 +216,6 @@ def make_synthetic_spec(tess: Tessellation, rank: int, stream: RandomStream) -> 
         blk[...] = max(rank, 1) / np.sqrt(sizes[i] * sizes[j]) * gaussian(
             sizes[i], sizes[j], stream.child(3, i * tess.b + j))
     return UniformBLR(u_blocks, v_blocks, rank, tess=tess, core=core, b_blocks=b_blocks)
-
-
-def synthetic_ublr(rep: UniformBLR) -> DenseOperator:
-    """The dense operator of a representation, here the synthetic ground
-    truth: far-field blocks of exact rank k."""
-    return DenseOperator(rep.to_dense())
 
 
 def relative_error(

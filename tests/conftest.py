@@ -5,13 +5,13 @@ import pytest
 from hypothesis import settings
 
 from ublr import (
+    DenseOperator,
     PointCloud,
     RandomStream,
     build_tessellation,
     grid_points,
     make_synthetic_spec,
     random_points,
-    synthetic_ublr,
 )
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run
@@ -28,7 +28,8 @@ def snorm(M):
 
 def uniform_synthetic(d, b, m, k, seed=0):
     """Exact-rank synthetic operator on an equispaced grid with b blocks of
-    exactly m points each. Returns (op, tess, spec)."""
+    exactly m points each. Returns (op, tess, spec): op is the dense
+    matrix of the truth spec."""
     per_axis = round(b ** (1.0 / d))
     assert per_axis**d == b
     pts_per_axis = per_axis * round(m ** (1.0 / d))
@@ -37,7 +38,7 @@ def uniform_synthetic(d, b, m, k, seed=0):
     tess = build_tessellation(points, b)
     assert tess.b == b and tess.block_sizes.min() == tess.block_sizes.max() == m
     spec = make_synthetic_spec(tess, k, RandomStream(seed).child(17))
-    return synthetic_ublr(spec), tess, spec
+    return DenseOperator(spec.to_dense()), tess, spec
 
 
 def ball_points(n, d, seed):

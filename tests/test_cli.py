@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ublr import (
     DenseOperator,
     RandomStream,
     TaggingMatrix,
+    UniformBLR,
     aspect_ratio,
     build_tessellation,
     evaluate_plan,
@@ -73,14 +75,14 @@ class TestCompress:
 
     @pytest.mark.parametrize("method", ["A1", "B2"])
     def test_non_finite_oracle_exit_1(self, method, monkeypatch, capsys):
-        synthetic = ublr.cli.synthetic_ublr
+        synthetic = ublr.cli.make_synthetic_spec
 
-        def nan_synthetic(spec):
-            op = synthetic(spec)
-            op.matrix[0, 0] = np.nan
-            return op
+        def nan_synthetic(tess, rank, stream):
+            truth = synthetic(tess, rank, stream)
+            truth.core[0, 0] = np.nan
+            return truth
 
-        monkeypatch.setattr(ublr.cli, "synthetic_ublr", nan_synthetic)
+        monkeypatch.setattr(ublr.cli, "make_synthetic_spec", nan_synthetic)
         code = run_cli([
             "compress", "--op", "synthetic", "--n", "256", "--d", "1",
             "--b", "8", "--k", "3", "--method", method, "--seed", "1",
@@ -90,7 +92,7 @@ class TestCompress:
         assert "numerical failure" in err and "not finite" in err
 
     def test_wrongly_shaped_oracle_exit_1(self, monkeypatch, capsys):
-        synthetic = ublr.cli.synthetic_ublr
+        synthetic = ublr.cli.make_synthetic_spec
 
         class RowDropping:
             def __init__(self, op):
@@ -102,7 +104,8 @@ class TestCompress:
             def apply_adjoint(self, X):
                 return self.op.apply_adjoint(X)
 
-        monkeypatch.setattr(ublr.cli, "synthetic_ublr", lambda spec: RowDropping(synthetic(spec)))
+        monkeypatch.setattr(ublr.cli, "make_synthetic_spec",
+                            lambda *args: RowDropping(synthetic(*args)))
         code = run_cli([
             "compress", "--op", "synthetic", "--n", "256", "--d", "1",
             "--b", "8", "--k", "3", "--method", "A3", "--seed", "1",
@@ -111,6 +114,38 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "phase 'I' has shape (255, 104), expected (256, 104)" in err
+
+    def test_synthetic_oracle_is_the_truth(self):
+        # no n x n matrix: the UniformBLR the CLI draws is compress's oracle;
+        # test_synthetic_a2_reaches_exact_rank_accuracy checks its error
+        args = ublr.cli.build_parser().parse_args([
+            "compress", "--op", "synthetic", "--n", "4096", "--d", "2", "--k", "20",
+        ])
+        tracemalloc.start()
+        try:
+            op, tess = ublr.cli._build_operator(args, args.k, args.n, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 4096**2 / 2  # the n x n matrix alone is 8 n^2 bytes
+        assert type(op) is UniformBLR and op.tess is tess and op.rank == 20
+
+    def test_synthetic_rank_zero_is_block_banded(self):
+        args = ublr.cli.build_parser().parse_args([
+            "compress", "--op", "synthetic", "--n", "256", "--d", "1",
+            "--b", "8", "--k", "3", "--synthetic-rank", "0",
+        ])
+        op, tess = ublr.cli._build_operator(args, args.k, args.n, 0)
+        assert 5 in tess.far_fields[0]
+        assert not op.apply(np.eye(256))[np.ix_(tess.blocks[0], tess.blocks[5])].any()
+
+    def test_negative_synthetic_rank_exit_2(self, capsys):
+        code = run_cli([
+            "compress", "--op", "synthetic", "--n", "256", "--d", "1",
+            "--b", "8", "--k", "3", "--synthetic-rank", "-1",
+        ])
+        assert code == 2
+        assert "rank -1 is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, options, named", [
         ("A1", ["--extra-cols", "2"], "extra_cols"),

@@ -14,7 +14,6 @@ from ublr import (
     make_synthetic_spec,
     random_points,
     read_ublr,
-    synthetic_ublr,
     write_ublr,
 )
 from ublr.reconstruction import UniformBLR
@@ -51,7 +50,7 @@ def test_synthetic_truth_roundtrip_bit_identical(tmp_path, rank):
         X = gaussian(truth.n, cols, RandomStream(3))
         assert np.array_equal(truth.apply(X), back.apply(X))
         assert np.array_equal(truth.apply_adjoint(X), back.apply_adjoint(X))
-    assert np.array_equal(truth.to_dense(), synthetic_ublr(back).matrix)
+    assert np.array_equal(truth.to_dense(), back.to_dense())
     write_ublr(again, back)
     assert again.read_bytes() == path.read_bytes()
 
@@ -116,8 +115,8 @@ def _disc_points():
 def test_read_returns_written_tessellation(tmp_path, points, target, b):
     tess = build_tessellation(points(), target)
     assert tess.b == b
-    op = synthetic_ublr(make_synthetic_spec(tess, 3, RandomStream(2)))
-    rep, _ = compress(op, tess, 3, "A3", stream=RandomStream(1), compute_error=False)
+    truth = make_synthetic_spec(tess, 3, RandomStream(2))
+    rep, _ = compress(truth, tess, 3, "A3", stream=RandomStream(1), compute_error=False)
     path, again = tmp_path / "rep.ublr", tmp_path / "again.ublr"
     write_ublr(path, rep)
     back = read_ublr(path).tess
@@ -137,8 +136,8 @@ def test_stored_colors_of_another_coloring_kept(tmp_path):
     tess = build_tessellation(_disc_points(), 49)
     greedy = greedy_distance2_reference(tess)
     assert (greedy.max() + 1, color_boxes(tess).num_colors) == (10, 9)
-    op = synthetic_ublr(make_synthetic_spec(tess, 3, RandomStream(2)))
-    rep, _ = compress(op, tess, 3, "A1", stream=RandomStream(1), compute_error=False)
+    truth = make_synthetic_spec(tess, 3, RandomStream(2))
+    rep, _ = compress(truth, tess, 3, "A1", stream=RandomStream(1), compute_error=False)
     path, again = tmp_path / "rep.ublr", tmp_path / "again.ublr"
     write_ublr(path, rep)
 

@@ -16,7 +16,6 @@ from ublr import (
     make_synthetic_spec,
     random_points,
     suggest_block_count,
-    synthetic_ublr,
     thin_slab_schur_operator,
 )
 from ublr import operators
@@ -138,7 +137,7 @@ class TestSyntheticUBLR:
         # blocks are U_i C_ij V_j*, the draws of each block's own stream
         tess = build_tessellation(ball_points(2000, 2, 1), 7**2)
         spec = make_synthetic_spec(tess, rank, RandomStream(2))
-        A = synthetic_ublr(spec).matrix
+        A = spec.to_dense()
         offs = spec.rank_offsets()
         for i, rows in enumerate(tess.blocks):
             for j, cols in enumerate(tess.blocks):
@@ -160,7 +159,7 @@ class TestSyntheticUBLR:
         n = tess.n_points
         tracemalloc.start()
         try:
-            synthetic_ublr(spec)
+            spec.to_dense()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

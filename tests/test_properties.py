@@ -25,7 +25,6 @@ from ublr import (
     make_synthetic_spec,
     random_points,
     read_ublr,
-    synthetic_ublr,
     write_ublr,
 )
 from ublr.reconstruction import METHODS
@@ -58,14 +57,13 @@ def ragged_truths(draw):
 def test_every_id_recovers_a_drawn_ragged_truth(case):
     truth, k, p, seed = case
     tess = truth.tess
-    op = synthetic_ublr(truth)
-    A = op.matrix
+    A = truth.to_dense()  # the dense reference; truth is the oracle
     ledgers = closed_form_ledger(tess, k, p)
     for method_id, method in METHODS.items():
         try:
             with warnings.catch_warnings():  # type B at k = 0, ill-conditioned stacks
                 warnings.simplefilter("ignore")
-                rep, report = compress(op, tess, k, method_id, p=p,
+                rep, report = compress(truth, tess, k, method_id, p=p,
                                        stream=RandomStream(seed + 1), compute_error=False)
         except ConfigError:  # tagging needs b >= 3^d + 1 blocks
             assert method.basis == "tag" and tess.b < 3**tess.dim + 1
