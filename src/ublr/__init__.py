@@ -33,8 +33,6 @@ from .reconstruction import (
     CompressionReport,
     UniformBLR,
     compress,
-    compress_type_a,
-    compress_type_b,
     direct_core,
     gaussian_pinv_discrepancy,
     make_synthetic_spec,

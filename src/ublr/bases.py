@@ -19,7 +19,7 @@ side, so the matvec columns stay the same, the forward side (and so every
 U_i) is what an independent Psi would give, and whatever is factored from
 the test matrix serves both sides: one null basis per neighbour stack
 (block nullification) and one right inverse per test block (tagging with
-group_cols).
+right_inverses).
 
 Each returns the bases together with the sketch bundle so the type-B
 reconstruction can reuse the samples.
@@ -49,7 +49,7 @@ class SketchBundle:
     block i's U_i* Y_i in its rank rows). Both sides use the same B_i^+.
     Block nullification builds them with right_inverses=True, from one QR
     of each stack, and the bundle also keeps that stack's condition
-    estimate. Tagging builds them when called with group_cols:
+    estimate. Tagging builds them with right_inverses=True too:
     B_i^+ = (T(N_i, :)^+ kron I_gc) blkdiag(G_k^+).
 
     Only block nullification keeps omega, for B1's step II. Tagging keeps
@@ -228,11 +228,10 @@ def _tagged_rows(t_row: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (g[:, None, :] * t_row[:, None]).reshape(g.shape[0], -1)
 
 
-def assemble_tagging_test_matrix(
-    tess: Tessellation, T: TaggingMatrix, blocks: list, group_cols: int
-) -> np.ndarray:
-    """Stack t_{i,j} * G_i into the (n, ell * group_cols) extended test matrix."""
-    out = np.zeros((tess.n_points, T.n_cols * group_cols))
+def assemble_tagging_test_matrix(tess: Tessellation, T: TaggingMatrix, blocks: list) -> np.ndarray:
+    """Stack t_{i,j} * G_i into the (n, ell * gc) extended test matrix, gc
+    the column count of the test blocks G_i."""
+    out = np.zeros((tess.n_points, T.n_cols * blocks[0].shape[1]))
     for i, rows in enumerate(tess.blocks):
         out[rows] = _tagged_rows(T.entries[i], blocks[i])
     return out
@@ -245,38 +244,37 @@ def tagging_bases(
     p: int,
     plan: TaggingPlan,
     stream: RandomStream,
-    group_cols: int | None = None,
+    right_inverses: bool = False,
 ) -> tuple:
     """Bases from tagged sketches: block i, group j carries t_{i,j} G_i.
 
-    group_cols defaults to k + p; the type-B pipeline passes m + p so that the
-    per-block test blocks admit right inverses. Block i's sample contracts
-    its sketch groups with the plan's null vector.
+    G_i has k + p columns, or m + p with right_inverses (type B), m the
+    largest block, so that it has a right inverse. Block i's sample
+    contracts its sketch groups with the plan's null vector.
 
     One side at a time, adjoint first: the test matrix is assembled for each
     oracle call and goes straight into it, and each sketch goes once its
     bases are taken. The bundle keeps the G_i that Omega is built from (see
-    SketchBundle.test_rows). With group_cols (type B), every G_j^+ is
-    factored up front, since both sides' rows use it, and each side also
-    leaves the projected right-inverse rows of SketchBundle, the forward
-    side U* Y too.
+    SketchBundle.test_rows). With right_inverses, every G_j^+ is factored
+    up front, since both sides' rows use it, and each side also leaves the
+    projected right-inverse rows of SketchBundle, the forward side U* Y too.
     """
     r = k + p
-    gc = r if group_cols is None else group_cols
+    gc = tess.max_block_size + p if right_inverses else r
     T = plan.matrix
 
     g_blocks = [gaussian(len(rows), gc, stream.child(0, i)) for i, rows in enumerate(tess.blocks)]
     g_pinv = None
-    if group_cols is not None:
+    if right_inverses:
         g_pinv = [null_basis(g, 0, rows=np.eye(gc))[1] for g in g_blocks]
 
     def one_side(apply, with_uy=False):
         """(bases, right-inverse rows, bases* sketch) of one side; the rows
-        are None without group_cols, the last also without with_uy.
+        are None without right_inverses, the last also without with_uy.
         Column p of W_i tags neighbour p with 1 and the others with 0, so
         one contraction of block i's sketch groups with W_i isolates every
         neighbour."""
-        sketch = apply(assemble_tagging_test_matrix(tess, T, g_blocks, gc))
+        sketch = apply(assemble_tagging_test_matrix(tess, T, g_blocks))
         bases = []
         rinv = None if g_pinv is None else NearField(tess)
         for i, rows in enumerate(tess.blocks):
@@ -296,7 +294,7 @@ def tagging_bases(
         return bases, rinv, stack_t(bases, tess, sketch) if with_uy else None
 
     v_blocks, z_rinv, _ = one_side(op.apply_adjoint)
-    u_blocks, y_rinv, uy = one_side(op.apply, with_uy=group_cols is not None)
+    u_blocks, y_rinv, uy = one_side(op.apply, with_uy=right_inverses)
 
     bases = BlockBases(u_blocks, v_blocks, k)
     bundle = SketchBundle(

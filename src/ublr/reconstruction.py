@@ -97,7 +97,6 @@ METHODS = {
     "B1": Method("B", "bn"),
     "B2": Method("B", "tag", ("distribution", "optimize")),
 }
-_IDS = {(m.family, m.basis): mid for mid, m in METHODS.items()}
 
 
 @dataclass
@@ -225,7 +224,13 @@ def relative_error(
     stream: RandomStream | None = None,
 ) -> float:
     """||A - A_compressed|| / ||A||, both estimated by the randomized power
-    method with the given iteration count."""
+    method with the given iteration count.
+
+    Raises NonFiniteOracleError when the oracle returns NaN or infinity and
+    OracleShapeError when it returns the wrong shape, each naming phase
+    'error'; ValueError when the two shapes differ or the norm estimate of
+    A is zero.
+    """
     if stream is None:
         stream = RandomStream(0)
     numerator, denominator = _error_norms(op, rep, iterations, stream)
@@ -235,11 +240,16 @@ def relative_error(
 
 
 def _error_norms(op, rep, iterations, stream):
-    """(||A - A_compressed||, ||A||) estimates, as relative_error takes them."""
+    """(||A - A_compressed||, ||A||) estimates, as relative_error takes them.
+    The oracle's output is checked by a CountingOperator of its own, in
+    phase "error", whose accounts are dropped."""
     if op.shape != rep.shape:
         raise ValueError(f"shape mismatch: {op.shape} vs {rep.shape}")
-    numerator = estimate_spectral_norm(DifferenceOperator(op, rep), iterations, stream.child(0))
-    return numerator, estimate_spectral_norm(op, iterations, stream.child(1))
+    counted = CountingOperator(op)
+    with counted.phase("error"):
+        numerator = estimate_spectral_norm(
+            DifferenceOperator(counted, rep), iterations, stream.child(0))
+        return numerator, estimate_spectral_norm(counted, iterations, stream.child(1))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +326,7 @@ def structured_identity_discrepancy(
 _DENOM_RTOL = 1e-10
 # cond(R) estimate above which B1's neighbour stacks and pinv_core's V* Omega warn
 _COND_LIMIT = 1e8
-_TYPE_B_BUNDLE = ("build it with block_nullification_bases(..., right_inverses=True) "
-                  "or tagging_bases(..., group_cols=m + p)")
+_TYPE_B_BUNDLE = "build it with right_inverses=True"
 
 
 def _near_field_from_pairs(bundle: SketchBundle, bases: BlockBases) -> NearField:
@@ -382,7 +391,7 @@ def tagging_pinv_discrepancy(bundle: SketchBundle, bases: BlockBases) -> NearFie
     (W_i kron I_gc) blkdiag(G_k^+) is a right inverse of them. As in B1,
     (I - U_i U_i*) Y_i times it is (I - U_i U_i*) A(I_i, N_i) up to
     far-field leakage, and Z_i times it gives A(N_i, I_i) (I - V_i V_i*).
-    tagging_bases with group_cols already formed both products, so this
+    tagging_bases with right_inverses already formed both products, so this
     step only slices and combines them. Costs no extra matvecs beyond the
     step-I bundle.
     """
@@ -567,21 +576,21 @@ def compress(
     cop = CountingOperator(op)
     plan = None
 
+    right_inverses = family == "B"
     with cop.phase("I"):
         if basis == "bn":
             bases, bundle = block_nullification_bases(
-                cop, tess, k, p, stream.child(0), right_inverses=family == "B"
+                cop, tess, k, p, stream.child(0), right_inverses=right_inverses
             )
         elif basis == "naive":
             bases, bundle = naive_bases(cop, tess, k, p, stream.child(0))
-        else:  # type B needs short tagging right inverses and m + p wide groups
+        else:  # type B needs short tagging right inverses
             plan = plan_tagging(
                 tess, extra_cols, distribution, stream.child(1), optimize=optimize,
-                extra_check=b2_denominators_ok if family == "B" else None,
+                extra_check=b2_denominators_ok if right_inverses else None,
             )
             bases, bundle = tagging_bases(
-                cop, tess, k, p, plan, stream.child(0),
-                group_cols=tess.max_block_size + p if family == "B" else None,
+                cop, tess, k, p, plan, stream.child(0), right_inverses=right_inverses
             )
 
     # Each sketch array is dropped after the last step that reads it.
@@ -650,14 +659,3 @@ KEYWORD_DEFAULTS = {
     name: inspect.signature(compress).parameters[name].default
     for name in ("distribution", "extra_cols", "optimize")
 }
-
-
-def compress_type_a(op, tess, k, p=10, method="tag", stream=None, **kwargs):
-    """compress with the type-A id of step-I method "bn", "tag" or "naive"."""
-    return compress(op, tess, k, _IDS.get(("A", method), f"A/{method}"), p, stream, **kwargs)
-
-
-def compress_type_b(op, tess, k, p=10, method="bn", stream=None, **kwargs):
-    """compress with the type-B id of step-I method "bn" or "tag"."""
-    return compress(op, tess, k, _IDS.get(("B", method), f"B/{method}"), p, stream, **kwargs)
-

@@ -15,8 +15,6 @@ from ublr import (
     build_tessellation,
     color_boxes,
     compress,
-    compress_type_a,
-    compress_type_b,
     direct_core,
     grid_points,
     laplace2d_operator,
@@ -206,10 +204,8 @@ def test_criterion_6_tagging_vs_alternatives(laplace_1024):
     ratios, orders = [], []
     for seed in (1, 2, 3, 4, 5):
         reports = {}
-        for method in ("bn", "tag", "naive"):
-            _, reports[method] = compress_type_a(
-                op, tess, 30, 10, method, RandomStream(seed)
-            )
+        for method, method_id in (("bn", "A1"), ("tag", "A2"), ("naive", "A3")):
+            _, reports[method] = compress(op, tess, 30, method_id, 10, RandomStream(seed))
         ratios.append(reports["tag"].relative_error / reports["naive"].relative_error)
         orders.append(
             reports["tag"].phase_total("I") < reports["bn"].phase_total("I")
@@ -258,7 +254,7 @@ def test_criterion_8_thin_slab_schur():
     tess = build_tessellation(pts, suggest_block_count(pts.n, 30, 2))
     errs = {}
     for k in (10, 30):
-        _, report = compress_type_a(op, tess, k, 10, "tag", RandomStream(8))
+        _, report = compress(op, tess, k, "A2", 10, RandomStream(8))
         errs[k] = report.relative_error
     compression_ok = errs[30] <= 1e-2 and errs[30] < errs[10]
     report_criterion(
@@ -271,14 +267,12 @@ def test_criterion_8_thin_slab_schur():
 def test_criterion_9_cross_family_equivalence():
     op, tess, _ = uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
     scale = snorm(op.matrix)
-    rep_a, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
-    rep_b, _ = compress_type_b(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
+    rep_a, _ = compress(op, tess, 3, "A1", 10, RandomStream(7), compute_error=False)
+    rep_b, _ = compress(op, tess, 3, "B1", 10, RandomStream(7), compute_error=False)
     op_gap = snorm(rep_a.to_dense() - rep_b.to_dense()) / scale
 
     plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
-    bases, bundle = tagging_bases(
-        op, tess, 3, 10, plan, RandomStream(1), group_cols=tess.max_block_size + 10
-    )
+    bases, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(1), right_inverses=True)
     core = direct_core(op, tess, bases)
     via_ids = structured_identity_discrepancy(op, tess, bases, core, color_boxes(tess))
     via_tags = tagging_pinv_discrepancy(bundle, bases)
@@ -296,8 +290,8 @@ def test_criterion_10_determinism(tmp_path):
     op, tess, _ = uniform_synthetic(d=2, b=16, m=16, k=2, seed=12)
 
     def run(tag):
-        rep, report = compress_type_a(
-            op, tess, 2, 10, "tag", RandomStream(99), optimize=True, extra_cols=1
+        rep, report = compress(
+            op, tess, 2, "A2", 10, RandomStream(99), optimize=True, extra_cols=1
         )
         path = tmp_path / f"{tag}.ublr"
         write_ublr(path, rep)
@@ -310,8 +304,8 @@ def test_criterion_10_determinism(tmp_path):
     reports_equal = report_1 == report_2
     bytes_equal = bytes_1 == bytes_2
 
-    rep_b1_a, _ = compress_type_b(op, tess, 2, 10, "bn", RandomStream(42), compute_error=False)
-    rep_b1_b, _ = compress_type_b(op, tess, 2, 10, "bn", RandomStream(42), compute_error=False)
+    rep_b1_a, _ = compress(op, tess, 2, "B1", 10, RandomStream(42), compute_error=False)
+    rep_b1_b, _ = compress(op, tess, 2, "B1", 10, RandomStream(42), compute_error=False)
     b1_equal = np.array_equal(rep_b1_a.core, rep_b1_b.core) and all(
         np.array_equal(rep_b1_a.b_blocks[key], rep_b1_b.b_blocks[key])
         for key in rep_b1_a.b_blocks

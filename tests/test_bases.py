@@ -135,7 +135,7 @@ class TestTaggingBases:
         _, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(0))
         gc = bundle.g_blocks[0].shape[1]
         T = plan.matrix.entries
-        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         for i in range(tess.b):
             rows = tess.blocks[i]
             for j in range(plan.matrix.n_cols):
@@ -147,7 +147,7 @@ class TestTaggingBases:
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
         _, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(0))
         gc = bundle.g_blocks[0].shape[1]
-        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         for i in range(tess.b):
             z = plan.null_vectors[i].vector
             groups = omega.reshape(tess.n_points, -1, gc)
@@ -174,7 +174,7 @@ class TestTaggingBases:
         gc = 3 + 10  # k + p
         g_blocks = [gaussian(len(rows), gc, stream.child(0, i))
                     for i, rows in enumerate(tess.blocks)]
-        y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, g_blocks, gc))
+        y = op.apply(assemble_tagging_test_matrix(tess, plan.matrix, g_blocks))
         for i, rows in enumerate(tess.blocks):
             # row l holds group l of every row of block i
             groups = y[rows].reshape(len(rows), -1, gc).transpose(1, 0, 2)
@@ -182,14 +182,12 @@ class TestTaggingBases:
             sample = mm(plan.null_vectors[i].vector, groups).reshape(len(rows), gc)
             assert np.array_equal(bases.u_blocks[i], _basis_or_identity(sample, 3))
 
-    def test_wide_group_cols_for_type_b(self, synthetic_small):
+    def test_right_inverses_widen_groups_to_m_plus_p(self, synthetic_small):
+        # type B's test blocks G_j need right inverses: m + p = 16 + 10 columns
         op, tess, _ = synthetic_small
         cop = CountingOperator(op)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
-        _, bundle = tagging_bases(
-            cop, tess, 3, 10, plan, RandomStream(0),
-            group_cols=tess.max_block_size + 10,
-        )
+        _, bundle = tagging_bases(cop, tess, 3, 10, plan, RandomStream(0), right_inverses=True)
         assert all(g.shape[1] == 26 for g in bundle.g_blocks)
         assert cop.matvecs == {"other": {"A": 4 * 26, "Astar": 4 * 26}}
 
@@ -255,7 +253,7 @@ class TestCrossMethod:
         for ua, ub in zip(a.u_blocks, b.u_blocks):
             assert np.array_equal(ua, ub)
 
-    @pytest.mark.parametrize("builder", ["tagging", "tagging_group_cols", "naive"])
+    @pytest.mark.parametrize("builder", ["tagging", "tagging_right_inverses", "naive"])
     def test_forward_bases_ignore_the_adjoint(self, synthetic_small, builder):
         # both sides sketch one test matrix, drawn as the forward side's:
         # an oracle whose adjoint is another matrix leaves every U_i bitwise
@@ -269,8 +267,8 @@ class TestCrossMethod:
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(3))
         build = {
             "tagging": lambda o: tagging_bases(o, tess, 3, 10, plan, RandomStream(0)),
-            "tagging_group_cols": lambda o: tagging_bases(
-                o, tess, 3, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10),
+            "tagging_right_inverses": lambda o: tagging_bases(
+                o, tess, 3, 10, plan, RandomStream(0), right_inverses=True),
             "naive": lambda o: naive_bases(o, tess, 3, 10, RandomStream(0)),
         }[builder]
         want, _ = build(op)

@@ -9,7 +9,6 @@ from ublr import (
     build_tessellation,
     color_boxes,
     compress,
-    compress_type_a,
     gaussian,
     make_synthetic_spec,
     random_points,
@@ -25,7 +24,7 @@ from test_tessellation import greedy_distance2_reference
 @pytest.fixture(scope="module")
 def compressed():
     op, tess, _ = uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
-    rep, _ = compress_type_a(op, tess, 3, 10, "tag", RandomStream(1), compute_error=False)
+    rep, _ = compress(op, tess, 3, "A2", 10, RandomStream(1), compute_error=False)
     return op, rep
 
 

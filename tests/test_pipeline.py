@@ -1,8 +1,7 @@
 """The single compress pipeline: which steps each method id runs,
-configuration errors, the type-A/type-B forwarders and non-finite or
-wrongly shaped oracle output."""
+configuration errors and non-finite or wrongly shaped oracle output, in
+compression and in the error estimate."""
 
-import hashlib
 import re
 
 import numpy as np
@@ -21,10 +20,9 @@ from ublr import (
     build_tessellation,
     color_boxes,
     compress,
-    compress_type_a,
-    compress_type_b,
     gaussian,
     read_ublr,
+    relative_error,
     write_ublr,
 )
 
@@ -66,12 +64,6 @@ METHOD_IDS = sorted(EXPECTED_STEPS)
 @pytest.fixture(scope="module")
 def case():
     return uniform_synthetic(d=1, b=8, m=16, k=3, seed=5)
-
-
-def container_sha(rep, tmp_path):
-    path = tmp_path / "rep.ublr"
-    write_ublr(path, rep)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("method_id", METHOD_IDS)
@@ -163,27 +155,6 @@ def test_report_config_names_only_keywords_the_id_uses(method_id, case):
     assert (report.config["extra_cols"] is None) != (method_id == "A2")
 
 
-@pytest.mark.parametrize(
-    "forwarder, method, method_id",
-    [(compress_type_a, "bn", "A1"), (compress_type_b, "tag", "B2")],
-)
-def test_forwarders_match_compress(forwarder, method, method_id, case, tmp_path):
-    op, tess, _ = case
-    rep_f, report_f = forwarder(op, tess, 3, 10, method, RandomStream(4), compute_error=False)
-    rep_c, report_c = compress(
-        op, tess, 3, method_id, p=10, stream=RandomStream(4), compute_error=False
-    )
-    assert container_sha(rep_f, tmp_path) == container_sha(rep_c, tmp_path)
-    assert report_f.method == report_c.method == method_id
-    assert report_f.matvecs == report_c.matvecs
-
-
-def test_type_b_has_no_naive_method(case):
-    _, tess, _ = case
-    with pytest.raises(ConfigError, match="unknown method id 'B/naive'"):
-        compress_type_b(UncallableOracle(tess.n_points), tess, 3, 10, "naive")
-
-
 class PoisonedOperator(DenseOperator):
     """Dense oracle whose chosen side returns NaN from its n-th call on."""
 
@@ -193,19 +164,23 @@ class PoisonedOperator(DenseOperator):
         self.from_call = from_call
         self.calls = 0
 
-    def _maybe_poison(self, Y, side):
+    def _spoil(self, Y):
+        Y = Y.copy()
+        Y[0, 0] = np.nan
+        return Y
+
+    def _maybe_spoil(self, Y, side):
         if side == self.side:
             self.calls += 1
             if self.calls > self.from_call:
-                Y = Y.copy()
-                Y[0, 0] = np.nan
+                Y = self._spoil(Y)
         return Y
 
     def apply(self, X):
-        return self._maybe_poison(super().apply(X), "A")
+        return self._maybe_spoil(super().apply(X), "A")
 
     def apply_adjoint(self, X):
-        return self._maybe_poison(super().apply_adjoint(X), "A*")
+        return self._maybe_spoil(super().apply_adjoint(X), "A*")
 
 
 @pytest.mark.parametrize("method_id", METHOD_IDS)
@@ -229,20 +204,12 @@ def test_non_finite_error_names_phase_and_side(case):
     assert issubclass(NonFiniteOracleError, ValueError)
 
 
-class RowDroppingOperator(DenseOperator):
-    """Dense oracle whose chosen side returns one output row too few."""
+class RowDroppingOperator(PoisonedOperator):
+    """Dense oracle whose chosen side returns one output row too few from
+    its n-th call on."""
 
-    def __init__(self, matrix, side):
-        super().__init__(matrix)
-        self.side = side
-
-    def apply(self, X):
-        Y = super().apply(X)
-        return Y[:-1] if self.side == "A" else Y
-
-    def apply_adjoint(self, X):
-        Y = super().apply_adjoint(X)
-        return Y[:-1] if self.side == "A*" else Y
+    def _spoil(self, Y):
+        return Y[:-1]
 
 
 @pytest.mark.parametrize("side", ["A", "A*"])
@@ -255,6 +222,27 @@ def test_wrongly_shaped_oracle_output_raises_in_step_one(method_id, side, case):
     with pytest.raises(OracleShapeError, match=pattern):
         compress(RowDroppingOperator(op.matrix, side), tess, 3, method_id, compute_error=False)
     assert issubclass(OracleShapeError, ValueError)
+
+
+@pytest.mark.parametrize("side, compress_calls", [("A", 3), ("A*", 1)], ids=["A", "A*"])
+@pytest.mark.parametrize("faulty, error, fault", [
+    (PoisonedOperator, NonFiniteOracleError, "is not finite"),
+    (RowDroppingOperator, OracleShapeError, r"has shape \({short}, 1\), expected \({n}, 1\)"),
+], ids=["non_finite", "wrong_shape"])
+def test_error_estimate_names_faulty_oracle_output(side, compress_calls, faulty, error, fault,
+                                                   case):
+    # the estimate checks the oracle's output as the compression phases do,
+    # in phase 'error': from relative_error, and from compress once A1's
+    # three A calls and one A* call of compression have gone through
+    op, tess, _ = case
+    n = tess.n_points
+    pattern = rf"oracle output of {re.escape(side)} in phase 'error' " + fault.format(
+        short=n - 1, n=n)
+    rep, _ = compress(op, tess, 3, "A1", compute_error=False)
+    with pytest.raises(error, match=pattern):
+        relative_error(faulty(op.matrix, side), rep)
+    with pytest.raises(error, match=pattern):
+        compress(faulty(op.matrix, side, from_call=compress_calls), tess, 3, "A1")
 
 
 @pytest.mark.parametrize("method_id, kwargs", [

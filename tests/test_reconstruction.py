@@ -16,8 +16,6 @@ from ublr import (
     build_tessellation,
     color_boxes,
     compress,
-    compress_type_a,
-    compress_type_b,
     direct_core,
     evaluate_plan,
     gaussian,
@@ -317,10 +315,7 @@ class TestTypeBDiscrepancy:
     def test_tagging_matches_structured_ids(self, synthetic_case):
         op, tess, _ = synthetic_case
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
-        bases, bundle = tagging_bases(
-            op, tess, 3, 10, plan, RandomStream(1),
-            group_cols=tess.max_block_size + 10,
-        )
+        bases, bundle = tagging_bases(op, tess, 3, 10, plan, RandomStream(1), right_inverses=True)
         core = direct_core(op, tess, bases)
         via_ids = structured_identity_discrepancy(op, tess, bases, core, color_boxes(tess))
         via_tags = tagging_pinv_discrepancy(bundle, bases)
@@ -336,10 +331,10 @@ class TestTypeBDiscrepancy:
         op, tess, _ = uniform_synthetic(d=d, b=b, m=m, k=2, seed=4)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
         gc = tess.max_block_size + 6
-        bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), group_cols=gc)
+        bases, bundle = tagging_bases(op, tess, 2, 6, plan, RandomStream(1), right_inverses=True)
         T = bundle.plan.matrix.entries
         # the bundle keeps no sketch: rebuild both from its one test matrix
-        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         y, z = op.apply(omega), op.apply_adjoint(omega)
 
         def term(i, j, sketch, basis, test_block):
@@ -492,13 +487,9 @@ class TestPinvCore:
         k, p = 10, 10
         if case == "B2":
             plan = plan_tagging(tess, 0, "gaussian", RandomStream(2))
-            bases, bundle = tagging_bases(
-                op, tess, k, p, plan, RandomStream(1), group_cols=tess.max_block_size + p
-            )
+            bases, bundle = tagging_bases(op, tess, k, p, plan, RandomStream(1), right_inverses=True)
             b_blocks = tagging_pinv_discrepancy(bundle, bases)
-            omega = assemble_tagging_test_matrix(
-                tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
-            )
+            omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         else:
             bases, bundle = block_nullification_bases(
                 op, tess, k, p, RandomStream(1), right_inverses=True
@@ -531,9 +522,7 @@ class TestPinvCore:
         tess = build_tessellation(pts, b)
         op = laplace2d_operator(pts)
         plan = plan_tagging(tess, 0, "gaussian", RandomStream(2), extra_check=b2_denominators_ok)
-        bases, bundle = tagging_bases(
-            op, tess, k, 10, plan, RandomStream(1), group_cols=tess.max_block_size + 10
-        )
+        bases, bundle = tagging_bases(op, tess, k, 10, plan, RandomStream(1), right_inverses=True)
         assert (bases.total_rank + 10 > bundle.s) == extra
         return op, tess, plan, bases, bundle
 
@@ -541,9 +530,7 @@ class TestPinvCore:
     def test_tagging_test_rows_are_the_assembled_rows(self, extra):
         _, tess, plan, _, bundle = self.b2_case(extra)
         assert bundle.omega is None
-        omega = assemble_tagging_test_matrix(
-            tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
-        )
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         for j, rows in enumerate(tess.blocks):
             assert np.array_equal(bundle.test_rows(j), omega[rows])
 
@@ -555,7 +542,7 @@ class TestPinvCore:
         # same G_j^+
         op, tess, plan, bases, bundle = self.b2_case(extra)
         gc = bundle.g_blocks[0].shape[1]
-        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks, gc)
+        omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         sides = [
             (bundle.y_rinv, bundle.uy, bases.u_blocks, op.apply),
             (bundle.z_rinv, None, bases.v_blocks, op.apply_adjoint),
@@ -580,9 +567,7 @@ class TestPinvCore:
         uy = bundle.uy.copy()  # pinv_core takes U* Y out of the bundle
         core, added = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
         assert (added > 0) == extra and bundle.uy is None
-        bundle.omega = assemble_tagging_test_matrix(
-            tess, plan.matrix, bundle.g_blocks, bundle.g_blocks[0].shape[1]
-        )
+        bundle.omega = assemble_tagging_test_matrix(tess, plan.matrix, bundle.g_blocks)
         bundle.uy = uy
         dense_core, _ = pinv_core(op, bundle, bases, b_blocks, 10, RandomStream(5))
         assert np.array_equal(core, dense_core)
@@ -672,9 +657,7 @@ class TestCompressMemory:
             )
         else:
             plan = plan_tagging(tess, 0, "gaussian", RandomStream(1))
-            _, bundle = tagging_bases(
-                op, tess, 20, 10, plan, RandomStream(0), group_cols=tess.max_block_size + 10
-            )
+            _, bundle = tagging_bases(op, tess, 20, 10, plan, RandomStream(0), right_inverses=True)
         assert not {"y", "z"} & set(vars(bundle))
         assert isinstance(bundle.y_rinv, NearField) and isinstance(bundle.z_rinv, NearField)
         arrays = [
@@ -748,7 +731,7 @@ class TestUniformBLRApply:
     def test_zero_operator_rep(self):
         tess = build_tessellation(grid_points(32, 1), 8)
         op = DenseOperator(np.zeros((32, 32)))
-        rep, _ = compress_type_a(op, tess, 2, 4, "bn", RandomStream(1), compute_error=False)
+        rep, _ = compress(op, tess, 2, "A1", 4, RandomStream(1), compute_error=False)
         X = gaussian(32, 3, RandomStream(2))
         assert np.max(np.abs(rep.apply(X))) <= 1e-12
 
@@ -784,7 +767,7 @@ class TestUniformBLRApply:
 
     def test_far_field_blocks_never_stored(self, synthetic_case):
         op, tess, _ = synthetic_case
-        rep, _ = compress_type_a(op, tess, 3, 10, "tag", RandomStream(1), compute_error=False)
+        rep, _ = compress(op, tess, 3, "A2", 10, RandomStream(1), compute_error=False)
         near = {
             (i, j) for i in range(tess.b) for j in tess.neighbor_lists[i]
         }
@@ -881,7 +864,7 @@ class TestRelativeError:
     def test_zero_norm_raises(self):
         tess = build_tessellation(grid_points(32, 1), 8)
         zero_op = DenseOperator(np.zeros((32, 32)))
-        rep, _ = compress_type_a(zero_op, tess, 2, 4, "bn", RandomStream(1), compute_error=False)
+        rep, _ = compress(zero_op, tess, 2, "A1", 4, RandomStream(1), compute_error=False)
         with pytest.raises(ValueError):
             relative_error(zero_op, rep, 5, RandomStream(2))
 
@@ -900,7 +883,7 @@ class TestRelativeError:
 
     def test_shape_mismatch_raises(self, synthetic_case):
         op, tess, _ = synthetic_case
-        rep, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(1), compute_error=False)
+        rep, _ = compress(op, tess, 3, "A1", 10, RandomStream(1), compute_error=False)
         other = DenseOperator(np.zeros((10, 10)))
         with pytest.raises(ValueError):
             relative_error(other, rep, 5, RandomStream(2))
@@ -910,20 +893,16 @@ class TestFullPipelines:
     def test_type_a_methods_agree_on_exact_rank(self, synthetic_case):
         op, tess, _ = synthetic_case
         reps = {}
-        for method in ("bn", "tag", "naive"):
-            rep, _ = compress_type_a(
-                op, tess, 3, 10, method, RandomStream(7), compute_error=False
-            )
-            reps[method] = rep.to_dense()
+        for method_id in ("A1", "A2", "A3"):
+            rep, _ = compress(op, tess, 3, method_id, 10, RandomStream(7), compute_error=False)
+            reps[method_id] = rep.to_dense()
         scale = snorm(op.matrix)
-        assert snorm(reps["bn"] - reps["tag"]) <= 1e-8 * scale
-        assert snorm(reps["bn"] - reps["naive"]) <= 1e-8 * scale
+        assert snorm(reps["A1"] - reps["A2"]) <= 1e-8 * scale
+        assert snorm(reps["A1"] - reps["A3"]) <= 1e-8 * scale
 
     def test_a2_matvec_total_formula(self):
         op, tess, _ = uniform_synthetic(d=1, b=8, m=40, k=30)
-        _, report = compress_type_a(
-            op, tess, 30, 10, "tag", RandomStream(3), compute_error=False
-        )
+        _, report = compress(op, tess, 30, "A2", 10, RandomStream(3), compute_error=False)
         sizes = tess.block_sizes
         colors = color_boxes(tess)
         sum_mc = sum(
@@ -958,14 +937,14 @@ class TestFullPipelines:
 
     def test_b1_matches_a1_as_operator(self, synthetic_case):
         op, tess, _ = synthetic_case
-        rep_a, _ = compress_type_a(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
-        rep_b, _ = compress_type_b(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
+        rep_a, _ = compress(op, tess, 3, "A1", 10, RandomStream(7), compute_error=False)
+        rep_b, _ = compress(op, tess, 3, "B1", 10, RandomStream(7), compute_error=False)
         scale = snorm(op.matrix)
         assert snorm(rep_a.to_dense() - rep_b.to_dense()) <= 1e-7 * scale
 
     def test_b2_sampling_cost(self, synthetic_case):
         op, tess, _ = synthetic_case
-        _, report = compress_type_b(op, tess, 3, 10, "tag", RandomStream(7), compute_error=False)
+        _, report = compress(op, tess, 3, "B2", 10, RandomStream(7), compute_error=False)
         per_side = 4 * (tess.max_block_size + 10)
         a, astar = report.matvecs["I"]["A"], report.matvecs["I"]["Astar"]
         assert (a, astar) == (per_side, per_side)
@@ -973,10 +952,8 @@ class TestFullPipelines:
     def test_tiny_type_b_full_pipeline(self):
         op, tess, _ = uniform_synthetic(d=1, b=4, m=8, k=2, seed=9)
         scale = snorm(op.matrix)
-        for method in ("bn", "tag"):
-            rep, report = compress_type_b(
-                op, tess, 2, 4, method, RandomStream(2), compute_error=False
-            )
+        for method_id in ("B1", "B2"):
+            rep, report = compress(op, tess, 2, method_id, 4, RandomStream(2), compute_error=False)
             assert snorm(rep.to_dense() - op.matrix) <= 1e-8 * scale
 
     @pytest.mark.parametrize("method_id", ["A1", "A2", "A3", "B1", "B2"])
@@ -996,7 +973,7 @@ class TestFullPipelines:
 
     def test_storage_accounting(self, synthetic_case):
         op, tess, _ = synthetic_case
-        rep, report = compress_type_a(op, tess, 3, 10, "bn", RandomStream(7), compute_error=False)
+        rep, report = compress(op, tess, 3, "A1", 10, RandomStream(7), compute_error=False)
         n, k, b = tess.n_points, 3, tess.b
         near_entries = sum(
             len(tess.blocks[i]) * len(tess.blocks[j])
@@ -1056,12 +1033,10 @@ class TestFullPipelines:
         )
         err_dense = snorm(dense_rep.to_dense() - A) / snorm(A)
 
-        for method in ("bn", "tag", "naive"):
-            rep, _ = compress_type_a(
-                op, tess, k, 10, method, RandomStream(5), compute_error=False
-            )
+        for method_id in ("A1", "A2", "A3"):
+            rep, _ = compress(op, tess, k, method_id, 10, RandomStream(5), compute_error=False)
             err = snorm(rep.to_dense() - A) / snorm(A)
-            assert err <= 50 * err_dense, (method, err, err_dense)
+            assert err <= 50 * err_dense, (method_id, err, err_dense)
 
     def test_three_dimensional_geometry(self):
         # 27-neighbor neighborhoods and 28-column tagging matrices
