@@ -26,6 +26,7 @@ from .operators import (
     LinearOperatorHandle,
     NonFiniteOracleError,
     OracleShapeError,
+    SymmetricDenseOperator,
     laplace2d_operator,
     thin_slab_schur_operator,
 )

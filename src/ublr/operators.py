@@ -5,8 +5,13 @@ apply_adjoint on blocks of columns. This module provides the handle
 protocol, a counting wrapper that bills matvec columns to compression
 phases and times them, and two desk-scale test operators: the 2D Laplace
 log kernel and the thin-slab Schur complement of a shifted Laplacian. The
-exact-rank synthetic ground truth is a UniformBLR, so make_synthetic_spec
-lives beside it in reconstruction; the truth is its own oracle.
+kernel matrix is symmetric and stored once, in row panels:
+(N^2 + N * _PANEL_ROWS) / 2 doubles, 84 MB at N = 4096 against 134 MB for
+the full matrix. Its products sum in another order than one GEMM on the
+full matrix, so containers and error estimates differ by rounding from
+those of a DenseOperator holding it. The exact-rank synthetic ground truth is a
+UniformBLR, so make_synthetic_spec lives beside it in reconstruction; the
+truth is its own oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemm, dgemv
 
 from .linalg import mm
 from .tessellation import PointCloud
@@ -38,8 +44,9 @@ class LinearOperatorHandle:
 
 
 class DenseOperator(LinearOperatorHandle):
-    """Handle around an explicitly stored dense matrix; both sides are one
-    linalg.mm call on its buffer, so neither copies it."""
+    """Handle around an explicitly stored dense matrix, of any shape and
+    symmetry; both sides are one linalg.mm call on its buffer, so neither
+    copies it."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -154,6 +161,85 @@ class CountingOperator(LinearOperatorHandle):
 # cache, and the cap of _KERNEL_TILE workers leaves each at least one row
 _KERNEL_TILE = 32
 
+# rows per panel of a SymmetricDenseOperator built by laplace2d_operator:
+# the store is (N^2 + N * _PANEL_ROWS) / 2 doubles (84 MB at N = 4096,
+# against 134 MB for the full matrix). At N = 4096 on 64 to 1600 columns,
+# 512-row panels were up to 9 % slower, and 2048-row ones as fast but
+# 17 MB larger
+_PANEL_ROWS = 1024
+
+
+class SymmetricDenseOperator(LinearOperatorHandle):
+    """Handle around a symmetric dense matrix A stored once.
+
+    For each row panel [lo, hi) it keeps the diagonal block
+    D = A[lo:hi, lo:hi] and the block R = A[lo:hi, hi:] to its right, each
+    a C-ordered array of its own; the rest of A is R's transposes. Panel p
+    of A X is D X[lo:hi] + R X[hi:] plus the earlier panels' R* X, so apply
+    sweeps the panels with three dgemm calls each (beta = 1, written in
+    place into one zeroed result; dgemv for a 1-D vector or one column) and
+    reads every stored entry once per product. apply_adjoint is apply, and
+    matrix assembles the full n x n array.
+    """
+
+    def __init__(self, diagonal: list, right: list):
+        self.diagonal, self.right = diagonal, right
+        self.n = sum(len(d) for d in diagonal)
+        self.bounds = []
+        lo = 0
+        for d, r in zip(diagonal, right, strict=True):
+            hi = lo + len(d)
+            if d.shape != (hi - lo, hi - lo) or r.shape != (hi - lo, self.n - hi):
+                raise ValueError(f"panel [{lo}, {hi}) of {self.n} rows has blocks "
+                                 f"of shapes {d.shape} and {r.shape}")
+            self.bounds.append((lo, hi))
+            lo = hi
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        A = np.empty((self.n, self.n))
+        for (lo, hi), d, r in zip(self.bounds, self.diagonal, self.right):
+            A[lo:hi, lo:hi] = d
+            A[lo:hi, hi:] = r
+            A[hi:, lo:hi] = r.T
+        return A
+
+    def apply(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return self._apply_vector(X)
+        if X.shape[1] == 1:
+            return self._apply_vector(X[:, 0])[:, None]
+        Y = np.zeros((self.n, X.shape[1]))
+        if Y.size == 0:
+            return Y
+        # the transposes of C-ordered X and Y are F-ordered, and so is every
+        # column range of them: dgemm reads and writes them in place
+        xt, yt = np.ascontiguousarray(X).T, Y.T
+        for (lo, hi), d, r in zip(self.bounds, self.diagonal, self.right):
+            dgemm(1.0, xt[:, lo:hi], d.T, beta=1.0, c=yt[:, lo:hi], overwrite_c=1)
+            if hi < self.n:
+                dgemm(1.0, xt[:, hi:], r.T, beta=1.0, c=yt[:, lo:hi], overwrite_c=1)
+                dgemm(1.0, xt[:, lo:hi], r.T, trans_b=1, beta=1.0, c=yt[:, hi:], overwrite_c=1)
+        return Y
+
+    def apply_adjoint(self, X):
+        return self.apply(X)
+
+    def _apply_vector(self, x):
+        x = np.ascontiguousarray(x)
+        y = np.zeros(self.n)
+        for (lo, hi), d, r in zip(self.bounds, self.diagonal, self.right):
+            dgemv(1.0, d.T, x[lo:hi], beta=1.0, y=y[lo:hi], overwrite_y=1)
+            if hi < self.n:
+                dgemv(1.0, r.T, x[hi:], beta=1.0, y=y[lo:hi], trans=1, overwrite_y=1)
+                dgemv(1.0, r.T, x[lo:hi], beta=1.0, y=y[hi:], overwrite_y=1)
+        return y
+
 
 def _build_workers() -> int:
     """Threads that build the kernel matrix: the CPUs available to this
@@ -165,52 +251,73 @@ def _build_workers() -> int:
     return min(cpus, _KERNEL_TILE)
 
 
-def laplace2d_operator(points: PointCloud) -> DenseOperator:
-    """Dense kernel matrix log||x_i - x_j|| with a zero diagonal.
+def laplace2d_operator(points: PointCloud) -> SymmetricDenseOperator:
+    """Kernel matrix log||x_i - x_j|| with a zero diagonal, stored once.
 
-    Built in place in the result by one thread per available CPU (at most
-    _KERNEL_TILE), each over its own contiguous range of rows, joined before
-    the call returns. A worker fills _KERNEL_TILE // workers rows per pass:
-    each tile gets (x_0 - y_0)^2 written into it, then (x_a - y_a)^2 added
-    for each further coordinate through the worker's slice of one
-    _KERNEL_TILE x N temporary, the only one. Every entry comes from the
-    same operations in the same order at any worker count, so the result is
-    the all-pairs formula's, bit for bit. Each tile's diagonal distances are
-    set to 1 before the log, and log(1) = 0.
+    The matrix is symmetric, so it is held as a SymmetricDenseOperator with
+    panels of _PANEL_ROWS rows: 8 (N^2 + N h) / 2 bytes for panels of h
+    rows (84 MB at N = 4096, 302 MB at N = 8192), against 8 N^2 for the full
+    matrix, which is never allocated. Products sum in another order than
+    one GEMM on the full matrix, so containers and error estimates differ
+    from such a product's by rounding.
+
+    Built in place in the panels' blocks by one thread per available CPU
+    (at most _KERNEL_TILE), joined before the call returns. Each panel's
+    rows are cut into tiles of _KERNEL_TILE // workers rows, dealt to the
+    workers round-robin, so the triangular work stays balanced. A tile is
+    filled in its D rows, then in its R rows: each gets (x_0 - y_0)^2
+    written into it, then (x_a - y_a)^2 added for each further coordinate
+    through the worker's slice of one _KERNEL_TILE x N temporary, the only
+    one. Every entry comes from the same operations in the same order at
+    any worker count, so the entries, and matrix, are the all-pairs
+    formula's, bit for bit. The diagonal distances are set to 1 before the
+    log, and log(1) = 0.
     """
     if points.dim != 2:
         raise ValueError("laplace2d requires d=2 points")
     x = points.coords
     xt = np.ascontiguousarray(x.T)
     n = points.n
-    A = np.empty((n, n))
     workers = _build_workers()
     step = _KERNEL_TILE // workers
     sq = np.empty((workers * step, n))
+    bounds = [(lo, min(lo + _PANEL_ROWS, n)) for lo in range(0, n, _PANEL_ROWS)]
+    diagonal = [np.empty((hi - lo, hi - lo)) for lo, hi in bounds]
+    right = [np.empty((hi - lo, n - hi)) for lo, hi in bounds]
+    tiles = [
+        (p, a, min(a + step, hi))
+        for p, (lo, hi) in enumerate(bounds)
+        for a in range(lo, hi, step)
+    ]
 
     def fill(w: int) -> None:
-        scratch = sq[w * step:(w + 1) * step]
-        stop = n * (w + 1) // workers
-        for lo in range(n * w // workers, stop, step):
-            hi = min(lo + step, stop)
-            tile = A[lo:hi]
-            rows = np.arange(hi - lo)
-            np.subtract(x[lo:hi, 0, None], xt[0], out=tile)
-            np.square(tile, out=tile)
-            for a in range(1, points.dim):
-                d = scratch[:hi - lo]
-                np.subtract(x[lo:hi, a, None], xt[a], out=d)
-                np.square(d, out=d)
-                tile += d
-            np.sqrt(tile, out=tile)
-            tile[rows, lo + rows] = 1.0
-            if tile.min() == 0.0:  # distances are >= 0, so no boolean mask
+        # flat, so that each segment's slice of it is contiguous: ufuncs on
+        # a column slice of the 2-D scratch made the build about 20 % slower
+        scratch = sq[w * step:(w + 1) * step].reshape(-1)
+        for p, a, b in tiles[w::workers]:
+            lo, hi = bounds[p]
+            rows = np.arange(b - a)
+            d_tile = diagonal[p][a - lo:b - lo]
+            r_tile = right[p][a - lo:b - lo]
+            for tile, c0, c1 in ((d_tile, lo, hi), (r_tile, hi, n)):
+                np.subtract(x[a:b, 0, None], xt[0, c0:c1], out=tile)
+                np.square(tile, out=tile)
+                for k in range(1, points.dim):
+                    d = scratch[:(b - a) * (c1 - c0)].reshape(b - a, c1 - c0)
+                    np.subtract(x[a:b, k, None], xt[k, c0:c1], out=d)
+                    np.square(d, out=d)
+                    tile += d
+                np.sqrt(tile, out=tile)
+            d_tile[rows, a - lo + rows] = 1.0
+            # distances are >= 0, so no boolean mask
+            if d_tile.min() == 0.0 or (r_tile.size and r_tile.min() == 0.0):
                 raise ValueError("coincident points: log kernel is singular")
-            np.log(tile, out=tile)
+            np.log(d_tile, out=d_tile)
+            np.log(r_tile, out=r_tile)
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(fill, range(workers)))  # re-raises a worker's error
-    return DenseOperator(A)
+    return SymmetricDenseOperator(diagonal, right)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,10 @@ def relative_error(
     stream: RandomStream | None = None,
 ) -> float:
     """||A - A_compressed|| / ||A||, both estimated by the randomized power
-    method with the given iteration count.
+    method with the given iteration count. ||A|| is taken on the
+    representation, so only the numerator calls the oracle; since
+    | ||A_compressed|| - ||A|| | <= ||A - A_compressed||, this moves the
+    ratio by about its own square.
 
     Raises NonFiniteOracleError when the oracle returns NaN or infinity and
     OracleShapeError when it returns the wrong shape, each naming phase
@@ -240,16 +243,17 @@ def relative_error(
 
 
 def _error_norms(op, rep, iterations, stream):
-    """(||A - A_compressed||, ||A||) estimates, as relative_error takes them.
-    The oracle's output is checked by a CountingOperator of its own, in
-    phase "error", whose accounts are dropped."""
+    """(||A - A_compressed||, ||A||) estimates, as relative_error takes them,
+    ||A|| on the representation. The oracle's output is checked by a
+    CountingOperator of its own, in phase "error", whose accounts are
+    dropped."""
     if op.shape != rep.shape:
         raise ValueError(f"shape mismatch: {op.shape} vs {rep.shape}")
     counted = CountingOperator(op)
     with counted.phase("error"):
         numerator = estimate_spectral_norm(
             DifferenceOperator(counted, rep), iterations, stream.child(0))
-        return numerator, estimate_spectral_norm(counted, iterations, stream.child(1))
+    return numerator, estimate_spectral_norm(rep, iterations, stream.child(1))
 
 
 # ---------------------------------------------------------------------------

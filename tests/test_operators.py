@@ -10,6 +10,7 @@ from ublr import (
     NonFiniteOracleError,
     PointCloud,
     RandomStream,
+    SymmetricDenseOperator,
     build_tessellation,
     gaussian,
     laplace2d_operator,
@@ -20,6 +21,7 @@ from ublr import (
 )
 from ublr import operators
 from ublr.operators import _KERNEL_TILE as T
+from ublr.operators import _PANEL_ROWS as H
 
 from conftest import ball_points, snorm, uniform_synthetic
 
@@ -166,6 +168,15 @@ class TestSyntheticUBLR:
         assert peak - 8 * n * n <= 4 * spec.total_rank * n * 8
 
 
+def all_pairs_kernel(x):
+    """log||x_i - x_j|| with a zero diagonal, by one all-pairs broadcast."""
+    diff = x[:, None, :] - x[None, :, :]
+    with np.errstate(divide="ignore"):
+        want = np.log(np.sqrt((diff**2).sum(axis=2)))
+    np.fill_diagonal(want, 0.0)
+    return want
+
+
 class TestLaplace2D:
     def test_unit_distance_gives_zero(self):
         pts = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
@@ -198,21 +209,20 @@ class TestLaplace2D:
         with pytest.raises(ValueError):
             laplace2d_operator(PointCloud(np.array([[0.1], [0.9]]), 1))
 
-    # at n = 1 every worker but the last has no rows; at n = 5 five workers
-    # have one row each
+    # at n = 1 and n = 5 only the first worker has a tile; at H - 1 to
+    # 2H + 1 the last panel is full, one row short or one row long
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize(
-        "n", [1, 5, T - 1, T, T + 1, 2 * T + 1, 255, 256, 257, 300, 513]
+        "n",
+        [1, 5, T - 1, T, T + 1, 2 * T + 1, 255, 256, 257, 300, 513,
+         H - 1, H, H + 1, 2 * H + 1],
     )
     def test_row_tiles_match_one_broadcast(self, n, workers, monkeypatch):
         # the row-tiled build gives the very bits of the all-pairs formula
         # at any worker count
         monkeypatch.setattr(operators, "_build_workers", lambda: workers)
         x = random_points(n, 2, RandomStream(n)).coords
-        diff = x[:, None, :] - x[None, :, :]
-        with np.errstate(divide="ignore"):
-            want = np.log(np.sqrt((diff**2).sum(axis=2)))
-        np.fill_diagonal(want, 0.0)
+        want = all_pairs_kernel(x)
         got = laplace2d_operator(PointCloud(x, 2)).matrix
         assert np.array_equal(got, want)
         assert not np.signbit(np.diag(got)).any()
@@ -259,6 +269,23 @@ class TestLaplace2D:
             tracemalloc.stop()
         assert peak - 8 * n * n <= 2 * T * n * 8
 
+    def test_build_holds_the_panels_and_one_tile(self, monkeypatch):
+        # the panels hold (n^2 + n H) / 2 doubles, and no n x n array or
+        # whole-panel temporary is made: the build peaks at the panels plus
+        # the T x N temporary, with as much again for numpy's ufunc buffers
+        n = 2048
+        monkeypatch.setattr(operators, "_build_workers", lambda: 2)
+        pts = random_points(n, 2, RandomStream(5))
+        tracemalloc.start()
+        try:
+            op = laplace2d_operator(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in op.diagonal + op.right)
+        assert stored == 8 * (n * n + n * H) // 2
+        assert peak - stored <= 2 * T * n * 8
+
     def test_far_field_singular_values_decay(self):
         pts = random_points(1024, 2, RandomStream(6))
         op = laplace2d_operator(pts)
@@ -273,6 +300,42 @@ class TestLaplace2D:
                     assert sv[30] <= 1e-6 * sv[0]
                     checked += 1
         assert checked >= 3
+
+
+@pytest.fixture(scope="class", params=[1, 5, H - 1, H, H + 1, 2 * H + 1])
+def kernel_case(request):
+    """(laplace2d operator, its all-pairs matrix) on n random points, with
+    n on and beside the panel boundaries."""
+    x = random_points(request.param, 2, RandomStream(request.param)).coords
+    return laplace2d_operator(PointCloud(x, 2)), all_pairs_kernel(x)
+
+
+class TestSymmetricDenseOperator:
+    @pytest.mark.parametrize("cols", ["vector", 0, 1, 8, 64, "column-slice"])
+    def test_products_match_the_dense_product(self, kernel_case, cols):
+        op, A = kernel_case
+        assert isinstance(op, SymmetricDenseOperator)
+        X = gaussian(len(A), 64, RandomStream(3))
+        if cols == "vector":
+            X = X[:, 0]
+        elif cols == "column-slice":
+            X = X[:, 1:40:3]  # neither C- nor F-contiguous
+        else:
+            X = X[:, :cols]
+        want = A @ X
+        got = op.apply(X)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(op.apply_adjoint(X), got)
+
+    def test_adjoint_consistent(self, kernel_case):
+        op, _ = kernel_case
+        assert check_adjoint(op, RandomStream(4)) <= 1e-14
+
+    def test_panel_shapes_checked(self):
+        with pytest.raises(ValueError, match="panel"):
+            SymmetricDenseOperator([np.zeros((2, 2)), np.zeros((3, 3))],
+                                   [np.zeros((2, 2)), np.zeros((3, 1))])
 
 
 def dense_slab_matrix(nx, ny, nz, kappa):

@@ -888,6 +888,16 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(other, rep, 5, RandomStream(2))
 
+    def test_one_oracle_power_loop(self, synthetic_case):
+        # ||A|| is taken on the representation: the oracle sees only the
+        # numerator's loop, one apply and one adjoint per iteration
+        op, tess, _ = synthetic_case
+        rep, _ = compress(op, tess, 3, "A1", 10, RandomStream(1), compute_error=False)
+        recording = RecordingOperator(op.matrix)
+        rel = relative_error(recording, rep, 7, RandomStream(2))
+        assert [side for side, _ in recording.calls] == ["A", "A*"] * 7
+        assert np.isfinite(rel)
+
 
 class TestFullPipelines:
     def test_type_a_methods_agree_on_exact_rank(self, synthetic_case):
